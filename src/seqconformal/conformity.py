@@ -11,9 +11,7 @@ online standardization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .gaussian import BivariateGaussian, Example, conditional_density
 

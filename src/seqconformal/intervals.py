@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .conformity import oracle_score
 from .gaussian import (BivariateGaussian, Example, conditional_mean,

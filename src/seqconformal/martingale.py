@@ -14,8 +14,8 @@ Jumper parameterization; both are configurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 from .transducer import PValue
 

@@ -34,8 +34,5 @@ class RandomStream:
         """n uniform draws from [0, 1)."""
         return self._gen.random(int(n))
 
-    def integers(self, low: int, high: int) -> int:
-        return int(self._gen.integers(low, high))
-
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, path={self.path})"

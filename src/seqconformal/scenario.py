@@ -1,32 +1,32 @@
 """Config-driven scenario runner.
 
-Builds a pre/post-change Gaussian stream, pushes it through the smoothed
-conformal transducer, the Simple Jumper martingale, and the online
-prediction intervals in one pass, and emits CSV artifacts plus a JSON
-summary. Runs are fully deterministic per seed: the data stream and the
-tie-breaking stream are independent substreams of the scenario seed.
+`run_scenario` composes the stage functions: it samples a pre/post-change
+Gaussian stream, runs it through the smoothed conformal transducer
+(`run_transducer`), the Simple Jumper martingale (`run_ctm`) and the
+online prediction intervals (`efficiency_series`), tests the p-values
+for uniformity, and emits CSV artifacts plus a JSON summary. Runs are
+fully deterministic per seed: the data stream and the tie-breaking
+stream are independent substreams of the scenario seed.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import yaml
 
 from .conformity import (ConformityMeasure, LikelihoodRatio, Mahalanobis,
-                         PredictiveOracle, oracle_mahalanobis_ensemble,
-                         oracle_score)
+                         PredictiveOracle, oracle_mahalanobis_ensemble)
 from .cryptic import cryptic_line, cryptic_shift, verify_conditions
-from .gaussian import BivariateGaussian, Example, sample
-from .intervals import predict_interval
-from .martingale import JumperConfig, initial_state, jumper_step
+from .gaussian import BivariateGaussian, sample
+from .intervals import EfficiencyRecord, efficiency_series
+from .martingale import JumperConfig, run_ctm
 from .rng import RandomStream
 from .stats import KSReport, ks_uniform
-from .transducer import ScoreStore, observe
+from .transducer import run_transducer
 
 DATA_SUBSTREAM = 0
 TAU_SUBSTREAM = 1
@@ -206,39 +206,33 @@ class ScenarioSummary:
     seed: int
 
     def to_dict(self) -> dict[str, Any]:
-        def ks(report):
-            if report is None:
-                return None
-            return {"statistic": report.statistic, "n": report.n,
-                    "threshold_at_alpha": report.threshold_at_alpha,
-                    "alpha": report.alpha, "reject": report.reject}
-        return {
-            "final_log10_capital": self.final_log10_capital,
-            "max_log10_capital": self.max_log10_capital,
-            "ks_all": ks(self.ks_all),
-            "ks_pre": ks(self.ks_pre),
-            "ks_post": ks(self.ks_post),
-            "coverage_pre": self.coverage_pre,
-            "coverage_post": self.coverage_post,
-            "mean_width_pre": self.mean_width_pre,
-            "mean_width_post": self.mean_width_post,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: Path, header: list[str],
+               rows: Iterable[list[str]]) -> None:
     lines = [",".join(header)] + [",".join(row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _phase_means(records: list[EfficiencyRecord], lo: int,
+                 hi: int) -> tuple[float | None, float | None]:
+    """Coverage and mean width over the interval records of steps lo+1..hi."""
+    sel = [r for r in records if lo < r.step <= hi]
+    if not sel:
+        return None, None
+    return (sum(float(r.covered) for r in sel) / len(sel),
+            sum(r.width for r in sel) / len(sel))
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
                  output_dir: Path | None = None,
                  write_artifacts: bool = True) -> ScenarioSummary:
-    """One full pass: sample, transduce, bet, predict, summarize.
+    """Sample, transduce, bet, predict, summarize.
 
     seed/output_dir override the config values (used by replications).
     """
@@ -250,58 +244,27 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     stream = (sample(cfg.pre, data_rng, cfg.n_pre)
               + sample(cfg.post, data_rng, cfg.n_post))
     measure = cfg.measure.build(cfg.pre, cfg.post)
-    measure.reset()
-
-    test_store = ScoreStore()
-    interval_store = ScoreStore()
-    state = initial_state(cfg.jumper)
-
-    pvalues: list[float] = []
-    log10_caps: list[float] = [state.log10_total]
-    interval_rows: list[list[str]] = []
-    widths: list[float] = []
-    covered_flags: list[bool] = []
-    interval_steps: list[int] = []
-
-    for step, z in enumerate(stream, start=1):
-        if step > 1:
-            interval = predict_interval(cfg.pre, interval_store, z.x,
-                                        cfg.epsilon, step_index=step)
-            covered = interval.contains(z.y)
-            widths.append(interval.width)
-            covered_flags.append(covered)
-            interval_steps.append(step)
-            interval_rows.append([str(step), _fmt(interval.center),
-                                  _fmt(interval.lower), _fmt(interval.upper),
-                                  _fmt(interval.width),
-                                  "1" if covered else "0"])
-        alpha = measure.score(z)
-        test_store.insert(alpha)
-        p = observe(test_store, alpha, tau_rng.uniform()).value
-        pvalues.append(p)
-        state = jumper_step(state, cfg.jumper, p)
-        log10_caps.append(state.log10_total)
-        interval_store.insert(oracle_score(cfg.pre, z))
-
-    def _phase_mean(values, steps, lo, hi):
-        sel = [v for v, s in zip(values, steps) if lo < s <= hi]
-        return sum(sel) / len(sel) if sel else None
+    pvalues = [pv.value for pv in run_transducer(measure, stream, tau_rng)]
+    trajectory = run_ctm(cfg.jumper, pvalues)
+    # A one-example stream has no earlier score to predict from.
+    records = (efficiency_series(stream, cfg.pre, cfg.epsilon)
+               if len(stream) > 1 else [])
 
     n = cfg.n_pre + cfg.n_post
     pre_p = pvalues[:cfg.n_pre]
     post_p = pvalues[cfg.n_pre:]
+    coverage_pre, mean_width_pre = _phase_means(records, 1, cfg.n_pre)
+    coverage_post, mean_width_post = _phase_means(records, cfg.n_pre, n)
     summary = ScenarioSummary(
-        final_log10_capital=log10_caps[-1],
-        max_log10_capital=max(log10_caps),
+        final_log10_capital=trajectory[-1][1],
+        max_log10_capital=max(c for _, c in trajectory),
         ks_all=ks_uniform(pvalues, alpha=0.01),
         ks_pre=ks_uniform(pre_p, alpha=0.01) if pre_p else None,
         ks_post=ks_uniform(post_p, alpha=0.01) if post_p else None,
-        coverage_pre=_phase_mean([float(c) for c in covered_flags],
-                                 interval_steps, 1, cfg.n_pre),
-        coverage_post=_phase_mean([float(c) for c in covered_flags],
-                                  interval_steps, cfg.n_pre, n),
-        mean_width_pre=_phase_mean(widths, interval_steps, 1, cfg.n_pre),
-        mean_width_post=_phase_mean(widths, interval_steps, cfg.n_pre, n),
+        coverage_pre=coverage_pre,
+        coverage_post=coverage_post,
+        mean_width_pre=mean_width_pre,
+        mean_width_post=mean_width_post,
         seed=seed,
     )
 
@@ -312,16 +275,18 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
             phase = ["pre" if i <= cfg.n_pre else "post"
                      for i in range(1, n + 1)]
             _write_csv(out / "stream.csv", ["step", "x", "y", "phase"],
-                       [[str(i + 1), _fmt(z.x), _fmt(z.y), phase[i]]
-                        for i, z in enumerate(stream)])
+                       ([str(i + 1), _fmt(z.x), _fmt(z.y), phase[i]]
+                        for i, z in enumerate(stream)))
             _write_csv(out / "pvalues.csv", ["step", "pvalue", "phase"],
-                       [[str(i + 1), _fmt(p), phase[i]]
-                        for i, p in enumerate(pvalues)])
+                       ([str(i + 1), _fmt(p), phase[i]]
+                        for i, p in enumerate(pvalues)))
             _write_csv(out / "martingale.csv", ["step", "log10_capital"],
-                       [[str(i), _fmt(c)] for i, c in enumerate(log10_caps)])
+                       ([str(i), _fmt(c)] for i, c in trajectory))
             _write_csv(out / "intervals.csv",
                        ["step", "center", "lower", "upper", "width", "covered"],
-                       interval_rows)
+                       ([str(r.step), _fmt(r.center), _fmt(r.lower),
+                         _fmt(r.upper), _fmt(r.width),
+                         "1" if r.covered else "0"] for r in records))
             (out / "summary.json").write_text(
                 json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n",
                 encoding="utf-8", newline="\n")

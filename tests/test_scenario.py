@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,6 +9,39 @@ import yaml
 from seqconformal import ConfigError, ScenarioConfig, run_replications, run_scenario
 from seqconformal.cli import main as cli_main
 from seqconformal.scenario import aggregate_summaries, describe_change
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ARTIFACTS = ("stream.csv", "pvalues.csv", "martingale.csv", "intervals.csv",
+             "summary.json")
+MEASURE_KINDS = ("oracle", "mahalanobis", "likelihood_ratio", "ensemble")
+
+# SHA-256 of every artifact of the shipped configs cut to 2000 + 2000 steps,
+# taken with Python 3.11.7 and numpy 2.4.6. The digests pin the bytes across
+# refactors of the pipeline; a numpy whose PCG64 or float formatting differs
+# may legitimately change them.
+GOLDEN_2K = {
+    "cryptic": {
+        "stream.csv": "29644ef141b54d8f1954cac918b896aea74e1d6cb4774ba1c58fa390a753f7e2",
+        "pvalues.csv": "8bf93144e1d112c2fed5fc6613429bb276fb130c5aed186c817243ada08492fa",
+        "martingale.csv": "3eace3cc4f59890de884ad1c6a8033e7595794e0f7b9a692877d029c97097deb",
+        "intervals.csv": "84ae0641f913599e6524fb8e1bfe9598302e05974bf76e27f094431390a8c89f",
+        "summary.json": "629bb39623eb66b26194cf4d82abf3214a58224790af1c6883cd21a2c9245137",
+    },
+    "ensemble_cryptic": {
+        "stream.csv": "29644ef141b54d8f1954cac918b896aea74e1d6cb4774ba1c58fa390a753f7e2",
+        "pvalues.csv": "bba66ff977a24aa946a977887d379e474e2bee0e5ca0ba011adf91a5b326dbe8",
+        "martingale.csv": "6157942d2b503edbf300e367af78866e0e60a4fdda7adfd05100e8d75c71e7f0",
+        "intervals.csv": "84ae0641f913599e6524fb8e1bfe9598302e05974bf76e27f094431390a8c89f",
+        "summary.json": "607e4a95c6e05f55be59bc03794a794d6846df5b81a5617369ae67ea99e31806",
+    },
+    "non_cryptic": {
+        "stream.csv": "d68e6edd66744a65f4fcf7f6203dc9068c83a1759d654d8dc1022184769a44e1",
+        "pvalues.csv": "0ecae4dae4570dd1b738dfa19b32bc2251ced923b9f71f7f63fbd74f0fd038a3",
+        "martingale.csv": "fc44d899e90493dfca0c90bceb781ae21feac10ca2fe45e907d5e1244858bd19",
+        "intervals.csv": "d1e0616db0cb9972dc1e39999b8c5e67d6c3a47a715346d48748553af6e5f568",
+        "summary.json": "82c801b67150a38c07e4def96312251e76d9e39ceba614adc8881cdf362e9a59",
+    },
+}
 
 BASE = {
     "pre": {"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0, "sigma_y": 1.0,
@@ -134,6 +169,39 @@ class TestRunScenario:
                               n_pre=100, n_post=100)
             summary = run_scenario(cfg, write_artifacts=False)
             assert summary.ks_all.n == 200
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_2K))
+    def test_shipped_config_artifacts_match_golden_digests(self, tmp_path,
+                                                           name):
+        cfg = dataclasses.replace(
+            ScenarioConfig.from_file(SCENARIOS / f"{name}.cfg"),
+            n_pre=2000, n_post=2000)
+        run_scenario(cfg, output_dir=tmp_path)
+        digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                   for f in ARTIFACTS}
+        assert digests == GOLDEN_2K[name]
+
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    @pytest.mark.parametrize("n_pre,n_post", [(1, 0), (0, 1)])
+    def test_one_example_stream(self, tmp_path, kind, n_pre, n_post):
+        cfg = make_config(tmp_path, measure={"kind": kind}, n_pre=n_pre,
+                          n_post=n_post)
+        summary = run_scenario(cfg)
+        assert summary.coverage_pre is None
+        assert summary.coverage_post is None
+        assert summary.mean_width_pre is None
+        assert summary.mean_width_post is None
+        assert summary.ks_all.n == 1
+        out = cfg.output_dir
+        pvalues = (out / "pvalues.csv").read_text().strip().split("\n")[1:]
+        assert len(pvalues) == 1
+        assert 0.0 < float(pvalues[0].split(",")[1]) <= 1.0
+        for name, rows in (("stream.csv", 1), ("martingale.csv", 2),
+                           ("intervals.csv", 0)):
+            lines = (out / name).read_text().strip().split("\n")
+            assert len(lines) - 1 == rows, name
+        assert (out / "intervals.csv").read_text() == \
+            "step,center,lower,upper,width,covered\n"
 
 
 class TestReplications:
