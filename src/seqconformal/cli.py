@@ -15,8 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from .scenario import (ConfigError, ScenarioConfig, describe_change,
-                       run_replications)
+from .scenario import (ConfigError, ScenarioConfig, check_seeds,
+                       describe_change, run_replications)
 
 QUICK_N = 2000
 
@@ -61,6 +61,8 @@ def _load_config(args) -> ScenarioConfig:
     if getattr(args, "quick", False):
         overrides["n_pre"] = min(cfg.n_pre, QUICK_N)
         overrides["n_post"] = min(cfg.n_post, QUICK_N)
+    check_seeds(overrides.get("seed", cfg.seed),
+                overrides.get("replications", cfg.replications))
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 

@@ -81,8 +81,8 @@ class Example:
             raise ValueError("example coordinates must be finite")
 
 
-def conditional_mean(q: BivariateGaussian, x: float) -> float:
-    """E[Y | X = x] under q."""
+def conditional_mean(q: BivariateGaussian, x):
+    """E[Y | X = x] under q; x may be a float or a float64 array."""
     r = q.correlation
     return q.mu_y + r * q.sigma_y * (x - q.mu_x) / q.sigma_x
 

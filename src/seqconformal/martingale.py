@@ -91,12 +91,33 @@ def jumper_step(state: CapitalState, cfg: JumperConfig, p: float,
 
 def run_ctm(cfg: JumperConfig,
             pvalues: Iterable[float | PValue]) -> list[tuple[int, float]]:
-    """log10 capital trajectory, starting from (step 0, log10 S = 0)."""
-    state = initial_state(cfg)
-    traj = [(0, state.log10_total)]
+    """log10 capital trajectory, starting from (step 0, log10 S = 0).
+
+    The same arithmetic, in the same order, as folding `jumper_step` from
+    `initial_state` over the p-values, run on local variables.
+    """
+    epsilons = cfg.epsilons
+    k = len(epsilons)
+    keep = 1.0 - cfg.jump_rate
+    share = cfg.jump_rate / k
+    bound = 10.0**6
+    capitals = [1.0 / k] * k
+    total = sum(capitals)
+    scale = 0.0
+    log10_totals = [math.log10(total) + scale]
     for p in pvalues:
         if isinstance(p, PValue):
             p = p.value
-        state = jumper_step(state, cfg, p)
-        traj.append((state.step, state.log10_total))
-    return traj
+        centred = p - 0.5
+        mixed = share * total
+        capitals = [(keep * c + mixed) * (1.0 + e * centred)
+                    for c, e in zip(capitals, epsilons)]
+        total = sum(capitals)
+        if total > bound or total < 1.0 / bound:
+            m = math.floor(math.log10(total))
+            factor = 10.0**m
+            capitals = [c / factor for c in capitals]
+            scale += m
+            total = sum(capitals)
+        log10_totals.append(math.log10(total) + scale)
+    return list(enumerate(log10_totals))

@@ -2,9 +2,9 @@
 
 `run_scenario` composes the stage functions: it samples a pre/post-change
 Gaussian stream, runs it through the smoothed conformal transducer
-(`run_transducer`), the Simple Jumper martingale (`run_ctm`) and the
-online prediction intervals (`efficiency_series`), tests the p-values
-for uniformity, and emits CSV artifacts plus a JSON summary. Runs are
+(`smoothed_pvalues`), the Simple Jumper martingale (`run_ctm`) and the
+online prediction intervals (`interval_series`), tests the p-values for
+uniformity, and emits CSV artifacts plus a JSON summary. Runs are
 fully deterministic per seed: the data stream and the tie-breaking
 stream are independent substreams of the scenario seed.
 """
@@ -22,11 +22,11 @@ from .conformity import (ConformityMeasure, LikelihoodRatio, Mahalanobis,
                          PredictiveOracle, oracle_mahalanobis_ensemble)
 from .cryptic import cryptic_line, cryptic_shift, verify_conditions
 from .gaussian import BivariateGaussian, sample
-from .intervals import EfficiencyRecord, efficiency_series
+from .intervals import IntervalSeries, interval_series
 from .martingale import JumperConfig, run_ctm
 from .rng import RandomStream
 from .stats import KSReport, ks_uniform
-from .transducer import run_transducer
+from .transducer import smoothed_pvalues
 
 DATA_SUBSTREAM = 0
 TAU_SUBSTREAM = 1
@@ -107,6 +107,16 @@ def _as_int(value: Any, name: str) -> int:
     return value
 
 
+def check_seeds(seed: int, replications: int) -> None:
+    """Every replication seed, seed .. seed + replications - 1, is a valid
+    64-bit seed."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed", "must fit in 64 bits")
+    if seed + replications - 1 >= 2**64:
+        raise ConfigError("seed", f"the last replication seed "
+                          f"{seed + replications - 1} does not fit in 64 bits")
+
+
 def _parse_model(raw: Any, name: str) -> BivariateGaussian:
     if not isinstance(raw, dict):
         raise ConfigError(name, "expected a mapping of model parameters")
@@ -141,8 +151,6 @@ def _parse_config(raw: dict[str, Any], base_dir: Path) -> ScenarioConfig:
         raise ConfigError("n_pre/n_post", "stream must be nonempty")
 
     seed = _as_int(_require(raw, "seed"), "seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed", "must fit in 64 bits")
 
     measure_raw = raw.get("measure", {"kind": "oracle"})
     if not isinstance(measure_raw, dict) or "kind" not in measure_raw:
@@ -159,12 +167,15 @@ def _parse_config(raw: dict[str, Any], base_dir: Path) -> ScenarioConfig:
     jumper_raw = raw.get("jumper", {})
     if not isinstance(jumper_raw, dict):
         raise ConfigError("jumper", "expected a mapping")
+    epsilons = jumper_raw.get("epsilons", (-1.0, 0.0, 1.0))
+    if not isinstance(epsilons, (list, tuple)):
+        raise ConfigError("jumper.epsilons",
+                          f"expected a list of numbers, got {epsilons!r}")
+    epsilons = tuple(_as_number(e, "jumper.epsilons") for e in epsilons)
+    jump_rate = _as_number(jumper_raw.get("jump_rate", 0.01),
+                           "jumper.jump_rate")
     try:
-        jumper = JumperConfig(
-            epsilons=tuple(jumper_raw.get("epsilons", (-1.0, 0.0, 1.0))),
-            jump_rate=_as_number(jumper_raw.get("jump_rate", 0.01),
-                                 "jumper.jump_rate"),
-        )
+        jumper = JumperConfig(epsilons=epsilons, jump_rate=jump_rate)
     except ValueError as exc:
         raise ConfigError("jumper", str(exc)) from exc
 
@@ -175,6 +186,7 @@ def _parse_config(raw: dict[str, Any], base_dir: Path) -> ScenarioConfig:
     replications = _as_int(raw.get("replications", 1), "replications")
     if replications < 1:
         raise ConfigError("replications", "must be >= 1")
+    check_seeds(seed, replications)
 
     output_dir = Path(raw.get("output_dir", "out"))
     if not output_dir.is_absolute():
@@ -219,14 +231,19 @@ def _write_csv(path: Path, header: list[str],
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _phase_means(records: list[EfficiencyRecord], lo: int,
+def _phase_means(intervals: IntervalSeries | None, lo: int,
                  hi: int) -> tuple[float | None, float | None]:
-    """Coverage and mean width over the interval records of steps lo+1..hi."""
-    sel = [r for r in records if lo < r.step <= hi]
-    if not sel:
+    """Coverage and mean width over the intervals of steps lo+1..hi."""
+    if intervals is None:
         return None, None
-    return (sum(float(r.covered) for r in sel) / len(sel),
-            sum(r.width for r in sel) / len(sel))
+    # The arrays start at step 2.
+    sel = slice(max(lo - 1, 0), max(hi - 1, 0))
+    covered = intervals.covered[sel].tolist()
+    if not covered:
+        return None, None
+    # Python's sum, in step order, as over a list of records.
+    return (sum(covered) / len(covered),
+            sum(intervals.width[sel].tolist()) / len(covered))
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
@@ -244,17 +261,17 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     stream = (sample(cfg.pre, data_rng, cfg.n_pre)
               + sample(cfg.post, data_rng, cfg.n_post))
     measure = cfg.measure.build(cfg.pre, cfg.post)
-    pvalues = [pv.value for pv in run_transducer(measure, stream, tau_rng)]
+    pvalues = smoothed_pvalues(measure, stream, tau_rng).tolist()
     trajectory = run_ctm(cfg.jumper, pvalues)
     # A one-example stream has no earlier score to predict from.
-    records = (efficiency_series(stream, cfg.pre, cfg.epsilon)
-               if len(stream) > 1 else [])
+    intervals = (interval_series(stream, cfg.pre, cfg.epsilon)
+                 if len(stream) > 1 else None)
 
     n = cfg.n_pre + cfg.n_post
     pre_p = pvalues[:cfg.n_pre]
     post_p = pvalues[cfg.n_pre:]
-    coverage_pre, mean_width_pre = _phase_means(records, 1, cfg.n_pre)
-    coverage_post, mean_width_post = _phase_means(records, cfg.n_pre, n)
+    coverage_pre, mean_width_pre = _phase_means(intervals, 1, cfg.n_pre)
+    coverage_post, mean_width_post = _phase_means(intervals, cfg.n_pre, n)
     summary = ScenarioSummary(
         final_log10_capital=trajectory[-1][1],
         max_log10_capital=max(c for _, c in trajectory),
@@ -282,11 +299,15 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
                         for i, p in enumerate(pvalues)))
             _write_csv(out / "martingale.csv", ["step", "log10_capital"],
                        ([str(i), _fmt(c)] for i, c in trajectory))
+            interval_rows = () if intervals is None else zip(
+                range(2, n + 1), intervals.center.tolist(),
+                intervals.lower.tolist(), intervals.upper.tolist(),
+                intervals.width.tolist(), intervals.covered.tolist())
             _write_csv(out / "intervals.csv",
                        ["step", "center", "lower", "upper", "width", "covered"],
-                       ([str(r.step), _fmt(r.center), _fmt(r.lower),
-                         _fmt(r.upper), _fmt(r.width),
-                         "1" if r.covered else "0"] for r in records))
+                       ([str(step), _fmt(c), _fmt(lo), _fmt(up), _fmt(w),
+                         "1" if cov else "0"]
+                        for step, c, lo, up, w, cov in interval_rows))
             (out / "summary.json").write_text(
                 json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n",
                 encoding="utf-8", newline="\n")

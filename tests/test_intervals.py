@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqconformal import (BivariateGaussian, Example, RandomStream,
-                          ScoreStore, efficiency_series, predict_interval,
+from seqconformal import (BivariateGaussian, EfficiencyRecord, Example,
+                          RandomStream, ScoreStore, efficiency_series,
+                          interval_series, oracle_score, predict_interval,
                           sample)
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
@@ -95,3 +98,65 @@ class TestEfficiencySeries:
         for r in efficiency_series(stream, Q0, 0.1):
             assert r.width == pytest.approx(r.upper - r.lower)
             assert r.lower <= r.center <= r.upper
+
+
+def reference_records(stream, q0, epsilon):
+    """predict_interval at every step against a store of the earlier scores."""
+    store = ScoreStore()
+    records = []
+    for step, z in enumerate(stream, start=1):
+        if step > 1:
+            interval = predict_interval(q0, store, z.x, epsilon,
+                                        step_index=step)
+            records.append(EfficiencyRecord(
+                step=step, center=interval.center, lower=interval.lower,
+                upper=interval.upper, width=interval.width,
+                covered=interval.contains(z.y)))
+        store.insert(oracle_score(q0, z))
+    return records
+
+
+class TestStreamingThreshold:
+    # Integer coordinates make many oracle scores tie exactly.
+    @given(points=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                           min_size=2, max_size=300),
+           epsilon=st.sampled_from([0.01, 0.05, 0.2, 0.5, 0.9]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_predict_interval_bit_for_bit(self, points, epsilon):
+        stream = [Example(float(x), float(y)) for x, y in points]
+        got = efficiency_series(stream, Q0, epsilon)
+        assert repr(got) == repr(reference_records(stream, Q0, epsilon))
+
+    @pytest.mark.parametrize("epsilon", [0.01, 0.5])
+    def test_sampled_stream_bit_for_bit(self, epsilon):
+        q1 = BivariateGaussian(1.0, 2.0, 1.0, 1.0, 0.5)
+        stream = (sample(Q0, RandomStream(9), 400)
+                  + sample(q1, RandomStream(10), 400))
+        got = efficiency_series(stream, Q0, epsilon)
+        assert repr(got) == repr(reference_records(stream, Q0, epsilon))
+
+    def test_arrays_match_records(self):
+        stream = sample(Q0, RandomStream(11), 200)
+        series = interval_series(stream, Q0, 0.05)
+        records = efficiency_series(stream, Q0, 0.05)
+        assert series.width.tolist() == [r.width for r in records]
+        assert series.covered.tolist() == [r.covered for r in records]
+
+    def test_all_equal_scores(self):
+        stream = [Example(1.0, 0.5 + 0.5 * math.sqrt(0.75))] * 30
+        assert (repr(efficiency_series(stream, Q0, 0.01))
+                == repr(reference_records(stream, Q0, 0.01)))
+
+    def test_underflowed_score_rejected(self):
+        # The oracle density of y = 100 at x = 0 underflows to 0.0.
+        stream = [Example(0.0, 100.0), Example(0.0, 0.0), Example(0.0, 0.0)]
+        with pytest.raises(ValueError, match="positive"):
+            reference_records(stream, Q0, 0.05)
+        with pytest.raises(ValueError, match="positive"):
+            efficiency_series(stream, Q0, 0.05)
+
+    def test_bad_epsilon_rejected(self):
+        stream = sample(Q0, RandomStream(12), 10)
+        for epsilon in (0.0, 1.0):
+            with pytest.raises(ValueError, match="epsilon"):
+                efficiency_series(stream, Q0, epsilon)

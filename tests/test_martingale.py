@@ -133,3 +133,53 @@ class TestRunCtm:
         as_objects = run_ctm(JumperConfig(),
                              [PValue(0.2, 1), PValue(0.8, 2)])
         assert as_floats == as_objects
+
+
+def folded_trajectory(cfg, pvalues):
+    """Fold jumper_step over the p-values from initial_state."""
+    state = initial_state(cfg)
+    traj = [(state.step, state.log10_total)]
+    for p in pvalues:
+        state = jumper_step(state, cfg, p)
+        traj.append((state.step, state.log10_total))
+    return traj
+
+
+PVALUE_RUNS = {
+    "random": np.random.default_rng(3).random(3000).tolist(),
+    "skewed": np.random.default_rng(4).beta(0.2, 1.0, size=3000).tolist(),
+    "all_ones": [1.0] * 400,
+    "all_zeros": [0.0] * 400,
+    "alternating": [0.0, 1.0] * 200,
+}
+
+
+class TestInlineRecurrence:
+    @pytest.mark.parametrize("epsilons", [(-1.0, 0.0, 1.0),
+                                          (-0.5, 0.25, 1.0), (1.0,)])
+    @pytest.mark.parametrize("jump_rate", [0.0, 0.01, 0.5])
+    @pytest.mark.parametrize("run", sorted(PVALUE_RUNS))
+    def test_equals_folded_jumper_step_bit_for_bit(self, epsilons, jump_rate,
+                                                    run):
+        cfg = JumperConfig(epsilons=epsilons, jump_rate=jump_rate)
+        ps = PVALUE_RUNS[run]
+        assert repr(run_ctm(cfg, ps)) == repr(folded_trajectory(cfg, ps))
+
+    @pytest.mark.parametrize("p,direction", [(1.0, 1), (0.0, -1)])
+    def test_runs_force_rescaling_both_ways(self, p, direction):
+        # Under the grid (1.0,) every bet multiplies the capital by 1 + (p - 1/2).
+        cfg = JumperConfig(epsilons=(1.0,), jump_rate=0.0)
+        state = initial_state(cfg)
+        for _ in range(400):
+            state = jumper_step(state, cfg, p)
+        assert direction * state.log10_scale > 6
+        assert (repr(run_ctm(cfg, [p] * 400))
+                == repr(folded_trajectory(cfg, [p] * 400)))
+
+    def test_array_and_object_inputs(self):
+        from seqconformal import PValue
+        ps = PVALUE_RUNS["random"][:500]
+        want = repr(folded_trajectory(JumperConfig(), ps))
+        assert repr(run_ctm(JumperConfig(), np.array(ps))) == want
+        assert repr(run_ctm(JumperConfig(), (PValue(p, i) for i, p in
+                                             enumerate(ps, start=1)))) == want

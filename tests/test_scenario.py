@@ -103,6 +103,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             make_config(tmp_path, epsilon=1.0)
 
+    @pytest.mark.parametrize("epsilons", [0.5, ["a", 0.0], [True, 0.0]])
+    def test_jumper_epsilons_must_be_numbers(self, tmp_path, epsilons):
+        with pytest.raises(ConfigError) as err:
+            make_config(tmp_path, jumper={"epsilons": epsilons})
+        assert err.value.field_name == "jumper.epsilons"
+
+    def test_jumper_epsilons_accept_integers(self, tmp_path):
+        cfg = make_config(tmp_path, jumper={"epsilons": [-1, 0, 1]})
+        assert cfg.jumper.epsilons == (-1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("seed,replications",
+                             [(-1, 1), (2**64, 1), (2**64 - 1, 2)])
+    def test_seed_range(self, tmp_path, seed, replications):
+        with pytest.raises(ConfigError) as err:
+            make_config(tmp_path, seed=seed, replications=replications)
+        assert err.value.field_name == "seed"
+
+    def test_largest_seed_accepted(self, tmp_path):
+        assert make_config(tmp_path, seed=2**64 - 2,
+                           replications=2).seed == 2**64 - 2
+
     def test_from_file_round_trips(self, tmp_path):
         path = write_config(tmp_path)
         cfg = ScenarioConfig.from_file(path)
@@ -260,6 +281,29 @@ class TestCli:
         del raw["pre"]
         path.write_text(yaml.safe_dump(raw))
         assert cli_main(["run", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("epsilons", [0.5, ["a", 0.0], [True, 0.0]])
+    def test_bad_jumper_epsilons_exit_code(self, tmp_path, capsys, epsilons):
+        path = write_config(tmp_path, jumper={"epsilons": epsilons})
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert "jumper.epsilons" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--seed", "-1"],
+        ["--seed", str(2**64)],
+        ["--seed", str(2**64 - 1), "--replications", "2"],
+    ])
+    def test_seed_override_range(self, tmp_path, capsys, args):
+        path = write_config(tmp_path)
+        assert cli_main(["run", "--config", str(path), *args]) == 1
+        assert "'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_replications_override_checks_seed_range(self, tmp_path, capsys):
+        path = write_config(tmp_path, seed=2**64 - 1)
+        assert cli_main(["run", "--config", str(path),
+                         "--replications", "2"]) == 1
+        assert "'seed'" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2

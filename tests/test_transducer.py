@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqconformal import (BivariateGaussian, PredictiveOracle, RandomStream,
-                          ScoreStore, ks_uniform, lag1_autocorrelation,
-                          observe, run_transducer, sample)
+from seqconformal import (BivariateGaussian, Example, PredictiveOracle,
+                          RandomStream, ScoreStore, ks_uniform,
+                          lag1_autocorrelation, observe,
+                          oracle_mahalanobis_ensemble, run_transducer, sample,
+                          smoothed_pvalues)
+from seqconformal.conformity import ConformityMeasure
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
 
@@ -113,3 +116,46 @@ class TestRunTransducer:
         pvals = [p.value for p in run_transducer(PredictiveOracle(Q0), stream,
                                                  rng.substream(1))]
         assert abs(lag1_autocorrelation(pvals)) < 4 / np.sqrt(n)
+
+
+class ScoreIsX(ConformityMeasure):
+    """Scores an example by its x coordinate, so a test can pick the scores."""
+
+    def score(self, z):
+        return z.x
+
+
+def reference_pvalues(scores, rng):
+    """Fold ScoreStore.insert and observe over the scores, one step at a time."""
+    store = ScoreStore()
+    out = []
+    for alpha in scores:
+        store.insert(alpha)
+        out.append(observe(store, alpha, rng.uniform()))
+    return out
+
+
+class TestArrayPass:
+    @given(scores=st.one_of(
+               st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+                        min_size=1, max_size=300),
+               st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300),
+               st.builds(lambda n, s: [s] * n, st.integers(1, 300),
+                         st.integers(0, 5).map(float))),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_step_reference_bit_for_bit(self, scores, seed):
+        stream = [Example(s, 0.0) for s in scores]
+        got = run_transducer(ScoreIsX(), stream, RandomStream(seed))
+        want = reference_pvalues(scores, RandomStream(seed))
+        assert [p.step_index for p in got] == [p.step_index for p in want]
+        assert (np.array([p.value for p in got]).tobytes()
+                == np.array([p.value for p in want]).tobytes())
+
+    def test_smoothed_pvalues_match_run_transducer(self):
+        rng = RandomStream(8)
+        stream = sample(Q0, rng.substream(0), 1000)
+        measure = oracle_mahalanobis_ensemble(Q0)
+        array = smoothed_pvalues(measure, stream, rng.substream(1))
+        objects = run_transducer(measure, stream, rng.substream(1))
+        assert array.tolist() == [p.value for p in objects]
