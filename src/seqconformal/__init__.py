@@ -10,12 +10,13 @@ from .conformity import (ConvexEnsemble, LikelihoodRatio, Mahalanobis,
                          oracle_mahalanobis_ensemble, oracle_score)
 from .cryptic import (CrypticPair, InvarianceReport, cryptic_line,
                       cryptic_shift, verify_conditions)
-from .gaussian import (BivariateGaussian, Example, conditional_density,
-                       conditional_mean, conditional_variance, sample)
+from .gaussian import (BivariateGaussian, Example, columns,
+                       conditional_density, conditional_mean,
+                       conditional_variance, residual, sample, sample_arrays)
 from .intervals import (EfficiencyRecord, IntervalSeries, PredictionInterval,
                         efficiency_series, interval_series, predict_interval)
 from .martingale import (CapitalState, JumperConfig, betting_function,
-                         initial_state, jumper_step, run_ctm)
+                         initial_state, jumper_step, log10_capital, run_ctm)
 from .rng import RandomStream
 from .scenario import (ConfigError, ScenarioConfig, ScenarioSummary,
                        run_replications, run_scenario)

@@ -6,6 +6,12 @@ conditional density of Y given X under the reference model; the
 Mahalanobis and likelihood-ratio measures target detection of marginal
 shifts, and the convex ensemble mixes components after per-component
 online standardization.
+
+`scores(xs, ys)` scores a whole stream given as x and y float64 arrays;
+`score(z)` scores one example with Python floats, and gives the same bits.
+Numpy's + - * / round as Python's do, so the array forms use them freely;
+the oracle density keeps Python's `d ** 2` (libm `pow`), which differs
+from numpy's square in the last bit on some residuals.
 """
 
 from __future__ import annotations
@@ -13,9 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gaussian import BivariateGaussian, Example, conditional_density
+import numpy as np
+
+from .gaussian import (BivariateGaussian, Example, conditional_density,
+                       conditional_variance, residual)
 
 _STD_FLOOR = 1e-12
+_TWO_PI = 2.0 * math.pi
 
 
 def oracle_score(q0: BivariateGaussian, z: Example) -> float:
@@ -29,27 +39,34 @@ def mahalanobis_score(q0: BivariateGaussian, z: Example) -> float:
     Always <= 0, with 0 exactly at the mean; sensitive to marginal mean
     shifts regardless of the conditional structure.
     """
-    det = q0.sigma_x**2 * q0.sigma_y**2 - q0.rho_cov**2
-    dx = z.x - q0.mu_x
-    dy = z.y - q0.mu_y
-    quad = (q0.sigma_y**2 * dx * dx - 2.0 * q0.rho_cov * dx * dy
-            + q0.sigma_x**2 * dy * dy) / det
-    return -quad
+    return -q0.quad(z.x, z.y)
+
+
+def _lr_scores(q0: BivariateGaussian, q1: BivariateGaussian, x, y):
+    """lr_score of (x, y); x and y may be floats or float64 arrays."""
+    return (0.5 * (q1.quad(x, y) - q0.quad(x, y))
+            + 0.5 * math.log(q1.determinant / q0.determinant))
 
 
 def lr_score(q0: BivariateGaussian, q1: BivariateGaussian, z: Example) -> float:
     """Negative log likelihood ratio of q1 to q0 at z.
 
     Higher means more conforming to the reference model q0; identically
-    zero when q1 == q0.
+    zero when q1 == q0. Computed in log space,
+    0.5 * (quad_1 - quad_0) + 0.5 * log(det_1 / det_0), so a point far
+    from both means cannot underflow a density.
     """
-    return math.log(q0.density(z.x, z.y)) - math.log(q1.density(z.x, z.y))
+    return _lr_scores(q0, q1, z.x, z.y)
 
 
 class ConformityMeasure:
-    """Base class: a measure scores one example at a time."""
+    """Base class: a measure scores a stream of examples."""
 
     def score(self, z: Example) -> float:
+        raise NotImplementedError
+
+    def scores(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The score of every example (xs[i], ys[i]), in stream order."""
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -63,6 +80,14 @@ class PredictiveOracle(ConformityMeasure):
     def score(self, z: Example) -> float:
         return oracle_score(self.q0, z)
 
+    def scores(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        # conditional_density per element, on Python floats
+        var = conditional_variance(self.q0)
+        s = math.sqrt(_TWO_PI * var)
+        return np.array([math.exp(-0.5 * d ** 2 / var) / s
+                         for d in residual(self.q0, xs, ys).tolist()],
+                        dtype=np.float64)
+
 
 @dataclass
 class Mahalanobis(ConformityMeasure):
@@ -70,6 +95,9 @@ class Mahalanobis(ConformityMeasure):
 
     def score(self, z: Example) -> float:
         return mahalanobis_score(self.q0, z)
+
+    def scores(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return -self.q0.quad(xs, ys)
 
 
 @dataclass
@@ -79,6 +107,9 @@ class LikelihoodRatio(ConformityMeasure):
 
     def score(self, z: Example) -> float:
         return lr_score(self.q0, self.q1, z)
+
+    def scores(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return _lr_scores(self.q0, self.q1, xs, ys)
 
 
 @dataclass
@@ -136,6 +167,23 @@ class ConvexEnsemble(ConformityMeasure):
             mom.push(raw)
             total += weight * mom.standardize(raw)
         return total
+
+    def scores(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The same Welford updates as `score`, inline on Python floats,
+        one component at a time; the moments carry on from, and are left
+        at, the state after the last example."""
+        totals = [0.0] * len(xs)
+        for (measure, weight), mom in zip(self.components, self._moments):
+            count, mean, m2 = mom.count, mom.mean, mom._m2
+            for i, raw in enumerate(measure.scores(xs, ys).tolist()):
+                count += 1
+                delta = raw - mean
+                mean += delta / count
+                m2 += delta * (raw - mean)
+                std = max(math.sqrt(m2 / count), _STD_FLOOR)
+                totals[i] += weight * ((raw - mean) / std)
+            mom.count, mom.mean, mom._m2 = count, mean, m2
+        return np.array(totals, dtype=np.float64)
 
 
 def oracle_mahalanobis_ensemble(q0: BivariateGaussian,

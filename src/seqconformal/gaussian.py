@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -58,15 +59,22 @@ class BivariateGaussian:
             ]
         )
 
-    def density(self, x: float, y: float) -> float:
-        """Joint pdf at (x, y)."""
-        det = self.sigma_x**2 * self.sigma_y**2 - self.rho_cov**2
+    @property
+    def determinant(self) -> float:
+        return self.sigma_x**2 * self.sigma_y**2 - self.rho_cov**2
+
+    def quad(self, x, y):
+        """Quadratic form d^T Sigma^{-1} d of d = (x, y) - mean, with the
+        2x2 inverse written out; x and y may be floats or float64 arrays."""
         dx = x - self.mu_x
         dy = y - self.mu_y
-        # quadratic form d^T Sigma^{-1} d, 2x2 inverse written out
-        quad = (self.sigma_y**2 * dx * dx - 2.0 * self.rho_cov * dx * dy
-                + self.sigma_x**2 * dy * dy) / det
-        return math.exp(-0.5 * quad) / (_TWO_PI * math.sqrt(det))
+        return (self.sigma_y**2 * dx * dx - 2.0 * self.rho_cov * dx * dy
+                + self.sigma_x**2 * dy * dy) / self.determinant
+
+    def density(self, x: float, y: float) -> float:
+        """Joint pdf at (x, y)."""
+        return (math.exp(-0.5 * self.quad(x, y))
+                / (_TWO_PI * math.sqrt(self.determinant)))
 
 
 @dataclass(frozen=True)
@@ -100,8 +108,14 @@ def conditional_density(q: BivariateGaussian, x: float, y: float) -> float:
     return math.exp(-0.5 * (y - mu) ** 2 / var) / math.sqrt(_TWO_PI * var)
 
 
-def sample(q: BivariateGaussian, rng: RandomStream, n: int) -> list[Example]:
-    """Draw n examples from q, reproducibly.
+def residual(q: BivariateGaussian, x, y):
+    """y - E[Y | X = x] under q; x and y may be floats or float64 arrays."""
+    return y - conditional_mean(q, x)
+
+
+def sample_arrays(q: BivariateGaussian, rng: RandomStream,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n examples from q, reproducibly, as x and y float64 arrays.
 
     Two uniforms per example feed a Box-Muller transform (so the exact
     normal stream is platform-independent); the resulting standard-normal
@@ -111,7 +125,7 @@ def sample(q: BivariateGaussian, rng: RandomStream, n: int) -> list[Example]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return []
+        return np.zeros(0), np.zeros(0)
     u = rng.uniforms(2 * n).reshape(n, 2)
     u1 = 1.0 - u[:, 0]  # (0, 1]: keeps log() finite
     radius = np.sqrt(-2.0 * np.log(u1))
@@ -123,4 +137,19 @@ def sample(q: BivariateGaussian, rng: RandomStream, n: int) -> list[Example]:
     l22 = math.sqrt(q.sigma_y**2 - l21 * l21)
     xs = q.mu_x + q.sigma_x * z1
     ys = q.mu_y + l21 * z1 + l22 * z2
-    return [Example(float(x), float(y)) for x, y in zip(xs, ys)]
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("example coordinates must be finite")
+    return xs, ys
+
+
+def sample(q: BivariateGaussian, rng: RandomStream, n: int) -> list[Example]:
+    """`sample_arrays` as one `Example` per draw."""
+    xs, ys = sample_arrays(q, rng, n)
+    return [Example(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+def columns(stream: Iterable[Example]) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y coordinates of a stream of examples, as float64 arrays."""
+    stream = list(stream)
+    return (np.array([z.x for z in stream], dtype=np.float64),
+            np.array([z.y for z in stream], dtype=np.float64))

@@ -89,9 +89,8 @@ def jumper_step(state: CapitalState, cfg: JumperConfig, p: float,
     return CapitalState(capitals=bet, log10_scale=scale, step=state.step + 1)
 
 
-def run_ctm(cfg: JumperConfig,
-            pvalues: Iterable[float | PValue]) -> list[tuple[int, float]]:
-    """log10 capital trajectory, starting from (step 0, log10 S = 0).
+def log10_capital(cfg: JumperConfig, pvalues: Iterable[float]) -> list[float]:
+    """log10 capital after each p-value, from log10 S = 0 at index 0.
 
     The same arithmetic, in the same order, as folding `jumper_step` from
     `initial_state` over the p-values, run on local variables.
@@ -106,8 +105,6 @@ def run_ctm(cfg: JumperConfig,
     scale = 0.0
     log10_totals = [math.log10(total) + scale]
     for p in pvalues:
-        if isinstance(p, PValue):
-            p = p.value
         centred = p - 0.5
         mixed = share * total
         capitals = [(keep * c + mixed) * (1.0 + e * centred)
@@ -120,4 +117,11 @@ def run_ctm(cfg: JumperConfig,
             scale += m
             total = sum(capitals)
         log10_totals.append(math.log10(total) + scale)
-    return list(enumerate(log10_totals))
+    return log10_totals
+
+
+def run_ctm(cfg: JumperConfig,
+            pvalues: Iterable[float | PValue]) -> list[tuple[int, float]]:
+    """`log10_capital` as (step, log10 S) pairs, starting from (0, 0.0)."""
+    values = (p.value if isinstance(p, PValue) else p for p in pvalues)
+    return list(enumerate(log10_capital(cfg, values)))

@@ -1,29 +1,32 @@
 """Config-driven scenario runner.
 
 `run_scenario` composes the stage functions: it samples a pre/post-change
-Gaussian stream, runs it through the smoothed conformal transducer
-(`smoothed_pvalues`), the Simple Jumper martingale (`run_ctm`) and the
-online prediction intervals (`interval_series`), tests the p-values for
-uniformity, and emits CSV artifacts plus a JSON summary. Runs are
-fully deterministic per seed: the data stream and the tie-breaking
-stream are independent substreams of the scenario seed.
+Gaussian stream as x and y arrays (`sample_arrays`), runs them through the
+smoothed conformal transducer (`smoothed_pvalues`), the Simple Jumper
+martingale (`log10_capital`) and the online prediction intervals
+(`interval_series`), tests the p-values for uniformity, and emits CSV
+artifacts plus a JSON summary. Runs are fully deterministic per seed: the
+data stream and the tie-breaking stream are independent substreams of
+the scenario seed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
+import numpy as np
 import yaml
 
 from .conformity import (ConformityMeasure, LikelihoodRatio, Mahalanobis,
                          PredictiveOracle, oracle_mahalanobis_ensemble)
 from .cryptic import cryptic_line, cryptic_shift, verify_conditions
-from .gaussian import BivariateGaussian, sample
+from .gaussian import BivariateGaussian, sample_arrays
 from .intervals import IntervalSeries, interval_series
-from .martingale import JumperConfig, run_ctm
+from .martingale import JumperConfig, log10_capital
 from .rng import RandomStream
 from .stats import KSReport, ks_uniform
 from .transducer import smoothed_pvalues
@@ -98,7 +101,13 @@ def _require(raw: dict, key: str, prefix: str = "") -> Any:
 def _as_number(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(name, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(name, "too large for a float") from None
+    if not math.isfinite(number):
+        raise ConfigError(name, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value: Any, name: str) -> int:
@@ -258,23 +267,25 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     data_rng = root.substream(DATA_SUBSTREAM)
     tau_rng = root.substream(TAU_SUBSTREAM)
 
-    stream = (sample(cfg.pre, data_rng, cfg.n_pre)
-              + sample(cfg.post, data_rng, cfg.n_post))
+    pre_xs, pre_ys = sample_arrays(cfg.pre, data_rng, cfg.n_pre)
+    post_xs, post_ys = sample_arrays(cfg.post, data_rng, cfg.n_post)
+    xs = np.concatenate((pre_xs, post_xs))
+    ys = np.concatenate((pre_ys, post_ys))
     measure = cfg.measure.build(cfg.pre, cfg.post)
-    pvalues = smoothed_pvalues(measure, stream, tau_rng).tolist()
-    trajectory = run_ctm(cfg.jumper, pvalues)
-    # A one-example stream has no earlier score to predict from.
-    intervals = (interval_series(stream, cfg.pre, cfg.epsilon)
-                 if len(stream) > 1 else None)
-
+    pvalues = smoothed_pvalues(measure, xs, ys, tau_rng).tolist()
+    trajectory = log10_capital(cfg.jumper, pvalues)  # index = step
     n = cfg.n_pre + cfg.n_post
+    # A one-example stream has no earlier example to predict from.
+    intervals = (interval_series(xs, ys, cfg.pre, cfg.epsilon)
+                 if n > 1 else None)
+
     pre_p = pvalues[:cfg.n_pre]
     post_p = pvalues[cfg.n_pre:]
     coverage_pre, mean_width_pre = _phase_means(intervals, 1, cfg.n_pre)
     coverage_post, mean_width_post = _phase_means(intervals, cfg.n_pre, n)
     summary = ScenarioSummary(
-        final_log10_capital=trajectory[-1][1],
-        max_log10_capital=max(c for _, c in trajectory),
+        final_log10_capital=trajectory[-1],
+        max_log10_capital=max(trajectory),
         ks_all=ks_uniform(pvalues, alpha=0.01),
         ks_pre=ks_uniform(pre_p, alpha=0.01) if pre_p else None,
         ks_post=ks_uniform(post_p, alpha=0.01) if post_p else None,
@@ -292,13 +303,14 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
             phase = ["pre" if i <= cfg.n_pre else "post"
                      for i in range(1, n + 1)]
             _write_csv(out / "stream.csv", ["step", "x", "y", "phase"],
-                       ([str(i + 1), _fmt(z.x), _fmt(z.y), phase[i]]
-                        for i, z in enumerate(stream)))
+                       ([str(i + 1), _fmt(x), _fmt(y), phase[i]]
+                        for i, (x, y) in enumerate(zip(xs.tolist(),
+                                                       ys.tolist()))))
             _write_csv(out / "pvalues.csv", ["step", "pvalue", "phase"],
                        ([str(i + 1), _fmt(p), phase[i]]
                         for i, p in enumerate(pvalues)))
             _write_csv(out / "martingale.csv", ["step", "log10_capital"],
-                       ([str(i), _fmt(c)] for i, c in trajectory))
+                       ([str(i), _fmt(c)] for i, c in enumerate(trajectory)))
             interval_rows = () if intervals is None else zip(
                 range(2, n + 1), intervals.center.tolist(),
                 intervals.lower.tolist(), intervals.upper.tolist(),

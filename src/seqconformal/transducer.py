@@ -9,8 +9,8 @@ already includes the new example's score, and tau_n is a fresh uniform
 tie-breaking draw. Under exchangeable data the emitted
 p-values are IID uniform on (0, 1], for any conformity measure.
 
-`smoothed_pvalues` computes every p-value of a stream in one array pass:
-both counts come from O(n log n) rank queries over rank-compressed
+`smoothed_pvalues` computes every p-value of a stream, given as x and y
+arrays, in one array pass: both counts come from O(n log n) rank queries over rank-compressed
 scores, and the taus are drawn as one block. `ScoreStore` and `observe`
 are the same computation one step at a time.
 """
@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .conformity import ConformityMeasure
-from .gaussian import Example
+from .gaussian import Example, columns
 from .rng import RandomStream
 
 
@@ -115,9 +115,9 @@ def _earlier_counts(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return less, end - start
 
 
-def smoothed_pvalues(measure: ConformityMeasure, stream: Iterable[Example],
-                     rng: RandomStream) -> np.ndarray:
-    """The p-value of every example of the stream, as a float64 array.
+def smoothed_pvalues(measure: ConformityMeasure, xs: np.ndarray,
+                     ys: np.ndarray, rng: RandomStream) -> np.ndarray:
+    """The p-value of every example (xs[i], ys[i]), as a float64 array.
 
     The measure is reset and scores the stream in order; one tie-breaking
     uniform is drawn per example, the same draws as one `rng.uniform()`
@@ -125,7 +125,7 @@ def smoothed_pvalues(measure: ConformityMeasure, stream: Iterable[Example],
     `observe` over the stream.
     """
     measure.reset()
-    scores = np.array([measure.score(z) for z in stream], dtype=np.float64)
+    scores = measure.scores(xs, ys)
     n = len(scores)
     taus = rng.uniforms(n)
     less, equal = _earlier_counts(scores)
@@ -141,5 +141,5 @@ def run_transducer(measure: ConformityMeasure,
     One tie-breaking uniform is consumed per example. Stateful measures
     (the convex ensemble) are reset at the start of the run.
     """
-    values = smoothed_pvalues(measure, stream, rng).tolist()
+    values = smoothed_pvalues(measure, *columns(stream), rng).tolist()
     return [PValue(v, i) for i, v in enumerate(values, start=1)]

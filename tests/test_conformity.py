@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqconformal import (BivariateGaussian, ConvexEnsemble, Example,
-                          Mahalanobis, PredictiveOracle, RandomStream,
-                          cryptic_shift, lr_score, mahalanobis_score,
-                          oracle_mahalanobis_ensemble, oracle_score, sample,
-                          two_sample_ks)
+                          LikelihoodRatio, Mahalanobis, PredictiveOracle,
+                          RandomStream, columns, cryptic_shift, lr_score,
+                          mahalanobis_score, oracle_mahalanobis_ensemble,
+                          oracle_score, sample, two_sample_ks)
 from seqconformal.conformity import RunningMoments
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
@@ -149,3 +151,55 @@ class TestScoreDistributionInvariance:
         a = [oracle_score(Q0, z) for z in sample(Q0, rng.substream(0), 10_000)]
         b = [oracle_score(Q0, z) for z in sample(pair.q1, rng.substream(1), 10_000)]
         assert not two_sample_ks(a, b, alpha=0.01).reject
+
+
+# Under Q0 the conditional mean at x = 0 is 0.0, so this y is the residual.
+# Python's y ** 2 (libm pow) and numpy's y * y differ in its last bit, and
+# so do the oracle densities computed from them.
+POW_NOT_SQUARE = 1.1445772631495523
+
+MEASURES = {
+    "oracle": lambda: PredictiveOracle(Q0),
+    "mahalanobis": lambda: Mahalanobis(Q0),
+    "likelihood_ratio": lambda: LikelihoodRatio(
+        Q0, BivariateGaussian(1.0, 2.0, 1.5, 0.8, -0.3)),
+    "ensemble": lambda: oracle_mahalanobis_ensemble(Q0, 0.3),
+}
+
+
+class TestArrayScores:
+    def test_fixed_residual_separates_pow_from_square(self):
+        d = POW_NOT_SQUARE
+        assert d ** 2 != d * d
+        assert (oracle_score(Q0, Example(0.0, d))
+                != math.exp(-0.5 * (d * d) / 0.75)
+                / math.sqrt(2 * math.pi * 0.75))
+
+    @given(points=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                           max_size=200),
+           at=st.integers(0, 200),
+           kind=st.sampled_from(sorted(MEASURES)))
+    @settings(max_examples=200, deadline=None)
+    def test_scores_equal_fold_of_score(self, points, at, kind):
+        points.insert(at, (0.0, POW_NOT_SQUARE))
+        stream = [Example(x, y) for x, y in points]
+        measure = MEASURES[kind]()
+        measure.reset()
+        want = [measure.score(z) for z in stream]
+        measure.reset()
+        got = measure.scores(*columns(stream))
+        assert got.dtype == np.float64
+        assert repr(got.tolist()) == repr(want)
+
+    def test_ensemble_scores_carry_on_from_score(self):
+        stream = sample(Q0, RandomStream(13), 60)
+        ens = oracle_mahalanobis_ensemble(Q0, 0.5)
+        want = [ens.score(z) for z in stream]
+        ens.reset()
+        head = [ens.score(z) for z in stream[:25]]
+        tail = ens.scores(*columns(stream[25:])).tolist()
+        assert repr(head + tail) == repr(want)
+        # and score carries on from scores
+        fresh = oracle_mahalanobis_ensemble(Q0, 0.5)
+        again = fresh.scores(*columns(stream + stream[:1])).tolist()
+        assert repr(ens.score(stream[0])) == repr(again[-1])

@@ -5,9 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from seqconformal import (BivariateGaussian, Example, RandomStream,
+from seqconformal import (BivariateGaussian, Example, RandomStream, columns,
                           conditional_density, conditional_mean,
-                          conditional_variance, sample)
+                          conditional_variance, residual, sample,
+                          sample_arrays)
 
 
 def random_model(rng: np.random.Generator) -> BivariateGaussian:
@@ -123,6 +124,41 @@ class TestSampling:
         a = sample(q, RandomStream(99), 50)
         b = sample(q, RandomStream(99), 50)
         assert a == b
+
+    def test_arrays_are_the_examples(self):
+        q = BivariateGaussian(1.0, -1.0, 1.5, 0.8, 0.6)
+        xs, ys = sample_arrays(q, RandomStream(4), 30)
+        assert xs.dtype == ys.dtype == np.float64
+        zs = sample(q, RandomStream(4), 30)
+        assert xs.tolist() == [z.x for z in zs]
+        assert ys.tolist() == [z.y for z in zs]
+        cx, cy = columns(zs)
+        assert cx.tolist() == xs.tolist() and cy.tolist() == ys.tolist()
+
+    def test_empty_arrays_draw_nothing(self):
+        q = BivariateGaussian(0, 0, 1, 1, 0.5)
+        rng = RandomStream(8)
+        xs, ys = sample_arrays(q, rng, 0)
+        assert len(xs) == len(ys) == 0
+        assert rng.uniforms(4).tolist() == RandomStream(8).uniforms(4).tolist()
+
+    @pytest.mark.parametrize("q", [
+        BivariateGaussian(math.inf, 0, 1, 1, 0.5),
+        BivariateGaussian(0, math.nan, 1, 1, 0.5),
+        BivariateGaussian(0, 0, 1e308, 1, 0.5),  # finite, but draws overflow
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_draws_rejected(self, q):
+        with pytest.raises(ValueError, match="finite"):
+            sample_arrays(q, RandomStream(1), 100)
+        with pytest.raises(ValueError, match="finite"):
+            sample(q, RandomStream(1), 100)
+
+    def test_residual_of_arrays_matches_floats(self):
+        q = BivariateGaussian(1.0, -1.0, 1.5, 0.8, 0.6)
+        xs, ys = sample_arrays(q, RandomStream(6), 50)
+        want = [residual(q, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert residual(q, xs, ys).tolist() == want
 
     def test_moments(self):
         q = BivariateGaussian(0, 0, 1, 1, 0.5)

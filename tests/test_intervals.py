@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqconformal import (BivariateGaussian, EfficiencyRecord, Example,
-                          RandomStream, ScoreStore, efficiency_series,
-                          interval_series, oracle_score, predict_interval,
-                          sample)
+                          RandomStream, ScoreStore, columns, efficiency_series,
+                          interval_series, predict_interval, residual, sample)
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
 SIGMA_C = math.sqrt(0.75)
-PEAK = 1.0 / (SIGMA_C * math.sqrt(2 * math.pi))
 
 
 def store_of(scores):
@@ -23,29 +21,35 @@ def store_of(scores):
 
 
 class TestPredictInterval:
-    def test_threshold_at_peak_degenerates(self):
-        store = store_of([PEAK] * 100)
+    def test_zero_residuals_degenerate(self):
+        # every stored example sat at the conditional mean, the density peak
+        store = store_of([0.0] * 100)
         interval = predict_interval(Q0, store, 2.0, 0.05)
         assert interval.width == 0.0
         assert interval.center == pytest.approx(1.0)
 
-    def test_threshold_one_std_below_peak(self):
-        store = store_of([PEAK * math.exp(-0.5)] * 100)
+    def test_threshold_one_std_from_mean(self):
+        store = store_of([SIGMA_C] * 100)
         interval = predict_interval(Q0, store, 0.0, 0.05)
         assert interval.width == pytest.approx(2 * SIGMA_C)
 
+    def test_halfwidth_is_upper_order_statistic(self):
+        # 20 stored |r| = 1..20 at eps 0.1: rank ceil(0.1 * 21) = 3 from the
+        # top is 18
+        store = store_of([float(r) for r in range(20, 0, -1)])
+        interval = predict_interval(Q0, store, 2.0, 0.1)
+        assert (interval.lower, interval.upper) == (1.0 - 18.0, 1.0 + 18.0)
+
     def test_contains_conditional_mean(self):
         stream = sample(Q0, RandomStream(1), 500)
-        store = store_of(
-            [PEAK * math.exp(-0.5 * (z.y - 0.5 * z.x) ** 2 / 0.75)
-             for z in stream])
+        store = store_of([abs(z.y - 0.5 * z.x) for z in stream])
         for x in (-2.0, 0.0, 3.0):
             interval = predict_interval(Q0, store, x, 0.05)
             assert interval.lower <= interval.center <= interval.upper
 
     def test_width_nonincreasing_in_epsilon(self):
         rng = np.random.default_rng(0)
-        store = store_of(list(PEAK * rng.random(1000)))
+        store = store_of(list(3.0 * rng.random(1000)))
         widths = [predict_interval(Q0, store, 0.0, eps).width
                   for eps in (0.01, 0.05, 0.1, 0.3)]
         assert widths == sorted(widths, reverse=True)
@@ -101,7 +105,7 @@ class TestEfficiencySeries:
 
 
 def reference_records(stream, q0, epsilon):
-    """predict_interval at every step against a store of the earlier scores."""
+    """predict_interval at every step against a store of the earlier |r|."""
     store = ScoreStore()
     records = []
     for step, z in enumerate(stream, start=1):
@@ -112,12 +116,12 @@ def reference_records(stream, q0, epsilon):
                 step=step, center=interval.center, lower=interval.lower,
                 upper=interval.upper, width=interval.width,
                 covered=interval.contains(z.y)))
-        store.insert(oracle_score(q0, z))
+        store.insert(abs(residual(q0, z.x, z.y)))
     return records
 
 
 class TestStreamingThreshold:
-    # Integer coordinates make many oracle scores tie exactly.
+    # Integer coordinates make many residuals tie exactly.
     @given(points=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                            min_size=2, max_size=300),
            epsilon=st.sampled_from([0.01, 0.05, 0.2, 0.5, 0.9]))
@@ -137,7 +141,7 @@ class TestStreamingThreshold:
 
     def test_arrays_match_records(self):
         stream = sample(Q0, RandomStream(11), 200)
-        series = interval_series(stream, Q0, 0.05)
+        series = interval_series(*columns(stream), Q0, 0.05)
         records = efficiency_series(stream, Q0, 0.05)
         assert series.width.tolist() == [r.width for r in records]
         assert series.covered.tolist() == [r.covered for r in records]
@@ -147,13 +151,14 @@ class TestStreamingThreshold:
         assert (repr(efficiency_series(stream, Q0, 0.01))
                 == repr(reference_records(stream, Q0, 0.01)))
 
-    def test_underflowed_score_rejected(self):
-        # The oracle density of y = 100 at x = 0 underflows to 0.0.
+    def test_far_residual_sets_the_interval(self):
+        # The oracle density of y = 100 at x = 0 underflows to 0.0, but its
+        # |r| = 100 is the largest stored residual and the half-width.
         stream = [Example(0.0, 100.0), Example(0.0, 0.0), Example(0.0, 0.0)]
-        with pytest.raises(ValueError, match="positive"):
-            reference_records(stream, Q0, 0.05)
-        with pytest.raises(ValueError, match="positive"):
-            efficiency_series(stream, Q0, 0.05)
+        want = [EfficiencyRecord(step, 0.0, -100.0, 100.0, 200.0, True)
+                for step in (2, 3)]
+        assert efficiency_series(stream, Q0, 0.05) == want
+        assert reference_records(stream, Q0, 0.05) == want
 
     def test_bad_epsilon_rejected(self):
         stream = sample(Q0, RandomStream(12), 10)

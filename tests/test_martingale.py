@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from seqconformal import (CapitalState, JumperConfig, betting_function,
-                          initial_state, jumper_step, run_ctm)
+                          initial_state, jumper_step, log10_capital, run_ctm)
 
 
 class TestConfig:
@@ -183,3 +183,10 @@ class TestInlineRecurrence:
         assert repr(run_ctm(JumperConfig(), np.array(ps))) == want
         assert repr(run_ctm(JumperConfig(), (PValue(p, i) for i, p in
                                              enumerate(ps, start=1)))) == want
+
+    def test_log10_capital_is_the_trajectory_by_index(self):
+        ps = PVALUE_RUNS["random"][:500]
+        values = log10_capital(JumperConfig(), ps)
+        assert all(type(v) is float for v in values)
+        assert repr(list(enumerate(values))) == repr(
+            folded_trajectory(JumperConfig(), ps))

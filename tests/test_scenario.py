@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -18,27 +19,29 @@ MEASURE_KINDS = ("oracle", "mahalanobis", "likelihood_ratio", "ensemble")
 # SHA-256 of every artifact of the shipped configs cut to 2000 + 2000 steps,
 # taken with Python 3.11.7 and numpy 2.4.6. The digests pin the bytes across
 # refactors of the pipeline; a numpy whose PCG64 or float formatting differs
-# may legitimately change them.
+# may legitimately change them. The intervals.csv digests were retaken
+# when the half-width became the stored |r| itself in place of the
+# exp/log round trip through the oracle density (last-digit changes).
 GOLDEN_2K = {
     "cryptic": {
         "stream.csv": "29644ef141b54d8f1954cac918b896aea74e1d6cb4774ba1c58fa390a753f7e2",
         "pvalues.csv": "8bf93144e1d112c2fed5fc6613429bb276fb130c5aed186c817243ada08492fa",
         "martingale.csv": "3eace3cc4f59890de884ad1c6a8033e7595794e0f7b9a692877d029c97097deb",
-        "intervals.csv": "84ae0641f913599e6524fb8e1bfe9598302e05974bf76e27f094431390a8c89f",
+        "intervals.csv": "06d6ebece7936168f35f5fa03900abe217ade5d76b7b2b158c6cdde3ff28351f",
         "summary.json": "629bb39623eb66b26194cf4d82abf3214a58224790af1c6883cd21a2c9245137",
     },
     "ensemble_cryptic": {
         "stream.csv": "29644ef141b54d8f1954cac918b896aea74e1d6cb4774ba1c58fa390a753f7e2",
         "pvalues.csv": "bba66ff977a24aa946a977887d379e474e2bee0e5ca0ba011adf91a5b326dbe8",
         "martingale.csv": "6157942d2b503edbf300e367af78866e0e60a4fdda7adfd05100e8d75c71e7f0",
-        "intervals.csv": "84ae0641f913599e6524fb8e1bfe9598302e05974bf76e27f094431390a8c89f",
+        "intervals.csv": "06d6ebece7936168f35f5fa03900abe217ade5d76b7b2b158c6cdde3ff28351f",
         "summary.json": "607e4a95c6e05f55be59bc03794a794d6846df5b81a5617369ae67ea99e31806",
     },
     "non_cryptic": {
         "stream.csv": "d68e6edd66744a65f4fcf7f6203dc9068c83a1759d654d8dc1022184769a44e1",
         "pvalues.csv": "0ecae4dae4570dd1b738dfa19b32bc2251ced923b9f71f7f63fbd74f0fd038a3",
         "martingale.csv": "fc44d899e90493dfca0c90bceb781ae21feac10ca2fe45e907d5e1244858bd19",
-        "intervals.csv": "d1e0616db0cb9972dc1e39999b8c5e67d6c3a47a715346d48748553af6e5f568",
+        "intervals.csv": "07ce978061566a1289b9f3800ac550fb943bedf07e4a08e7146bbaafd8295cf9",
         "summary.json": "82c801b67150a38c07e4def96312251e76d9e39ceba614adc8881cdf362e9a59",
     },
 }
@@ -108,6 +111,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             make_config(tmp_path, jumper={"epsilons": epsilons})
         assert err.value.field_name == "jumper.epsilons"
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"jumper": {"epsilons": [math.nan, 0.0]}}, "jumper.epsilons"),
+        ({"jumper": {"jump_rate": math.nan}}, "jumper.jump_rate"),
+        ({"pre": {**BASE["pre"], "mu_x": math.inf}}, "pre.mu_x"),
+        ({"pre": {**BASE["pre"], "mu_y": 10**400}}, "pre.mu_y"),
+        ({"post": {"cryptic_delta_mu_x": -math.inf}},
+         "post.cryptic_delta_mu_x"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, overrides, field):
+        with pytest.raises(ConfigError) as err:
+            make_config(tmp_path, **overrides)
+        assert err.value.field_name == field
 
     def test_jumper_epsilons_accept_integers(self, tmp_path):
         cfg = make_config(tmp_path, jumper={"epsilons": [-1, 0, 1]})
@@ -190,6 +206,34 @@ class TestRunScenario:
                               n_pre=100, n_post=100)
             summary = run_scenario(cfg, write_artifacts=False)
             assert summary.ks_all.n == 200
+
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    def test_far_post_mean_runs(self, tmp_path, kind):
+        # At a post mean of (0, 40) the oracle density of every post-change
+        # example underflows to 0.0, and so does the joint density that a
+        # likelihood ratio of densities would take the log of.
+        post = {**BASE["pre"], "mu_y": 40.0}
+        cfg = make_config(tmp_path, measure={"kind": kind}, post=post,
+                          n_pre=500, n_post=500)
+        summary = run_scenario(cfg)
+        out = cfg.output_dir
+
+        def column(name, field):
+            lines = (out / name).read_text().strip().split("\n")
+            i = lines[0].split(",").index(field)
+            return [float(line.split(",")[i]) for line in lines[1:]]
+
+        pvalues = column("pvalues.csv", "pvalue")
+        assert len(pvalues) == 1000
+        assert all(0.0 < p <= 1.0 for p in pvalues)
+        trajectory = column("martingale.csv", "log10_capital")
+        assert len(trajectory) == 1001
+        assert all(math.isfinite(c) for c in trajectory)
+        widths = column("intervals.csv", "width")
+        assert len(widths) == 999
+        assert all(math.isfinite(w) and w >= 0.0 for w in widths)
+        assert math.isfinite(summary.final_log10_capital)
+        assert math.isfinite(summary.mean_width_post)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_2K))
     def test_shipped_config_artifacts_match_golden_digests(self, tmp_path,
@@ -287,6 +331,17 @@ class TestCli:
         path = write_config(tmp_path, jumper={"epsilons": epsilons})
         assert cli_main(["run", "--config", str(path)]) == 1
         assert "jumper.epsilons" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"jumper": {"epsilons": [math.nan, 0.0]}}, "jumper.epsilons"),
+        ({"pre": {**BASE["pre"], "mu_x": math.inf}}, "pre.mu_x"),
+    ])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, overrides,
+                                         field):
+        path = write_config(tmp_path, **overrides)
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args", [
         ["--seed", "-1"],

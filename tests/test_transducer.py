@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqconformal import (BivariateGaussian, Example, PredictiveOracle,
-                          RandomStream, ScoreStore, ks_uniform,
+                          RandomStream, ScoreStore, columns, ks_uniform,
                           lag1_autocorrelation, observe,
                           oracle_mahalanobis_ensemble, run_transducer, sample,
                           smoothed_pvalues)
@@ -121,8 +121,8 @@ class TestRunTransducer:
 class ScoreIsX(ConformityMeasure):
     """Scores an example by its x coordinate, so a test can pick the scores."""
 
-    def score(self, z):
-        return z.x
+    def scores(self, xs, ys):
+        return xs
 
 
 def reference_pvalues(scores, rng):
@@ -156,6 +156,6 @@ class TestArrayPass:
         rng = RandomStream(8)
         stream = sample(Q0, rng.substream(0), 1000)
         measure = oracle_mahalanobis_ensemble(Q0)
-        array = smoothed_pvalues(measure, stream, rng.substream(1))
+        array = smoothed_pvalues(measure, *columns(stream), rng.substream(1))
         objects = run_transducer(measure, stream, rng.substream(1))
         assert array.tolist() == [p.value for p in objects]
