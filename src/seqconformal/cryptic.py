@@ -32,7 +32,7 @@ class CrypticPair:
         slope = self.q0.correlation * self.q0.sigma_y / self.q0.sigma_x
         residual = abs((self.q1.mu_y - self.q0.mu_y)
                        - slope * (self.q1.mu_x - self.q0.mu_x))
-        if residual > _CONSTRUCTION_TOL:
+        if not residual <= _CONSTRUCTION_TOL:
             raise ValueError(
                 f"mean shift is off the cryptic line (residual {residual:.3e})"
             )

@@ -101,13 +101,6 @@ def conditional_variance(q: BivariateGaussian) -> float:
     return (1.0 - r * r) * q.sigma_y**2
 
 
-def conditional_density(q: BivariateGaussian, x: float, y: float) -> float:
-    """pdf of Y | X = x under q, evaluated at y."""
-    var = conditional_variance(q)
-    mu = conditional_mean(q, x)
-    return math.exp(-0.5 * (y - mu) ** 2 / var) / math.sqrt(_TWO_PI * var)
-
-
 def residual(q: BivariateGaussian, x, y):
     """y - E[Y | X = x] under q; x and y may be floats or float64 arrays."""
     return y - conditional_mean(q, x)

@@ -11,39 +11,20 @@ underflow it. Excluding the candidate from its own bag changes ranks by
 at most 1, an O(1/n) effect. Intervals are built from unsmoothed
 p-values and are therefore deterministic.
 
-`predict_interval` answers one query against a `ScoreStore` of |r|;
 `interval_series` runs a whole stream, given as x and y arrays, and
 tracks the threshold with a two-heap streaming order statistic, O(log n)
-per step, and `efficiency_series` gives its result as one record per
-step.
+per step; `efficiency_series` gives its result as one record per step.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .gaussian import BivariateGaussian, Example, columns, conditional_mean
-from .transducer import ScoreStore
-
-
-@dataclass(frozen=True)
-class PredictionInterval:
-    lower: float
-    upper: float
-    center: float
-    step_index: int
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    def contains(self, y: float) -> bool:
-        return self.lower <= y <= self.upper
 
 
 @dataclass(frozen=True)
@@ -54,31 +35,6 @@ class EfficiencyRecord:
     upper: float
     width: float
     covered: bool
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-
-
-def predict_interval(q0: BivariateGaussian, store: ScoreStore, x: float,
-                     epsilon: float, step_index: int = 0) -> PredictionInterval:
-    """Level-(1 - epsilon) interval for Y at x against the stored |r|.
-
-    The store holds the absolute residuals |y - E_Q0[Y | x]| of the
-    earlier examples. The half-width is the upper order statistic at rank
-    ceil(epsilon * (size + 1)), a conservative tie-breaking choice.
-    """
-    if store.size == 0:
-        raise ValueError("score store is empty")
-    _check_epsilon(epsilon)
-    rank = min(math.ceil(epsilon * (store.size + 1)), store.size)
-    center = conditional_mean(q0, x)
-    halfwidth = store.kth_smallest(store.size + 1 - rank)
-    return PredictionInterval(lower=center - halfwidth,
-                              upper=center + halfwidth,
-                              center=center,
-                              step_index=step_index)
 
 
 @dataclass(frozen=True)
@@ -98,21 +54,21 @@ def interval_series(xs: np.ndarray, ys: np.ndarray, q0: BivariateGaussian,
 
     At step n the interval for x_n uses the |r| of z_1..z_{n-1}; z_n is
     admitted to the store afterwards. The first step has nothing to
-    predict from, so the arrays start at step 2. Equal to
-    `predict_interval` at every step against a store of the earlier |r|.
+    predict from, so the arrays start at step 2. The half-width at step
+    m + 1 is the k-th largest of the m stored |r|, at the conservative rank
+    k = ceil(epsilon * (m + 1)), capped at m.
 
-    The threshold rank ceil(epsilon * (m + 1)), capped at m, never falls
-    and grows by at most one as the store size m grows, so the k largest
+    k never falls and grows by at most one as m grows, so the k largest
     |r| stay in a min-heap and the rest in a max-heap (stored negated);
     the half-width is the top of the min-heap.
     """
     if len(xs) < 2:
         raise ValueError("stream must contain at least two examples")
-    _check_epsilon(epsilon)
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
     center = conditional_mean(q0, xs)
     abs_r = np.abs(ys - center).tolist()
     m = np.arange(1, len(xs))  # m residuals are stored at step m + 1
-    # The same float product and ceil as predict_interval's rank.
     rank = np.minimum(np.ceil(epsilon * (m + 1)), m)
     grows = (np.diff(rank, prepend=0.0) > 0).tolist()
     push, pushpop, pop = heapq.heappush, heapq.heappushpop, heapq.heappop

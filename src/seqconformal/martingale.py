@@ -28,72 +28,18 @@ class JumperConfig:
     def __post_init__(self):
         if not self.epsilons:
             raise ValueError("epsilons must be nonempty")
-        if any(abs(e) > 1.0 for e in self.epsilons):
+        if not all(abs(e) <= 1.0 for e in self.epsilons):
             raise ValueError("each |epsilon| must be <= 1 to keep bets nonnegative")
         if not 0.0 <= self.jump_rate < 1.0:
             raise ValueError("jump_rate must lie in [0, 1)")
 
 
-@dataclass
-class CapitalState:
-    """Per-epsilon capitals, decimal rescaling exponent, and step count.
-
-    Total capital is sum(capitals) * 10**log10_scale; it starts at 1,
-    split uniformly across the epsilon grid.
-    """
-
-    capitals: list[float]
-    log10_scale: float = 0.0
-    step: int = 0
-
-    @property
-    def log10_total(self) -> float:
-        return math.log10(sum(self.capitals)) + self.log10_scale
-
-    @property
-    def total(self) -> float:
-        return sum(self.capitals) * 10.0**self.log10_scale
-
-
-def initial_state(cfg: JumperConfig) -> CapitalState:
-    k = len(cfg.epsilons)
-    return CapitalState(capitals=[1.0 / k] * k)
-
-
-def betting_function(epsilon: float, p: float) -> float:
-    """f_eps(p) = 1 + eps * (p - 1/2); integrates to 1 over [0, 1]."""
-    return 1.0 + epsilon * (p - 0.5)
-
-
-def jumper_step(state: CapitalState, cfg: JumperConfig, p: float,
-                renorm_exponent: int = 6) -> CapitalState:
-    """One mix-then-bet update of the capital state.
-
-    Rescales by a power of ten whenever the capital sum leaves
-    [10^-renorm_exponent, 10^renorm_exponent]; the reported total is
-    invariant under rescaling.
-    """
-    k = len(cfg.epsilons)
-    total = sum(state.capitals)
-    j = cfg.jump_rate
-    mixed = [(1.0 - j) * c + (j / k) * total for c in state.capitals]
-    bet = [c * betting_function(e, p) for c, e in zip(mixed, cfg.epsilons)]
-    scale = state.log10_scale
-    s = sum(bet)
-    bound = 10.0**renorm_exponent
-    if s > bound or s < 1.0 / bound:
-        m = math.floor(math.log10(s))
-        factor = 10.0**m
-        bet = [c / factor for c in bet]
-        scale += m
-    return CapitalState(capitals=bet, log10_scale=scale, step=state.step + 1)
-
-
 def log10_capital(cfg: JumperConfig, pvalues: Iterable[float]) -> list[float]:
     """log10 capital after each p-value, from log10 S = 0 at index 0.
 
-    The same arithmetic, in the same order, as folding `jumper_step` from
-    `initial_state` over the p-values, run on local variables.
+    Each step mixes, then bets with f_eps(p) = 1 + eps * (p - 1/2), then
+    rescales by a power of ten whenever the capital sum leaves
+    [10^-6, 10^6]; the reported log10 total is invariant under rescaling.
     """
     epsilons = cfg.epsilons
     k = len(epsilons)

@@ -26,10 +26,6 @@ class RandomStream:
         the same stream regardless of what the parent has consumed."""
         return RandomStream(self.seed, self.path + (int(index),))
 
-    def uniform(self) -> float:
-        """One uniform draw from [0, 1)."""
-        return float(self._gen.random())
-
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform draws from [0, 1)."""
         return self._gen.random(int(n))

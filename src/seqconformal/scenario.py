@@ -98,6 +98,12 @@ def _require(raw: dict, key: str, prefix: str = "") -> Any:
     return raw[key]
 
 
+def _reject_unknown(raw: dict, known: tuple[str, ...], name: str) -> None:
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ConfigError(name, f"unknown keys {sorted(unknown)}")
+
+
 def _as_number(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(name, f"expected a number, got {value!r}")
@@ -130,9 +136,7 @@ def _parse_model(raw: Any, name: str) -> BivariateGaussian:
     if not isinstance(raw, dict):
         raise ConfigError(name, "expected a mapping of model parameters")
     fields = ("mu_x", "mu_y", "sigma_x", "sigma_y", "rho_cov")
-    unknown = set(raw) - set(fields)
-    if unknown:
-        raise ConfigError(name, f"unknown keys {sorted(unknown)}")
+    _reject_unknown(raw, fields, name)
     values = {f: _as_number(_require(raw, f, f"{name}."), f"{name}.{f}")
               for f in fields}
     try:
@@ -164,18 +168,17 @@ def _parse_config(raw: dict[str, Any], base_dir: Path) -> ScenarioConfig:
     measure_raw = raw.get("measure", {"kind": "oracle"})
     if not isinstance(measure_raw, dict) or "kind" not in measure_raw:
         raise ConfigError("measure", "expected a mapping with a 'kind' key")
+    _reject_unknown(measure_raw, ("kind", "lambda"), "measure")
     lam = _as_number(measure_raw.get("lambda", 0.5), "measure.lambda")
     if not 0.0 <= lam <= 1.0:
         raise ConfigError("measure.lambda", "must lie in [0, 1]")
     measure = MeasureSpec(kind=str(measure_raw["kind"]), lam=lam)
-    if measure.kind not in ("oracle", "mahalanobis", "likelihood_ratio",
-                            "ensemble"):
-        raise ConfigError("measure.kind",
-                          f"unknown measure kind {measure.kind!r}")
+    measure.build(pre, post)  # rejects an unknown kind
 
     jumper_raw = raw.get("jumper", {})
     if not isinstance(jumper_raw, dict):
         raise ConfigError("jumper", "expected a mapping")
+    _reject_unknown(jumper_raw, ("epsilons", "jump_rate"), "jumper")
     epsilons = jumper_raw.get("epsilons", (-1.0, 0.0, 1.0))
     if not isinstance(epsilons, (list, tuple)):
         raise ConfigError("jumper.epsilons",
@@ -197,7 +200,10 @@ def _parse_config(raw: dict[str, Any], base_dir: Path) -> ScenarioConfig:
         raise ConfigError("replications", "must be >= 1")
     check_seeds(seed, replications)
 
-    output_dir = Path(raw.get("output_dir", "out"))
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError("output_dir", f"expected a path, got {output_dir!r}")
+    output_dir = Path(output_dir)
     if not output_dir.is_absolute():
         output_dir = base_dir / output_dir
 

@@ -1,9 +1,8 @@
 """Uniformity diagnostics for p-value streams.
 
-Kolmogorov-Smirnov tests (one-sample against uniform, two-sample),
-fixed-width histograms, and lag-1 autocorrelation. Thresholds use the
-asymptotic KS coefficients; all shipped checks run at n >= 1000 where the
-asymptotic approximation error is negligible.
+Kolmogorov-Smirnov tests, one-sample against uniform and two-sample.
+Thresholds use the asymptotic KS coefficients; all shipped checks run at
+n >= 1000 where the asymptotic approximation error is negligible.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ def ks_uniform(pvalues: Sequence[float], alpha: float = 0.01) -> KSReport:
     u = np.asarray(pvalues, dtype=float)
     if u.size == 0:
         raise ValueError("empty sample")
-    if np.any(u < 0.0) or np.any(u > 1.0):
+    if not np.all((u >= 0.0) & (u <= 1.0)):
         raise ValueError("values must lie in [0, 1]")
     n = u.size
     u = np.sort(u)
@@ -65,28 +64,3 @@ def two_sample_ks(a: Sequence[float], b: Sequence[float],
     return KSReport(statistic=d, n=int(a.size + b.size),
                     threshold_at_alpha=float(threshold), alpha=alpha,
                     reject=bool(d > threshold))
-
-
-def histogram(pvalues: Sequence[float],
-              bins: int = 20) -> list[tuple[float, float, int]]:
-    """Equal-width bin counts over [0, 1]; right-open except the last bin."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    u = np.asarray(pvalues, dtype=float)
-    idx = np.clip(np.floor(u * bins).astype(int), 0, bins - 1)
-    counts = np.bincount(idx, minlength=bins)
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    return [(float(edges[i]), float(edges[i + 1]), int(counts[i]))
-            for i in range(bins)]
-
-
-def lag1_autocorrelation(values: Sequence[float]) -> float:
-    """Sample autocorrelation at lag 1."""
-    v = np.asarray(values, dtype=float)
-    if v.size < 2:
-        raise ValueError("need at least two values")
-    v = v - v.mean()
-    denom = float(np.dot(v, v))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(v[:-1], v[1:]) / denom)

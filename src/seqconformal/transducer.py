@@ -10,14 +10,12 @@ tie-breaking draw. Under exchangeable data the emitted
 p-values are IID uniform on (0, 1], for any conformity measure.
 
 `smoothed_pvalues` computes every p-value of a stream, given as x and y
-arrays, in one array pass: both counts come from O(n log n) rank queries over rank-compressed
-scores, and the taus are drawn as one block. `ScoreStore` and `observe`
-are the same computation one step at a time.
+arrays, in one array pass: both counts come from O(n log n) rank queries
+over rank-compressed scores, and the taus are drawn as one block.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,56 +26,10 @@ from .gaussian import Example, columns
 from .rng import RandomStream
 
 
-class ScoreStore:
-    """Sorted multiset of scores with rank queries.
-
-    Backed by a sorted buffer: O(log n) rank queries, O(n) memmove on
-    insert. Folding a whole stream through it therefore costs O(n^2),
-    which is why the stream stages do not use it; it serves single-step
-    queries (`observe`, `predict_interval`).
-    """
-
-    def __init__(self):
-        self._scores: list[float] = []
-
-    @property
-    def size(self) -> int:
-        return len(self._scores)
-
-    def insert(self, alpha: float) -> None:
-        insort(self._scores, alpha)
-
-    def count_less(self, alpha: float) -> int:
-        return bisect_left(self._scores, alpha)
-
-    def count_equal(self, alpha: float) -> int:
-        return bisect_right(self._scores, alpha) - bisect_left(self._scores, alpha)
-
-    def kth_smallest(self, k: int) -> float:
-        """1-based order statistic."""
-        if not 1 <= k <= len(self._scores):
-            raise IndexError(f"rank {k} out of range for store of size {len(self._scores)}")
-        return self._scores[k - 1]
-
-
 @dataclass(frozen=True)
 class PValue:
     value: float
     step_index: int
-
-
-def observe(store: ScoreStore, alpha_n: float, tau: float) -> PValue:
-    """Smoothed p-value of alpha_n against the store.
-
-    alpha_n must already have been inserted (the bag includes the new
-    example), so count_equal >= 1 and the result lies in [tau/n, 1].
-    """
-    if store.size == 0:
-        raise ValueError("score store is empty")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    p = (store.count_less(alpha_n) + tau * store.count_equal(alpha_n)) / store.size
-    return PValue(p, store.size)
 
 
 def _earlier_counts(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,16 +72,16 @@ def smoothed_pvalues(measure: ConformityMeasure, xs: np.ndarray,
     """The p-value of every example (xs[i], ys[i]), as a float64 array.
 
     The measure is reset and scores the stream in order; one tie-breaking
-    uniform is drawn per example, the same draws as one `rng.uniform()`
-    call per step. Equal bit for bit to folding `ScoreStore.insert` and
-    `observe` over the stream.
+    uniform is drawn per example, the same draws as one `rng.uniforms(1)`
+    call per step. Equal bit for bit to inserting each score into a sorted
+    bag and evaluating the formula above one step at a time.
     """
     measure.reset()
     scores = measure.scores(xs, ys)
     n = len(scores)
     taus = rng.uniforms(n)
     less, equal = _earlier_counts(scores)
-    # The same IEEE operations as observe: int + float * int, then / int.
+    # One step at a time this is int + float * int, then / int.
     return (less + taus * (equal + 1)) / np.arange(1, n + 1)
 
 

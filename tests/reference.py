@@ -1,0 +1,226 @@
+"""Single-step reference implementations.
+
+The package computes every stage over whole arrays. The forms here do the
+same computations the obvious way, one example or one step at a time, and
+the tests compare the package against them bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from seqconformal import (BivariateGaussian, ConvexEnsemble, JumperConfig,
+                          LikelihoodRatio, Mahalanobis, PredictiveOracle,
+                          PValue, conditional_mean, conditional_variance)
+from seqconformal.conformity import _STD_FLOOR
+
+class ScoreStore:
+    """Sorted multiset of scores with rank queries; O(n) insert."""
+
+    def __init__(self):
+        self._scores: list[float] = []
+
+    @property
+    def size(self) -> int:
+        return len(self._scores)
+
+    def insert(self, alpha: float) -> None:
+        insort(self._scores, alpha)
+
+    def count_less(self, alpha: float) -> int:
+        return bisect_left(self._scores, alpha)
+
+    def count_equal(self, alpha: float) -> int:
+        return bisect_right(self._scores, alpha) - bisect_left(self._scores, alpha)
+
+    def kth_smallest(self, k: int) -> float:
+        """1-based order statistic."""
+        if not 1 <= k <= len(self._scores):
+            raise IndexError(f"rank {k} out of range for store of size {len(self._scores)}")
+        return self._scores[k - 1]
+
+
+def store_of(scores) -> ScoreStore:
+    store = ScoreStore()
+    for s in scores:
+        store.insert(s)
+    return store
+
+
+def observe(store: ScoreStore, alpha_n: float, tau: float) -> PValue:
+    """Smoothed p-value of alpha_n against the store.
+
+    alpha_n must already have been inserted (the bag includes the new
+    example), so count_equal >= 1 and the result lies in [tau/n, 1].
+    """
+    if store.size == 0:
+        raise ValueError("score store is empty")
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError("tau must lie in [0, 1]")
+    p = (store.count_less(alpha_n) + tau * store.count_equal(alpha_n)) / store.size
+    return PValue(p, store.size)
+
+
+@dataclass(frozen=True)
+class PredictionInterval:
+    lower: float
+    upper: float
+    center: float
+    step_index: int
+
+    @property
+    def width(self) -> float:
+        return self.upper - self.lower
+
+    def contains(self, y: float) -> bool:
+        return self.lower <= y <= self.upper
+
+
+def predict_interval(q0: BivariateGaussian, store: ScoreStore, x: float,
+                     epsilon: float, step_index: int = 0) -> PredictionInterval:
+    """Level-(1 - epsilon) interval for Y at x against the stored |r|.
+
+    The store holds the absolute residuals |y - E_Q0[Y | x]| of the
+    earlier examples. The half-width is the upper order statistic at rank
+    ceil(epsilon * (size + 1)), a conservative tie-breaking choice.
+    """
+    if store.size == 0:
+        raise ValueError("score store is empty")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    rank = min(math.ceil(epsilon * (store.size + 1)), store.size)
+    center = conditional_mean(q0, x)
+    halfwidth = store.kth_smallest(store.size + 1 - rank)
+    return PredictionInterval(lower=center - halfwidth,
+                              upper=center + halfwidth,
+                              center=center,
+                              step_index=step_index)
+
+
+@dataclass
+class CapitalState:
+    """Per-epsilon capitals, decimal rescaling exponent, and step count.
+
+    Total capital is sum(capitals) * 10**log10_scale; it starts at 1,
+    split uniformly across the epsilon grid.
+    """
+
+    capitals: list[float]
+    log10_scale: float = 0.0
+    step: int = 0
+
+    @property
+    def log10_total(self) -> float:
+        return math.log10(sum(self.capitals)) + self.log10_scale
+
+    @property
+    def total(self) -> float:
+        return sum(self.capitals) * 10.0**self.log10_scale
+
+
+def initial_state(cfg: JumperConfig) -> CapitalState:
+    k = len(cfg.epsilons)
+    return CapitalState(capitals=[1.0 / k] * k)
+
+
+def betting_function(epsilon: float, p: float) -> float:
+    """f_eps(p) = 1 + eps * (p - 1/2); integrates to 1 over [0, 1]."""
+    return 1.0 + epsilon * (p - 0.5)
+
+
+def jumper_step(state: CapitalState, cfg: JumperConfig, p: float,
+                renorm_exponent: int = 6) -> CapitalState:
+    """One mix-then-bet update of the capital state.
+
+    Rescales by a power of ten whenever the capital sum leaves
+    [10^-renorm_exponent, 10^renorm_exponent]; the reported total is
+    invariant under rescaling.
+    """
+    k = len(cfg.epsilons)
+    total = sum(state.capitals)
+    j = cfg.jump_rate
+    mixed = [(1.0 - j) * c + (j / k) * total for c in state.capitals]
+    bet = [c * betting_function(e, p) for c, e in zip(mixed, cfg.epsilons)]
+    scale = state.log10_scale
+    s = sum(bet)
+    bound = 10.0**renorm_exponent
+    if s > bound or s < 1.0 / bound:
+        m = math.floor(math.log10(s))
+        factor = 10.0**m
+        bet = [c / factor for c in bet]
+        scale += m
+    return CapitalState(capitals=bet, log10_scale=scale, step=state.step + 1)
+
+
+def conditional_density(q: BivariateGaussian, x: float, y: float) -> float:
+    """pdf of Y | X = x under q, evaluated at y."""
+    var = conditional_variance(q)
+    mu = conditional_mean(q, x)
+    return math.exp(-0.5 * (y - mu) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+
+
+@dataclass
+class RunningMoments:
+    """Welford accumulator for online mean/std (population formula)."""
+
+    count: int = 0
+    mean: float = 0.0
+    _m2: float = 0.0
+
+    def push(self, x: float) -> None:
+        self.count += 1
+        delta = x - self.mean
+        self.mean += delta / self.count
+        self._m2 += delta * (x - self.mean)
+
+    @property
+    def std(self) -> float:
+        if self.count == 0:
+            return _STD_FLOOR
+        return max(math.sqrt(self._m2 / self.count), _STD_FLOOR)
+
+    def standardize(self, x: float) -> float:
+        return (x - self.mean) / self.std
+
+
+def score_fold(measure, stream) -> list[float]:
+    """The score of each example of a stream, one example at a time; the
+    ensemble standardizes each component through `RunningMoments`."""
+    if isinstance(measure, PredictiveOracle):
+        return [conditional_density(measure.q0, z.x, z.y) for z in stream]
+    if isinstance(measure, Mahalanobis):
+        return [-measure.q0.quad(z.x, z.y) for z in stream]
+    if isinstance(measure, LikelihoodRatio):
+        q0, q1 = measure.q0, measure.q1
+        return [0.5 * (q1.quad(z.x, z.y) - q0.quad(z.x, z.y))
+                + 0.5 * math.log(q1.determinant / q0.determinant)
+                for z in stream]
+    if isinstance(measure, ConvexEnsemble):
+        moments = [RunningMoments() for _ in measure.components]
+        totals = []
+        for z in stream:
+            total = 0.0
+            for (component, weight), mom in zip(measure.components, moments):
+                raw = score_fold(component, [z])[0]
+                mom.push(raw)
+                total += weight * mom.standardize(raw)
+            totals.append(total)
+        return totals
+    raise TypeError(f"no reference score for {type(measure).__name__}")
+
+
+def lag1_autocorrelation(values: Sequence[float]) -> float:
+    """Sample autocorrelation at lag 1."""
+    v = np.asarray(values, dtype=float)
+    if v.size < 2:
+        raise ValueError("need at least two values")
+    v = v - v.mean()
+    denom = float(np.dot(v, v))
+    if denom == 0.0:
+        return 0.0
+    return float(np.dot(v[:-1], v[1:]) / denom)

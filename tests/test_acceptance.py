@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import seqconformal as sc
-from seqconformal.martingale import initial_state, jumper_step
+from reference import initial_state, jumper_step
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 QUICK = {"n_pre": 2000, "n_post": 2000}
@@ -104,12 +104,12 @@ def test_criterion_3_cryptic_line_exactness():
 def test_criterion_4_score_distribution_invariance():
     q0 = sc.BivariateGaussian(0, 0, 1, 1, 0.5)
     pair = sc.cryptic_shift(q0, 20.0)
+    oracle = sc.PredictiveOracle(q0)
     rejections = 0
     for seed in range(100, 120):
         rng = sc.RandomStream(seed)
-        a = [sc.oracle_score(q0, z) for z in sc.sample(q0, rng.substream(0), 10_000)]
-        b = [sc.oracle_score(q0, z)
-             for z in sc.sample(pair.q1, rng.substream(1), 10_000)]
+        a = oracle.scores(*sc.sample_arrays(q0, rng.substream(0), 10_000))
+        b = oracle.scores(*sc.sample_arrays(pair.q1, rng.substream(1), 10_000))
         rejections += sc.two_sample_ks(a, b, alpha=0.01).reject
     ok = 20 - rejections >= 18
     report(4, ok, f"two-sample KS non-rejections: {20 - rejections}/20 (>= 18)")

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import RunningMoments, score_fold
 from seqconformal import (BivariateGaussian, ConvexEnsemble, Example,
                           LikelihoodRatio, Mahalanobis, PredictiveOracle,
-                          RandomStream, columns, cryptic_shift, lr_score,
-                          mahalanobis_score, oracle_mahalanobis_ensemble,
-                          oracle_score, sample, two_sample_ks)
-from seqconformal.conformity import RunningMoments
+                          RandomStream, columns, cryptic_shift,
+                          oracle_mahalanobis_ensemble, sample, sample_arrays,
+                          two_sample_ks)
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
 
@@ -19,36 +19,37 @@ class TestOracleScore:
     def test_peak(self):
         # at the conditional mean the score is the density peak 1/sqrt(2 pi * 0.75)
         z = Example(2.0, 1.0)
-        assert oracle_score(Q0, z) == pytest.approx(
+        assert PredictiveOracle(Q0).score(z) == pytest.approx(
             1.0 / math.sqrt(2 * math.pi * 0.75))
 
     def test_symmetric_about_conditional_mean(self):
-        assert oracle_score(Q0, Example(2.0, 1.0 + 0.4)) == pytest.approx(
-            oracle_score(Q0, Example(2.0, 1.0 - 0.4)))
+        oracle = PredictiveOracle(Q0)
+        assert oracle.score(Example(2.0, 1.0 + 0.4)) == pytest.approx(
+            oracle.score(Example(2.0, 1.0 - 0.4)))
 
     def test_independent_of_x_when_uncorrelated(self):
         q = BivariateGaussian(0, 0, 1, 1, 0.0)
-        assert oracle_score(q, Example(0.0, 0.7)) == pytest.approx(
-            oracle_score(q, Example(100.0, 0.7)))
+        assert PredictiveOracle(q).score(Example(0.0, 0.7)) == pytest.approx(
+            PredictiveOracle(q).score(Example(100.0, 0.7)))
 
 
 class TestMahalanobisScore:
     def test_zero_at_center(self):
-        assert mahalanobis_score(Q0, Example(0.0, 0.0)) == 0.0
+        assert Mahalanobis(Q0).score(Example(0.0, 0.0)) == 0.0
 
     def test_identity_covariance(self):
         q = BivariateGaussian(0, 0, 1, 1, 0.0)
-        assert mahalanobis_score(q, Example(3.0, 4.0)) == pytest.approx(-25.0)
+        assert Mahalanobis(q).score(Example(3.0, 4.0)) == pytest.approx(-25.0)
 
     def test_correlated_frozen_value(self):
         # hand-inverted 2x2: quad form of (1,1) under rho_cov=0.5 is 4/3
-        assert mahalanobis_score(Q0, Example(1.0, 1.0)) == pytest.approx(-4.0 / 3.0)
+        assert Mahalanobis(Q0).score(Example(1.0, 1.0)) == pytest.approx(-4.0 / 3.0)
 
     def test_nonpositive_everywhere(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             z = Example(*rng.uniform(-10, 10, 2))
-            assert mahalanobis_score(Q0, z) <= 0.0
+            assert Mahalanobis(Q0).score(z) <= 0.0
 
 
 class TestLikelihoodRatioScore:
@@ -56,18 +57,21 @@ class TestLikelihoodRatioScore:
         rng = np.random.default_rng(2)
         for _ in range(50):
             z = Example(*rng.uniform(-5, 5, 2))
-            assert lr_score(Q0, Q0, z) == pytest.approx(0.0, abs=1e-12)
+            assert LikelihoodRatio(Q0, Q0).score(z) == pytest.approx(
+                0.0, abs=1e-12)
 
     def test_equidistant_point(self):
         q0 = BivariateGaussian(0, 0, 1, 1, 0.0)
         q1 = BivariateGaussian(2, 0, 1, 1, 0.0)
-        assert lr_score(q0, q1, Example(1.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
+        assert LikelihoodRatio(q0, q1).score(Example(1.0, 0.0)) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_monotone_in_raw_ratio(self):
         q0 = BivariateGaussian(0, 0, 1, 1, 0.0)
         q1 = BivariateGaussian(2, 0, 1, 1, 0.0)
         # moving toward q1's mean raises q1/q0, so the score must fall
-        scores = [lr_score(q0, q1, Example(x, 0.0)) for x in (-1.0, 0.0, 1.0, 2.0)]
+        scores = [LikelihoodRatio(q0, q1).score(Example(x, 0.0))
+                  for x in (-1.0, 0.0, 1.0, 2.0)]
         assert scores == sorted(scores, reverse=True)
 
 
@@ -98,15 +102,16 @@ class TestConvexEnsemble:
                             (Mahalanobis(Q0), -0.5)])
 
     def test_single_component_monotone_per_state(self):
-        # with the normalization state frozen, the standardized score is a
-        # strictly increasing function of the raw score
+        # with the state after the same 50 examples, the standardized score
+        # of one more is a strictly increasing function of its raw score
+        xs, ys = sample_arrays(Q0, RandomStream(4), 50)
         ens = ConvexEnsemble([(Mahalanobis(Q0), 1.0)])
-        for z in sample(Q0, RandomStream(4), 50):
-            ens.score(z)
-        mom = ens._moments[0]
-        raws = sorted(np.random.default_rng(0).uniform(-30, 0, 20))
-        standardized = [mom.standardize(r) for r in raws]
-        assert standardized == sorted(standardized)
+        standardized = []
+        for x in np.linspace(6.0, 0.0, 20):  # the raw score -x^2/0.75 rises
+            ens.reset()
+            standardized.append(
+                ens.scores(np.append(xs, x), np.append(ys, 0.0))[-1])
+        assert standardized == sorted(set(standardized))
 
     def test_zero_weight_component_is_inert(self):
         stream = sample(Q0, RandomStream(8), 200)
@@ -132,12 +137,8 @@ class TestConvexEnsemble:
         rng = RandomStream(10)
         stream = sample(Q0, rng.substream(0), 2000) + sample(
             pair.q1, rng.substream(1), 2000)
-        mom = RunningMoments()
-        standardized = []
-        for z in stream:
-            raw = mahalanobis_score(Q0, z)
-            mom.push(raw)
-            standardized.append(mom.standardize(raw))
+        standardized = ConvexEnsemble([(Mahalanobis(Q0), 1.0)]).scores(
+            *columns(stream))
         # once post scores dominate the running moments the z-scores
         # re-center, so the drop is sharpest just after the change
         early_post_mean = np.mean(standardized[2000:2100])
@@ -148,8 +149,9 @@ class TestScoreDistributionInvariance:
     def test_oracle_scores_identically_distributed_across_cryptic_shift(self):
         pair = cryptic_shift(Q0, 20.0)
         rng = RandomStream(12)
-        a = [oracle_score(Q0, z) for z in sample(Q0, rng.substream(0), 10_000)]
-        b = [oracle_score(Q0, z) for z in sample(pair.q1, rng.substream(1), 10_000)]
+        oracle = PredictiveOracle(Q0)
+        a = oracle.scores(*sample_arrays(Q0, rng.substream(0), 10_000))
+        b = oracle.scores(*sample_arrays(pair.q1, rng.substream(1), 10_000))
         assert not two_sample_ks(a, b, alpha=0.01).reject
 
 
@@ -171,7 +173,7 @@ class TestArrayScores:
     def test_fixed_residual_separates_pow_from_square(self):
         d = POW_NOT_SQUARE
         assert d ** 2 != d * d
-        assert (oracle_score(Q0, Example(0.0, d))
+        assert (PredictiveOracle(Q0).score(Example(0.0, d))
                 != math.exp(-0.5 * (d * d) / 0.75)
                 / math.sqrt(2 * math.pi * 0.75))
 
@@ -184,12 +186,13 @@ class TestArrayScores:
         points.insert(at, (0.0, POW_NOT_SQUARE))
         stream = [Example(x, y) for x, y in points]
         measure = MEASURES[kind]()
+        want = repr(score_fold(measure, stream))
         measure.reset()
-        want = [measure.score(z) for z in stream]
+        assert repr([measure.score(z) for z in stream]) == want
         measure.reset()
         got = measure.scores(*columns(stream))
         assert got.dtype == np.float64
-        assert repr(got.tolist()) == repr(want)
+        assert repr(got.tolist()) == want
 
     def test_ensemble_scores_carry_on_from_score(self):
         stream = sample(Q0, RandomStream(13), 60)

@@ -55,6 +55,10 @@ class TestCrypticPairValidation:
         q1 = dataclasses.replace(Q0, mu_y=1.0)
         with pytest.raises(ValueError):
             CrypticPair(Q0, q1)
+        # a non-finite shift leaves a nan residual, which must not pass
+        for delta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="off the cryptic line"):
+                cryptic_shift(Q0, delta)
 
 
 class TestVerifyConditions:

@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from reference import conditional_density
 from seqconformal import (BivariateGaussian, Example, RandomStream, columns,
-                          conditional_density, conditional_mean,
-                          conditional_variance, residual, sample,
-                          sample_arrays)
+                          conditional_mean, conditional_variance, residual,
+                          sample, sample_arrays)
 
 
 def random_model(rng: np.random.Generator) -> BivariateGaussian:

@@ -5,19 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import ScoreStore, predict_interval, store_of
 from seqconformal import (BivariateGaussian, EfficiencyRecord, Example,
-                          RandomStream, ScoreStore, columns, efficiency_series,
-                          interval_series, predict_interval, residual, sample)
+                          RandomStream, columns, efficiency_series,
+                          interval_series, residual, sample)
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
 SIGMA_C = math.sqrt(0.75)
-
-
-def store_of(scores):
-    store = ScoreStore()
-    for s in scores:
-        store.insert(s)
-    return store
 
 
 class TestPredictInterval:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from seqconformal import (CapitalState, JumperConfig, betting_function,
-                          initial_state, jumper_step, log10_capital, run_ctm)
+from reference import betting_function, initial_state, jumper_step
+from seqconformal import JumperConfig, PValue, log10_capital, run_ctm
 
 
 class TestConfig:
@@ -23,6 +23,8 @@ class TestConfig:
             JumperConfig(epsilons=(-2.0,))
         with pytest.raises(ValueError):
             JumperConfig(jump_rate=1.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            JumperConfig(epsilons=(math.nan, 0.0))
 
 
 class TestBettingFunction:
@@ -128,7 +130,6 @@ class TestRunCtm:
             assert rate <= 1 / c + 3 * se
 
     def test_accepts_pvalue_objects(self):
-        from seqconformal import PValue
         as_floats = run_ctm(JumperConfig(), [0.2, 0.8])
         as_objects = run_ctm(JumperConfig(),
                              [PValue(0.2, 1), PValue(0.8, 2)])
@@ -177,7 +178,6 @@ class TestInlineRecurrence:
                 == repr(folded_trajectory(cfg, [p] * 400)))
 
     def test_array_and_object_inputs(self):
-        from seqconformal import PValue
         ps = PVALUE_RUNS["random"][:500]
         want = repr(folded_trajectory(JumperConfig(), ps))
         assert repr(run_ctm(JumperConfig(), np.array(ps))) == want

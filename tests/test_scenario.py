@@ -343,6 +343,20 @@ class TestCli:
         assert f"'{field}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("overrides,message", [
+        ({"measure": {"kind": "ensemble", "lamda": 0.9}}, "lamda"),
+        ({"jumper": {"jump_rat": 0.5}}, "jump_rat"),
+        ({"output_dir": 5}, "'output_dir'"),
+    ])
+    def test_bad_config_key_exit_code(self, tmp_path, capsys, command,
+                                      overrides, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(yaml.safe_dump({**BASE, **overrides}))
+        assert cli_main([command, "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("args", [
         ["--seed", "-1"],
         ["--seed", str(2**64)],

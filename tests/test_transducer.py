@@ -3,21 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import ScoreStore, lag1_autocorrelation, observe, store_of
 from seqconformal import (BivariateGaussian, Example, PredictiveOracle,
-                          RandomStream, ScoreStore, columns, ks_uniform,
-                          lag1_autocorrelation, observe,
+                          RandomStream, columns, ks_uniform,
                           oracle_mahalanobis_ensemble, run_transducer, sample,
                           smoothed_pvalues)
 from seqconformal.conformity import ConformityMeasure
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
-
-
-def store_of(scores):
-    store = ScoreStore()
-    for s in scores:
-        store.insert(s)
-    return store
 
 
 class TestScoreStore:
@@ -131,7 +124,7 @@ def reference_pvalues(scores, rng):
     out = []
     for alpha in scores:
         store.insert(alpha)
-        out.append(observe(store, alpha, rng.uniform()))
+        out.append(observe(store, alpha, rng.uniforms(1).item()))
     return out
 
 
