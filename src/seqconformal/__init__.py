@@ -5,8 +5,8 @@ conformal prediction intervals, and the construction of mean shifts that
 are invisible to the predictive-oracle conformity measure.
 """
 
-from .conformity import (ConvexEnsemble, LikelihoodRatio, Mahalanobis,
-                         PredictiveOracle, oracle_mahalanobis_ensemble)
+from .conformity import (LikelihoodRatio, Mahalanobis,
+                         OracleMahalanobisEnsemble, PredictiveOracle)
 from .cryptic import (CrypticPair, InvarianceReport, cryptic_line,
                       cryptic_shift, verify_conditions)
 from .gaussian import (BivariateGaussian, Example, columns, conditional_mean,

@@ -71,11 +71,6 @@ class BivariateGaussian:
         return (self.sigma_y**2 * dx * dx - 2.0 * self.rho_cov * dx * dy
                 + self.sigma_x**2 * dy * dy) / self.determinant
 
-    def density(self, x: float, y: float) -> float:
-        """Joint pdf at (x, y)."""
-        return (math.exp(-0.5 * self.quad(x, y))
-                / (_TWO_PI * math.sqrt(self.determinant)))
-
 
 @dataclass(frozen=True)
 class Example:

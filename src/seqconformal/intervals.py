@@ -1,15 +1,14 @@
 """Conformal prediction intervals from the predictive-oracle measure.
 
-The oracle score of (x, y) is the conditional density of y at x under
-Q0, a decreasing function of |r| with r = y - E_Q0[Y | X = x]. The
-candidate-label sweep therefore collapses to an order statistic: a label
-y is kept when its density is at least the k-th smallest stored score,
+The oracle score of (x, y) is -r^2 / (2 Var_Q0[Y | X]), a decreasing
+function of |r| with r = y - E_Q0[Y | X = x]. The candidate-label sweep
+therefore collapses to an order statistic: a label y is kept when its
+score is at least the k-th smallest stored score,
 k = ceil(eps * (size + 1)), and that is when its |r| is at most the k-th
 largest stored |r|. The interval is the conditional mean plus or minus
-that |r|, with no density, exp or log computed, so no score can
-underflow it. Excluding the candidate from its own bag changes ranks by
-at most 1, an O(1/n) effect. Intervals are built from unsmoothed
-p-values and are therefore deterministic.
+that |r|, and no score is computed. Excluding the candidate from its
+own bag changes ranks by at most 1, an O(1/n) effect. Intervals are
+built from unsmoothed p-values and are therefore deterministic.
 
 `interval_series` runs a whole stream, given as x and y arrays, and
 tracks the threshold with a two-heap streaming order statistic, O(log n)

@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .conformity import (ConformityMeasure, LikelihoodRatio, Mahalanobis,
-                         PredictiveOracle, oracle_mahalanobis_ensemble)
+                         OracleMahalanobisEnsemble, PredictiveOracle)
 from .cryptic import cryptic_line, cryptic_shift, verify_conditions
 from .gaussian import BivariateGaussian, sample_arrays
 from .intervals import IntervalSeries, interval_series
@@ -58,7 +58,7 @@ class MeasureSpec:
         if self.kind == "likelihood_ratio":
             return LikelihoodRatio(q0, q1)
         if self.kind == "ensemble":
-            return oracle_mahalanobis_ensemble(q0, self.lam)
+            return OracleMahalanobisEnsemble(q0, self.lam)
         raise ConfigError("measure.kind", f"unknown measure kind {self.kind!r}")
 
 

@@ -56,6 +56,8 @@ def two_sample_ks(a: Sequence[float], b: Sequence[float],
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("empty sample")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("samples must not contain NaN")
     pooled = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, pooled, side="right") / a.size
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size

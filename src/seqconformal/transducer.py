@@ -7,7 +7,9 @@ Emits one smoothed p-value per example of a stream:
 where a_i is the conformity score of the i-th example, so the bag
 already includes the new example's score, and tau_n is a fresh uniform
 tie-breaking draw. Under exchangeable data the emitted
-p-values are IID uniform on (0, 1], for any conformity measure.
+p-values are IID uniform on (0, 1], for any conformity measure that is a
+fixed function of the example and its bag; every measure in
+`conformity` is one.
 
 `smoothed_pvalues` computes every p-value of a stream, given as x and y
 arrays, in one array pass: both counts come from O(n log n) rank queries
@@ -71,12 +73,11 @@ def smoothed_pvalues(measure: ConformityMeasure, xs: np.ndarray,
                      ys: np.ndarray, rng: RandomStream) -> np.ndarray:
     """The p-value of every example (xs[i], ys[i]), as a float64 array.
 
-    The measure is reset and scores the stream in order; one tie-breaking
-    uniform is drawn per example, the same draws as one `rng.uniforms(1)`
-    call per step. Equal bit for bit to inserting each score into a sorted
-    bag and evaluating the formula above one step at a time.
+    One tie-breaking uniform is drawn per example, the same draws as one
+    `rng.uniforms(1)` call per step. Equal bit for bit to inserting each
+    score into a sorted bag and evaluating the formula above one step at a
+    time.
     """
-    measure.reset()
     scores = measure.scores(xs, ys)
     n = len(scores)
     taus = rng.uniforms(n)
@@ -88,10 +89,6 @@ def smoothed_pvalues(measure: ConformityMeasure, xs: np.ndarray,
 def run_transducer(measure: ConformityMeasure,
                    stream: Iterable[Example],
                    rng: RandomStream) -> list[PValue]:
-    """Feed a stream through the transducer, one p-value per example.
-
-    One tie-breaking uniform is consumed per example. Stateful measures
-    (the convex ensemble) are reset at the start of the run.
-    """
+    """`smoothed_pvalues` as one `PValue` per example of a list."""
     values = smoothed_pvalues(measure, *columns(stream), rng).tolist()
     return [PValue(v, i) for i, v in enumerate(values, start=1)]

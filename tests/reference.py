@@ -14,10 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from seqconformal import (BivariateGaussian, ConvexEnsemble, JumperConfig,
-                          LikelihoodRatio, Mahalanobis, PredictiveOracle,
-                          PValue, conditional_mean, conditional_variance)
-from seqconformal.conformity import _STD_FLOOR
+from seqconformal import (BivariateGaussian, JumperConfig, LikelihoodRatio,
+                          Mahalanobis, OracleMahalanobisEnsemble,
+                          PredictiveOracle, PValue, conditional_mean,
+                          conditional_variance)
+
 
 class ScoreStore:
     """Sorted multiset of scores with rank queries; O(n) insert."""
@@ -164,35 +165,12 @@ def conditional_density(q: BivariateGaussian, x: float, y: float) -> float:
     return math.exp(-0.5 * (y - mu) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
 
 
-@dataclass
-class RunningMoments:
-    """Welford accumulator for online mean/std (population formula)."""
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = 0.0
-
-    def push(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
-
-    @property
-    def std(self) -> float:
-        if self.count == 0:
-            return _STD_FLOOR
-        return max(math.sqrt(self._m2 / self.count), _STD_FLOOR)
-
-    def standardize(self, x: float) -> float:
-        return (x - self.mean) / self.std
-
-
 def score_fold(measure, stream) -> list[float]:
-    """The score of each example of a stream, one example at a time; the
-    ensemble standardizes each component through `RunningMoments`."""
+    """The score of each example of a stream, one example at a time."""
     if isinstance(measure, PredictiveOracle):
-        return [conditional_density(measure.q0, z.x, z.y) for z in stream]
+        var = conditional_variance(measure.q0)
+        residuals = [z.y - conditional_mean(measure.q0, z.x) for z in stream]
+        return [-(r * r) / (2.0 * var) for r in residuals]
     if isinstance(measure, Mahalanobis):
         return [-measure.q0.quad(z.x, z.y) for z in stream]
     if isinstance(measure, LikelihoodRatio):
@@ -200,17 +178,13 @@ def score_fold(measure, stream) -> list[float]:
         return [0.5 * (q1.quad(z.x, z.y) - q0.quad(z.x, z.y))
                 + 0.5 * math.log(q1.determinant / q0.determinant)
                 for z in stream]
-    if isinstance(measure, ConvexEnsemble):
-        moments = [RunningMoments() for _ in measure.components]
-        totals = []
-        for z in stream:
-            total = 0.0
-            for (component, weight), mom in zip(measure.components, moments):
-                raw = score_fold(component, [z])[0]
-                mom.push(raw)
-                total += weight * mom.standardize(raw)
-            totals.append(total)
-        return totals
+    if isinstance(measure, OracleMahalanobisEnsemble):
+        # each component standardized by its mean and sd under q0
+        lam = measure.lam
+        oracle = score_fold(PredictiveOracle(measure.q0), stream)
+        mahalanobis = score_fold(Mahalanobis(measure.q0), stream)
+        return [lam * math.sqrt(2.0) * (o + 0.5) + (1.0 - lam) * (m + 2.0) / 2.0
+                for o, m in zip(oracle, mahalanobis)]
     raise TypeError(f"no reference score for {type(measure).__name__}")
 
 

@@ -5,22 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import RunningMoments, score_fold
-from seqconformal import (BivariateGaussian, ConvexEnsemble, Example,
-                          LikelihoodRatio, Mahalanobis, PredictiveOracle,
-                          RandomStream, columns, cryptic_shift,
-                          oracle_mahalanobis_ensemble, sample, sample_arrays,
-                          two_sample_ks)
+from reference import conditional_density, score_fold
+from seqconformal import (BivariateGaussian, Example, LikelihoodRatio,
+                          Mahalanobis, OracleMahalanobisEnsemble,
+                          PredictiveOracle, RandomStream, columns,
+                          cryptic_shift, ks_uniform, sample, sample_arrays,
+                          smoothed_pvalues, two_sample_ks)
+from seqconformal.scenario import DATA_SUBSTREAM, TAU_SUBSTREAM
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
 
 
 class TestOracleScore:
     def test_peak(self):
-        # at the conditional mean the score is the density peak 1/sqrt(2 pi * 0.75)
-        z = Example(2.0, 1.0)
-        assert PredictiveOracle(Q0).score(z) == pytest.approx(
-            1.0 / math.sqrt(2 * math.pi * 0.75))
+        # at the conditional mean the log density minus its constant is 0
+        assert PredictiveOracle(Q0).score(Example(2.0, 1.0)) == 0.0
+
+    def test_log_density_without_constant(self):
+        rng = np.random.default_rng(3)
+        peak = 1.0 / math.sqrt(2 * math.pi * 0.75)
+        for x, y in rng.uniform(-5, 5, (50, 2)):
+            assert PredictiveOracle(Q0).score(Example(x, y)) == pytest.approx(
+                math.log(conditional_density(Q0, x, y) / peak))
 
     def test_symmetric_about_conditional_mean(self):
         oracle = PredictiveOracle(Q0)
@@ -75,74 +81,42 @@ class TestLikelihoodRatioScore:
         assert scores == sorted(scores, reverse=True)
 
 
-class TestRunningMoments:
-    def test_first_score_standardizes_to_zero(self):
-        m = RunningMoments()
-        m.push(123.4)
-        assert m.standardize(123.4) == 0.0
+class TestOracleMahalanobisEnsemble:
+    def test_rejects_weight_outside_unit_interval(self):
+        for lam in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="lam"):
+                OracleMahalanobisEnsemble(Q0, lam)
 
-    def test_matches_population_formula(self):
-        xs = [1.0, 4.0, -2.0, 7.5]
-        m = RunningMoments()
-        for x in xs:
-            m.push(x)
-        assert m.mean == pytest.approx(np.mean(xs))
-        assert m.std == pytest.approx(np.std(xs))
+    def test_end_weights_give_one_standardized_component(self):
+        xs, ys = sample_arrays(Q0, RandomStream(4), 200)
+        oracle = PredictiveOracle(Q0).scores(xs, ys)
+        mahalanobis = Mahalanobis(Q0).scores(xs, ys)
+        assert OracleMahalanobisEnsemble(Q0, 1.0).scores(xs, ys) == (
+            pytest.approx(math.sqrt(2.0) * (oracle + 0.5)))
+        assert OracleMahalanobisEnsemble(Q0, 0.0).scores(xs, ys) == (
+            pytest.approx((mahalanobis + 2.0) / 2.0))
 
-
-class TestConvexEnsemble:
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            ConvexEnsemble([])
-        with pytest.raises(ValueError):
-            ConvexEnsemble([(PredictiveOracle(Q0), 0.7),
-                            (Mahalanobis(Q0), 0.7)])
-        with pytest.raises(ValueError):
-            ConvexEnsemble([(PredictiveOracle(Q0), 1.5),
-                            (Mahalanobis(Q0), -0.5)])
-
-    def test_single_component_monotone_per_state(self):
-        # with the state after the same 50 examples, the standardized score
-        # of one more is a strictly increasing function of its raw score
-        xs, ys = sample_arrays(Q0, RandomStream(4), 50)
-        ens = ConvexEnsemble([(Mahalanobis(Q0), 1.0)])
-        standardized = []
-        for x in np.linspace(6.0, 0.0, 20):  # the raw score -x^2/0.75 rises
-            ens.reset()
-            standardized.append(
-                ens.scores(np.append(xs, x), np.append(ys, 0.0))[-1])
-        assert standardized == sorted(set(standardized))
-
-    def test_zero_weight_component_is_inert(self):
-        stream = sample(Q0, RandomStream(8), 200)
-        only = ConvexEnsemble([(PredictiveOracle(Q0), 1.0)])
-        padded = ConvexEnsemble([(PredictiveOracle(Q0), 1.0),
-                                 (Mahalanobis(Q0), 0.0)])
-        a = [only.score(z) for z in stream]
-        b = [padded.score(z) for z in stream]
-        assert a == pytest.approx(b)
-
-    def test_reset_clears_state(self):
-        ens = oracle_mahalanobis_ensemble(Q0, 0.5)
-        stream = sample(Q0, RandomStream(9), 100)
-        first = [ens.score(z) for z in stream]
-        ens.reset()
-        again = [ens.score(z) for z in stream]
-        assert first == again
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_components_standardized_under_q0(self, lam):
+        # each standardized component has mean 0 and sd 1 under Q0; at
+        # n = 20000 the standard errors are 0.0071 (mean) and at most 0.014
+        # (sd, from the kurtosis of chi2_1), and each bound is 5 of them
+        scores = OracleMahalanobisEnsemble(Q0, lam).scores(
+            *sample_arrays(Q0, RandomStream(5), 20_000))
+        assert abs(scores.mean()) < 5 * 0.0071
+        assert abs(scores.std() - 1.0) < 5 * 0.014
 
     def test_mahalanobis_component_collapses_after_cryptic_shift(self):
         # the cryptic mean shift moves the Mahalanobis component many
-        # running-stds away from its pre-change level
+        # sds under Q0 away from its pre-change level
         pair = cryptic_shift(Q0, 20.0)
         rng = RandomStream(10)
         stream = sample(Q0, rng.substream(0), 2000) + sample(
             pair.q1, rng.substream(1), 2000)
-        standardized = ConvexEnsemble([(Mahalanobis(Q0), 1.0)]).scores(
+        standardized = OracleMahalanobisEnsemble(Q0, 0.0).scores(
             *columns(stream))
-        # once post scores dominate the running moments the z-scores
-        # re-center, so the drop is sharpest just after the change
-        early_post_mean = np.mean(standardized[2000:2100])
-        assert early_post_mean < -5.0
+        assert abs(np.mean(standardized[:2000])) < 0.1
+        assert np.mean(standardized[2000:]) < -5.0
 
 
 class TestScoreDistributionInvariance:
@@ -157,7 +131,7 @@ class TestScoreDistributionInvariance:
 
 # Under Q0 the conditional mean at x = 0 is 0.0, so this y is the residual.
 # Python's y ** 2 (libm pow) and numpy's y * y differ in its last bit, and
-# so do the oracle densities computed from them.
+# so do the oracle scores computed from them.
 POW_NOT_SQUARE = 1.1445772631495523
 
 MEASURES = {
@@ -165,7 +139,7 @@ MEASURES = {
     "mahalanobis": lambda: Mahalanobis(Q0),
     "likelihood_ratio": lambda: LikelihoodRatio(
         Q0, BivariateGaussian(1.0, 2.0, 1.5, 0.8, -0.3)),
-    "ensemble": lambda: oracle_mahalanobis_ensemble(Q0, 0.3),
+    "ensemble": lambda: OracleMahalanobisEnsemble(Q0, 0.3),
 }
 
 
@@ -173,9 +147,9 @@ class TestArrayScores:
     def test_fixed_residual_separates_pow_from_square(self):
         d = POW_NOT_SQUARE
         assert d ** 2 != d * d
-        assert (PredictiveOracle(Q0).score(Example(0.0, d))
-                != math.exp(-0.5 * (d * d) / 0.75)
-                / math.sqrt(2 * math.pi * 0.75))
+        score = PredictiveOracle(Q0).score(Example(0.0, d))
+        assert score == -(d * d) / 1.5
+        assert score != -(d ** 2) / 1.5
 
     @given(points=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
                            max_size=200),
@@ -187,22 +161,41 @@ class TestArrayScores:
         stream = [Example(x, y) for x, y in points]
         measure = MEASURES[kind]()
         want = repr(score_fold(measure, stream))
-        measure.reset()
         assert repr([measure.score(z) for z in stream]) == want
-        measure.reset()
         got = measure.scores(*columns(stream))
         assert got.dtype == np.float64
         assert repr(got.tolist()) == want
 
-    def test_ensemble_scores_carry_on_from_score(self):
-        stream = sample(Q0, RandomStream(13), 60)
-        ens = oracle_mahalanobis_ensemble(Q0, 0.5)
-        want = [ens.score(z) for z in stream]
-        ens.reset()
-        head = [ens.score(z) for z in stream[:25]]
-        tail = ens.scores(*columns(stream[25:])).tolist()
-        assert repr(head + tail) == repr(want)
-        # and score carries on from scores
-        fresh = oracle_mahalanobis_ensemble(Q0, 0.5)
-        again = fresh.scores(*columns(stream + stream[:1])).tolist()
-        assert repr(ens.score(stream[0])) == repr(again[-1])
+    @pytest.mark.parametrize("kind", sorted(MEASURES))
+    def test_score_does_not_depend_on_position(self, kind):
+        xs, ys = sample_arrays(Q0, RandomStream(13), 60)
+        measure = MEASURES[kind]()
+        assert (repr(measure.scores(xs[::-1], ys[::-1]).tolist())
+                == repr(measure.scores(xs, ys)[::-1].tolist()))
+
+
+# Each measure as the shipped configs build it; the likelihood ratio takes
+# the (2, 2) post model of non_cryptic.cfg as its alternative.
+SHIPPED = {
+    "oracle": PredictiveOracle(Q0),
+    "mahalanobis": Mahalanobis(Q0),
+    "likelihood_ratio": LikelihoodRatio(Q0, BivariateGaussian(2, 2, 1, 1, 0.5)),
+    "ensemble": OracleMahalanobisEnsemble(Q0, 0.5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHIPPED))
+def test_pvalues_uniform_under_exchangeability(kind):
+    # On exchangeable data a valid measure gives IID uniform p-values, so
+    # over 100 seeds the number of KS rejections at alpha = 0.01 is
+    # Binom(100, 0.01). Budget: P(Binom(100, 0.01) >= 6) = 5.35e-4 false
+    # failures per measure. The streams are those of run_scenario with
+    # n_pre = 4000, n_post = 0.
+    rejections = 0
+    for seed in range(1000, 1100):
+        rng = RandomStream(seed)
+        xs, ys = sample_arrays(Q0, rng.substream(DATA_SUBSTREAM), 4000)
+        pvalues = smoothed_pvalues(SHIPPED[kind], xs, ys,
+                                   rng.substream(TAU_SUBSTREAM))
+        rejections += ks_uniform(pvalues, alpha=0.01).reject
+    assert rejections <= 5

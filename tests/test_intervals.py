@@ -16,7 +16,7 @@ SIGMA_C = math.sqrt(0.75)
 
 class TestPredictInterval:
     def test_zero_residuals_degenerate(self):
-        # every stored example sat at the conditional mean, the density peak
+        # every stored example sat at the conditional mean, the score peak
         store = store_of([0.0] * 100)
         interval = predict_interval(Q0, store, 2.0, 0.05)
         assert interval.width == 0.0
@@ -146,8 +146,9 @@ class TestStreamingThreshold:
                 == repr(reference_records(stream, Q0, 0.01)))
 
     def test_far_residual_sets_the_interval(self):
-        # The oracle density of y = 100 at x = 0 underflows to 0.0, but its
-        # |r| = 100 is the largest stored residual and the half-width.
+        # As a density, the oracle score of y = 100 at x = 0 would underflow
+        # to 0.0. Its |r| = 100 is the largest stored residual and the
+        # half-width.
         stream = [Example(0.0, 100.0), Example(0.0, 0.0), Example(0.0, 0.0)]
         want = [EfficiencyRecord(step, 0.0, -100.0, 100.0, 200.0, True)
                 for step in (2, 3)]

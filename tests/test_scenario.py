@@ -22,6 +22,9 @@ MEASURE_KINDS = ("oracle", "mahalanobis", "likelihood_ratio", "ensemble")
 # may legitimately change them. The intervals.csv digests were retaken
 # when the half-width became the stored |r| itself in place of the
 # exp/log round trip through the oracle density (last-digit changes).
+# The ensemble's pvalues.csv, martingale.csv and summary.json digests were
+# retaken when it began to standardize its components by their moments
+# under Q0 in place of running moments over the stream.
 GOLDEN_2K = {
     "cryptic": {
         "stream.csv": "29644ef141b54d8f1954cac918b896aea74e1d6cb4774ba1c58fa390a753f7e2",
@@ -32,10 +35,10 @@ GOLDEN_2K = {
     },
     "ensemble_cryptic": {
         "stream.csv": "29644ef141b54d8f1954cac918b896aea74e1d6cb4774ba1c58fa390a753f7e2",
-        "pvalues.csv": "bba66ff977a24aa946a977887d379e474e2bee0e5ca0ba011adf91a5b326dbe8",
-        "martingale.csv": "6157942d2b503edbf300e367af78866e0e60a4fdda7adfd05100e8d75c71e7f0",
+        "pvalues.csv": "049e5d3021ea7f3ff3b0df198c1717e8db7f6b1e1385a30f5a9078887994559f",
+        "martingale.csv": "b31671889fad3d83e53803932b9b7a89307786d9b69c269814a3a68370e38067",
         "intervals.csv": "06d6ebece7936168f35f5fa03900abe217ade5d76b7b2b158c6cdde3ff28351f",
-        "summary.json": "607e4a95c6e05f55be59bc03794a794d6846df5b81a5617369ae67ea99e31806",
+        "summary.json": "178d8d57841611fb9411a225a598216a11cdb82f3b373273903d19d8752789d9",
     },
     "non_cryptic": {
         "stream.csv": "d68e6edd66744a65f4fcf7f6203dc9068c83a1759d654d8dc1022184769a44e1",
@@ -210,8 +213,9 @@ class TestRunScenario:
     @pytest.mark.parametrize("kind", MEASURE_KINDS)
     def test_far_post_mean_runs(self, tmp_path, kind):
         # At a post mean of (0, 40) the oracle density of every post-change
-        # example underflows to 0.0, and so does the joint density that a
-        # likelihood ratio of densities would take the log of.
+        # example, and the joint density that a likelihood ratio of
+        # densities would take the log of, underflow to 0.0; the scores are
+        # log densities, so none is computed.
         post = {**BASE["pre"], "mu_y": 40.0}
         cfg = make_config(tmp_path, measure={"kind": kind}, post=post,
                           n_pre=500, n_post=500)

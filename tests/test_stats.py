@@ -80,9 +80,15 @@ class TestTwoSampleKs:
         assert two_sample_ks(a, b, 0.05).statistic == pytest.approx(
             ks_2samp(a, b).statistic)
 
-    def test_rejects_empty(self):
+    def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             two_sample_ks([], [0.5], 0.05)
+        for a, b in (([math.nan] * 3, [0.15, 0.25, 0.3]),
+                     ([0.15, 0.25, 0.3], [0.1, 0.2, math.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                two_sample_ks(a, b, 0.05)
+        # +-inf are ordered, so they stay valid
+        assert two_sample_ks([-math.inf, math.inf], [0.5], 0.05).n == 3
 
 
 class TestLag1Autocorrelation:

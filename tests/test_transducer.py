@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import ScoreStore, lag1_autocorrelation, observe, store_of
-from seqconformal import (BivariateGaussian, Example, PredictiveOracle,
-                          RandomStream, columns, ks_uniform,
-                          oracle_mahalanobis_ensemble, run_transducer, sample,
-                          smoothed_pvalues)
+from seqconformal import (BivariateGaussian, Example,
+                          OracleMahalanobisEnsemble, PredictiveOracle,
+                          RandomStream, columns, ks_uniform, run_transducer,
+                          sample, smoothed_pvalues)
 from seqconformal.conformity import ConformityMeasure
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
@@ -148,7 +148,7 @@ class TestArrayPass:
     def test_smoothed_pvalues_match_run_transducer(self):
         rng = RandomStream(8)
         stream = sample(Q0, rng.substream(0), 1000)
-        measure = oracle_mahalanobis_ensemble(Q0)
+        measure = OracleMahalanobisEnsemble(Q0)
         array = smoothed_pvalues(measure, *columns(stream), rng.substream(1))
         objects = run_transducer(measure, stream, rng.substream(1))
         assert array.tolist() == [p.value for p in objects]
