@@ -8,6 +8,11 @@ martingale (`log10_capital`) and the online prediction intervals
 artifacts plus a JSON summary. Runs are fully deterministic per seed: the
 data stream and the tie-breaking stream are independent substreams of
 the scenario seed.
+
+The CSV artifacts are written by one table writer, `_write_table`. Each
+table has one %-style row format (steps and `covered` as `%d`, floats as
+`%.17g`), and the rows go out in blocks of `BLOCK_ROWS`, each block formatted
+by a single `%` over its interleaved column values.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Sequence
 
 import numpy as np
 import yaml
@@ -33,6 +38,10 @@ from .transducer import smoothed_pvalues
 
 DATA_SUBSTREAM = 0
 TAU_SUBSTREAM = 1
+
+# Rows of a CSV artifact formatted per `%` operation; a block bounds the
+# text held in memory at once.
+BLOCK_ROWS = 4096
 
 
 class ConfigError(ValueError):
@@ -236,14 +245,54 @@ class ScenarioSummary:
         return asdict(self)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def _write_table(path: Path, header: str, row_format: str, steps: range,
+                 columns: Sequence[np.ndarray],
+                 n_pre: int | None = None) -> None:
+    """Write a CSV of the header line and one row per step.
+
+    The row of steps[i] is row_format % (steps[i], columns[0][i], ...).
+    With n_pre, each row also ends in a phase field: `pre` for the first
+    n_pre rows and `post` after. "%.17g" % x and "%d" % v give the bytes
+    of format(x, ".17g") and str(int(v)).
+    """
+    if n_pre is None:
+        pre_row = post_row = row_format + "\n"
+        n_pre = len(steps)
+    else:
+        pre_row = row_format + ",pre\n"
+        post_row = row_format + ",post\n"
+    width = 1 + len(columns)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(steps), BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, len(steps))
+            values: list[Any] = [None] * ((stop - start) * width)
+            values[0::width] = steps[start:stop]
+            for j, column in enumerate(columns, 1):
+                values[j::width] = column[start:stop].tolist()
+            pre = min(max(n_pre - start, 0), stop - start)
+            fh.write((pre_row * pre + post_row * (stop - start - pre))
+                     % tuple(values))
 
 
-def _write_csv(path: Path, header: list[str],
-               rows: Iterable[list[str]]) -> None:
-    lines = [",".join(header)] + [",".join(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write_csvs(out: Path, n_pre: int, xs: np.ndarray, ys: np.ndarray,
+                pvalues: np.ndarray, trajectory: np.ndarray,
+                intervals: IntervalSeries | None) -> None:
+    """stream.csv, pvalues.csv, martingale.csv and intervals.csv."""
+    n = len(xs)
+    _write_table(out / "stream.csv", "step,x,y,phase", "%d,%.17g,%.17g",
+                 range(1, n + 1), (xs, ys), n_pre)
+    _write_table(out / "pvalues.csv", "step,pvalue,phase", "%d,%.17g",
+                 range(1, n + 1), (pvalues,), n_pre)
+    _write_table(out / "martingale.csv", "step,log10_capital", "%d,%.17g",
+                 range(n + 1), (trajectory,))
+    _write_table(out / "intervals.csv",
+                 "step,center,lower,upper,width,covered",
+                 "%d,%.17g,%.17g,%.17g,%.17g,%d",
+                 range(2, n + 1),  # empty when there are no intervals
+                 () if intervals is None else (
+                     intervals.center, intervals.lower, intervals.upper,
+                     intervals.width, intervals.covered))
 
 
 def _phase_means(intervals: IntervalSeries | None, lo: int,
@@ -306,26 +355,8 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
         out = cfg.output_dir if output_dir is None else output_dir
         try:
             out.mkdir(parents=True, exist_ok=True)
-            phase = ["pre" if i <= cfg.n_pre else "post"
-                     for i in range(1, n + 1)]
-            _write_csv(out / "stream.csv", ["step", "x", "y", "phase"],
-                       ([str(i + 1), _fmt(x), _fmt(y), phase[i]]
-                        for i, (x, y) in enumerate(zip(xs.tolist(),
-                                                       ys.tolist()))))
-            _write_csv(out / "pvalues.csv", ["step", "pvalue", "phase"],
-                       ([str(i + 1), _fmt(p), phase[i]]
-                        for i, p in enumerate(pvalues)))
-            _write_csv(out / "martingale.csv", ["step", "log10_capital"],
-                       ([str(i), _fmt(c)] for i, c in enumerate(trajectory)))
-            interval_rows = () if intervals is None else zip(
-                range(2, n + 1), intervals.center.tolist(),
-                intervals.lower.tolist(), intervals.upper.tolist(),
-                intervals.width.tolist(), intervals.covered.tolist())
-            _write_csv(out / "intervals.csv",
-                       ["step", "center", "lower", "upper", "width", "covered"],
-                       ([str(step), _fmt(c), _fmt(lo), _fmt(up), _fmt(w),
-                         "1" if cov else "0"]
-                        for step, c, lo, up, w, cov in interval_rows))
+            _write_csvs(out, cfg.n_pre, xs, ys, np.asarray(pvalues),
+                        np.asarray(trajectory), intervals)
             (out / "summary.json").write_text(
                 json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n",
                 encoding="utf-8", newline="\n")

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Sequence
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -198,3 +199,42 @@ def lag1_autocorrelation(values: Sequence[float]) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.dot(v[:-1], v[1:]) / denom)
+
+
+def fmt(x: float) -> str:
+    return format(x, ".17g")
+
+
+def write_csv(path: Path, header: list[str],
+              rows: Iterable[list[str]]) -> None:
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def write_csvs(out: Path, n_pre: int, xs: np.ndarray, ys: np.ndarray,
+               pvalues: np.ndarray, trajectory: np.ndarray,
+               intervals) -> None:
+    """The four CSV artifacts, one formatted string per value."""
+    pvalues = pvalues.tolist()
+    trajectory = trajectory.tolist()
+    n = len(xs)
+    phase = ["pre" if i <= n_pre else "post"
+             for i in range(1, n + 1)]
+    write_csv(out / "stream.csv", ["step", "x", "y", "phase"],
+              ([str(i + 1), fmt(x), fmt(y), phase[i]]
+               for i, (x, y) in enumerate(zip(xs.tolist(),
+                                              ys.tolist()))))
+    write_csv(out / "pvalues.csv", ["step", "pvalue", "phase"],
+              ([str(i + 1), fmt(p), phase[i]]
+               for i, p in enumerate(pvalues)))
+    write_csv(out / "martingale.csv", ["step", "log10_capital"],
+              ([str(i), fmt(c)] for i, c in enumerate(trajectory)))
+    interval_rows = () if intervals is None else zip(
+        range(2, n + 1), intervals.center.tolist(),
+        intervals.lower.tolist(), intervals.upper.tolist(),
+        intervals.width.tolist(), intervals.covered.tolist())
+    write_csv(out / "intervals.csv",
+              ["step", "center", "lower", "upper", "width", "covered"],
+              ([str(step), fmt(c), fmt(lo), fmt(up), fmt(w),
+                "1" if cov else "0"]
+               for step, c, lo, up, w, cov in interval_rows))

@@ -49,6 +49,35 @@ GOLDEN_2K = {
     },
 }
 
+# SHA-256 of every artifact of the shipped configs at their full 10000 +
+# 10000 steps, taken with Python 3.11.7 and numpy 2.4.6 from the writer
+# that formatted each value with its own format(x, ".17g") call (now
+# `reference.write_csvs`), before the block writer replaced it. Unlike
+# GOLDEN_2K, each CSV here spans several blocks of the writer.
+GOLDEN_FULL = {
+    "cryptic": {
+        "stream.csv": "2697bd674eafc0581833cf989b2b46b086cfe14110ffee573bc49b6c3e256f8c",
+        "pvalues.csv": "edf2d12403fab70379c7d3e40542bb32a08e33c16d108699322e1b4d37a900de",
+        "martingale.csv": "cd4fc9029167a068c1302e539d9dc485f1bb1422220c4105f8ea0a402d9c8eea",
+        "intervals.csv": "e06206f5e98397aae9962c6f9e8764df77815f018095004b77a3007e19a531b9",
+        "summary.json": "fc0777bbcb4421b30115d11bf631c3aafa32d49a905a3b35083bbc58686a3d56",
+    },
+    "ensemble_cryptic": {
+        "stream.csv": "2697bd674eafc0581833cf989b2b46b086cfe14110ffee573bc49b6c3e256f8c",
+        "pvalues.csv": "256e2f3c7eadbbd5800fed62d2ad07bc71224f4dfe48aa5554c58934b0d8457a",
+        "martingale.csv": "8ba3d1d9bf92b197455e8e7473550f380843b01b78dbcb5aa689883f998cba3d",
+        "intervals.csv": "e06206f5e98397aae9962c6f9e8764df77815f018095004b77a3007e19a531b9",
+        "summary.json": "cd15c4f68076d7ba79cf4fb8745069f32bf998c1d3c84f447fddd047059deb27",
+    },
+    "non_cryptic": {
+        "stream.csv": "198e504e77b14b5d38c2b638c4dc129fc130ece8a27e8270fa5fa1fca7800353",
+        "pvalues.csv": "78845d038409de10334cd9856dbb9ce25ab338fb1a951ecaa2274352e7b5f346",
+        "martingale.csv": "2a7ea4839455c7a06435fdf8f4dff0cab785aa59db10277fd088463770580c77",
+        "intervals.csv": "ced96920e6b910bc211e363c2de313ed2138815ac7ba47c70100dfa4b9177e03",
+        "summary.json": "baddbec65ebc8e37750d335883c3d3712e1b1ed26baf29209c21bfd03de00b0b",
+    },
+}
+
 BASE = {
     "pre": {"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0, "sigma_y": 1.0,
             "rho_cov": 0.5},
@@ -74,6 +103,12 @@ def write_config(tmp_path, name="scenario.cfg", **overrides):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(raw))
     return path
+
+
+def artifact_digests(cfg, out):
+    run_scenario(cfg, output_dir=out)
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in ARTIFACTS}
 
 
 class TestConfigParsing:
@@ -169,8 +204,9 @@ class TestRunScenario:
         stored = json.loads((out / "summary.json").read_text())
         mart = [float(line.split(",")[1]) for line in
                 (out / "martingale.csv").read_text().strip().split("\n")[1:]]
-        assert stored["final_log10_capital"] == pytest.approx(mart[-1])
-        assert stored["max_log10_capital"] == pytest.approx(max(mart))
+        # 17 significant digits round-trip every finite float64.
+        assert stored["final_log10_capital"] == mart[-1]
+        assert stored["max_log10_capital"] == max(mart)
         assert stored["seed"] == summary.seed
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -245,10 +281,12 @@ class TestRunScenario:
         cfg = dataclasses.replace(
             ScenarioConfig.from_file(SCENARIOS / f"{name}.cfg"),
             n_pre=2000, n_post=2000)
-        run_scenario(cfg, output_dir=tmp_path)
-        digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                   for f in ARTIFACTS}
-        assert digests == GOLDEN_2K[name]
+        assert artifact_digests(cfg, tmp_path) == GOLDEN_2K[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FULL))
+    def test_full_size_artifacts_match_golden_digests(self, tmp_path, name):
+        cfg = ScenarioConfig.from_file(SCENARIOS / f"{name}.cfg")
+        assert artifact_digests(cfg, tmp_path) == GOLDEN_FULL[name]
 
     @pytest.mark.parametrize("kind", MEASURE_KINDS)
     @pytest.mark.parametrize("n_pre,n_post", [(1, 0), (0, 1)])
