@@ -5,7 +5,9 @@ functions f_eps(p) = 1 + eps * (p - 1/2) over a small grid of eps values,
 mixing a fraction J of the total capital uniformly across the grid before
 each bet. Capital is kept in scaled linear space with an explicit decimal
 exponent so trajectories like 10^255 never overflow while mixing stays
-exact additive arithmetic.
+exact additive arithmetic. Totals are summed left to right from 0.0 and
+never by the builtin `sum`, which compensates from Python 3.12, so the
+bits do not depend on the Python version.
 
 Defaults (eps grid {-1, 0, 1}, J = 0.01) follow the standard Simple
 Jumper parameterization; both are configurable.
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable
 
 from .transducer import PValue
@@ -40,28 +44,32 @@ def log10_capital(cfg: JumperConfig, pvalues: Iterable[float]) -> list[float]:
     Each step mixes, then bets with f_eps(p) = 1 + eps * (p - 1/2), then
     rescales by a power of ten whenever the capital sum leaves
     [10^-6, 10^6]; the reported log10 total is invariant under rescaling.
+    One loop per step updates each capital in place and adds it to the total.
+    Every total is summed left to right from 0.0, never by the builtin `sum`.
     """
-    epsilons = cfg.epsilons
-    k = len(epsilons)
+    grid = list(enumerate(cfg.epsilons))
+    k = len(grid)
     keep = 1.0 - cfg.jump_rate
     share = cfg.jump_rate / k
     bound = 10.0**6
     capitals = [1.0 / k] * k
-    total = sum(capitals)
+    total = reduce(add, capitals, 0.0)
     scale = 0.0
     log10_totals = [math.log10(total) + scale]
     for p in pvalues:
         centred = p - 0.5
         mixed = share * total
-        capitals = [(keep * c + mixed) * (1.0 + e * centred)
-                    for c, e in zip(capitals, epsilons)]
-        total = sum(capitals)
+        total = 0.0
+        for i, e in grid:
+            c = (keep * capitals[i] + mixed) * (1.0 + e * centred)
+            capitals[i] = c
+            total += c
         if total > bound or total < 1.0 / bound:
             m = math.floor(math.log10(total))
             factor = 10.0**m
             capitals = [c / factor for c in capitals]
             scale += m
-            total = sum(capitals)
+            total = reduce(add, capitals, 0.0)
         log10_totals.append(math.log10(total) + scale)
     return log10_totals
 

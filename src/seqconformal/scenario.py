@@ -298,16 +298,14 @@ def _write_csvs(out: Path, n_pre: int, xs: np.ndarray, ys: np.ndarray,
 def _phase_means(intervals: IntervalSeries | None, lo: int,
                  hi: int) -> tuple[float | None, float | None]:
     """Coverage and mean width over the intervals of steps lo+1..hi."""
-    if intervals is None:
-        return None, None
     # The arrays start at step 2.
     sel = slice(max(lo - 1, 0), max(hi - 1, 0))
-    covered = intervals.covered[sel].tolist()
-    if not covered:
+    if intervals is None or not intervals.covered[sel].size:
         return None, None
-    # Python's sum, in step order, as over a list of records.
-    return (sum(covered) / len(covered),
-            sum(intervals.width[sel].tolist()) / len(covered))
+    covered, width = intervals.covered[sel], intervals.width[sel]
+    # cumsum adds in step order, like a loop from 0.0 (0.0 + maps -0.0 to 0.0).
+    return (int(covered.sum()) / covered.size,
+            (0.0 + float(np.cumsum(width)[-1])) / covered.size)
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
@@ -327,23 +325,22 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     xs = np.concatenate((pre_xs, post_xs))
     ys = np.concatenate((pre_ys, post_ys))
     measure = cfg.measure.build(cfg.pre, cfg.post)
-    pvalues = smoothed_pvalues(measure, xs, ys, tau_rng).tolist()
-    trajectory = log10_capital(cfg.jumper, pvalues)  # index = step
+    pvalues = smoothed_pvalues(measure, xs, ys, tau_rng)
+    trajectory = log10_capital(cfg.jumper, pvalues.tolist())  # index = step
     n = cfg.n_pre + cfg.n_post
     # A one-example stream has no earlier example to predict from.
     intervals = (interval_series(xs, ys, cfg.pre, cfg.epsilon)
                  if n > 1 else None)
 
-    pre_p = pvalues[:cfg.n_pre]
-    post_p = pvalues[cfg.n_pre:]
+    pre_p, post_p = pvalues[:cfg.n_pre], pvalues[cfg.n_pre:]
     coverage_pre, mean_width_pre = _phase_means(intervals, 1, cfg.n_pre)
     coverage_post, mean_width_post = _phase_means(intervals, cfg.n_pre, n)
     summary = ScenarioSummary(
         final_log10_capital=trajectory[-1],
         max_log10_capital=max(trajectory),
         ks_all=ks_uniform(pvalues, alpha=0.01),
-        ks_pre=ks_uniform(pre_p, alpha=0.01) if pre_p else None,
-        ks_post=ks_uniform(post_p, alpha=0.01) if post_p else None,
+        ks_pre=ks_uniform(pre_p, alpha=0.01) if pre_p.size else None,
+        ks_post=ks_uniform(post_p, alpha=0.01) if post_p.size else None,
         coverage_pre=coverage_pre,
         coverage_post=coverage_post,
         mean_width_pre=mean_width_pre,
@@ -355,7 +352,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
         out = cfg.output_dir if output_dir is None else output_dir
         try:
             out.mkdir(parents=True, exist_ok=True)
-            _write_csvs(out, cfg.n_pre, xs, ys, np.asarray(pvalues),
+            _write_csvs(out, cfg.n_pre, xs, ys, pvalues,
                         np.asarray(trajectory), intervals)
             (out / "summary.json").write_text(
                 json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n",

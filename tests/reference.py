@@ -104,11 +104,20 @@ def predict_interval(q0: BivariateGaussian, store: ScoreStore, x: float,
                               step_index=step_index)
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Sum from 0.0, left to right: Python 3.11's `sum` of floats. From
+    3.12 `sum` compensates, which can change the last bits."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass
 class CapitalState:
     """Per-epsilon capitals, decimal rescaling exponent, and step count.
 
-    Total capital is sum(capitals) * 10**log10_scale; it starts at 1,
+    Total capital is left_sum(capitals) * 10**log10_scale; it starts at 1,
     split uniformly across the epsilon grid.
     """
 
@@ -118,11 +127,11 @@ class CapitalState:
 
     @property
     def log10_total(self) -> float:
-        return math.log10(sum(self.capitals)) + self.log10_scale
+        return math.log10(left_sum(self.capitals)) + self.log10_scale
 
     @property
     def total(self) -> float:
-        return sum(self.capitals) * 10.0**self.log10_scale
+        return left_sum(self.capitals) * 10.0**self.log10_scale
 
 
 def initial_state(cfg: JumperConfig) -> CapitalState:
@@ -144,12 +153,12 @@ def jumper_step(state: CapitalState, cfg: JumperConfig, p: float,
     invariant under rescaling.
     """
     k = len(cfg.epsilons)
-    total = sum(state.capitals)
+    total = left_sum(state.capitals)
     j = cfg.jump_rate
     mixed = [(1.0 - j) * c + (j / k) * total for c in state.capitals]
     bet = [c * betting_function(e, p) for c, e in zip(mixed, cfg.epsilons)]
     scale = state.log10_scale
-    s = sum(bet)
+    s = left_sum(bet)
     bound = 10.0**renorm_exponent
     if s > bound or s < 1.0 / bound:
         m = math.floor(math.log10(s))

@@ -156,7 +156,12 @@ PVALUE_RUNS = {
 
 
 class TestInlineRecurrence:
+    # Seven equal shares of 1 sum to 0.9999999999999998 left to right, so
+    # the seven-point grid's initial total is not 1.0.
     @pytest.mark.parametrize("epsilons", [(-1.0, 0.0, 1.0),
+                                          (-1.0, -0.5, 0.0, 0.5, 1.0),
+                                          (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6,
+                                           0.9),
                                           (-0.5, 0.25, 1.0), (1.0,)])
     @pytest.mark.parametrize("jump_rate", [0.0, 0.01, 0.5])
     @pytest.mark.parametrize("run", sorted(PVALUE_RUNS))
@@ -176,6 +181,23 @@ class TestInlineRecurrence:
         assert direction * state.log10_scale > 6
         assert (repr(run_ctm(cfg, [p] * 400))
                 == repr(folded_trajectory(cfg, [p] * 400)))
+
+    @pytest.mark.parametrize("run,direction", [("uniform", -1),
+                                               ("skewed", 1)])
+    def test_long_runs_equal_folded_jumper_step(self, run, direction):
+        # 10^5 steps: uniform p-values drag the capital down past 10^-6,
+        # small ones push it up past 10^6, so both rescale many times.
+        rng = np.random.default_rng(11)
+        ps = (rng.random(100_000) if run == "uniform"
+              else rng.beta(0.2, 1.0, size=100_000)).tolist()
+        cfg = JumperConfig()
+        state = initial_state(cfg)
+        want = [state.log10_total]
+        for p in ps:
+            state = jumper_step(state, cfg, p)
+            want.append(state.log10_total)
+        assert direction * state.log10_scale > 6
+        assert repr(log10_capital(cfg, ps)) == repr(want)
 
     def test_array_and_object_inputs(self):
         ps = PVALUE_RUNS["random"][:500]

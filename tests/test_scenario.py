@@ -4,12 +4,16 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+from reference import left_sum
 from seqconformal import ConfigError, ScenarioConfig, run_replications, run_scenario
 from seqconformal.cli import main as cli_main
-from seqconformal.scenario import aggregate_summaries, describe_change
+from seqconformal.intervals import IntervalSeries
+from seqconformal.scenario import (_phase_means, aggregate_summaries,
+                                   describe_change)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ARTIFACTS = ("stream.csv", "pvalues.csv", "martingale.csv", "intervals.csv",
@@ -78,6 +82,50 @@ GOLDEN_FULL = {
     },
 }
 
+# SHA-256 of every file that run_replications writes for the shipped
+# configs cut to 500 + 500 steps at 3 replications (seeds 7, 8 and 9): one
+# directory per seed and aggregate.json. Taken with Python 3.11.7 and
+# numpy 2.4.6 before the Simple Jumper update became one loop per step and
+# the p-values stayed an array through the summary; neither moved a byte.
+GOLDEN_REPLICATIONS = {
+    "cryptic": {
+        "aggregate.json": "190ca539a55ff0275a700b745a50e2ab433e589817254abe86fb81db5566a1b9",
+        "seed_7/intervals.csv": "40da7bcf307e111e7492c5310be831c33c2adc03a0fca1a16da5818bbe84b744",
+        "seed_7/martingale.csv": "587d4cad172e9d78f8eed849e6d638189f3d0866e14c43861867c0abe2df9f52",
+        "seed_7/pvalues.csv": "b15e4ccddfa5f22d847234705eecae888fad1003e4311724dd3d899416f89d61",
+        "seed_7/stream.csv": "7d59eccbae8ef2ddf20454817ac8fc4823f857948439879fca0adccdd2b81b76",
+        "seed_7/summary.json": "57476bc8cd0739fc41e8abfadc1f5320b6e4b232667e96953a389297c542b8b4",
+        "seed_8/intervals.csv": "47959e3ab40a408321bd63555d64513df45e89b36e7989288c8cc4b72f0d360f",
+        "seed_8/martingale.csv": "f35832fd4ea0a815930524a37e4886622202bb8ae31c932c0d8b9305bf97881d",
+        "seed_8/pvalues.csv": "d19ec7f90ef2d00a3d90ddab06357f1b1aa47d63a21b6370ece2829526218fcd",
+        "seed_8/stream.csv": "a86419a57b3fde162033bb76759f0dd593cdc91e220641c5811e0073aa2fe69e",
+        "seed_8/summary.json": "485b7c75b4802fad8d09274c9028f446a0015567634c8ee8702d12976f05ed30",
+        "seed_9/intervals.csv": "b1b00b74bab048587d64ad5352f7c821c8f331bf7707c6bcdb71d2eebeafce6e",
+        "seed_9/martingale.csv": "5a60ffc822c3d2825c5b40c92bbc56f3291b0f8c10b34ac313b2a0eb603fcb21",
+        "seed_9/pvalues.csv": "e9b7668ba45d01ace53b40b3c39c77fc6afbcd1d59d687cd18e5d46eb300d4ce",
+        "seed_9/stream.csv": "152e1007d46453563a481ebabd39a085db9accdb895d1f20ab96a61636b7df22",
+        "seed_9/summary.json": "5aed00540e108383bba7f8e6c7a1ce389fa17d0a95140ddb4cd402682a9c3e3c",
+    },
+    "ensemble_cryptic": {
+        "aggregate.json": "dea81d605ed223493bf8e336c82cd144c35311eb68736b141c8e4b67ead04f79",
+        "seed_7/intervals.csv": "40da7bcf307e111e7492c5310be831c33c2adc03a0fca1a16da5818bbe84b744",
+        "seed_7/martingale.csv": "adc7858c6fcfd92910ef1cd2b8cd04d62036e3adb8349d840d41f20396f5fe00",
+        "seed_7/pvalues.csv": "aced803b923e791c84ccd532bb042ac22f6bcf65d916b68a88345ea62475a292",
+        "seed_7/stream.csv": "7d59eccbae8ef2ddf20454817ac8fc4823f857948439879fca0adccdd2b81b76",
+        "seed_7/summary.json": "48fa8a8d3cb1753acd81384cd6e3563ddc2a3f9c86c82ea089e2abc7ca65f106",
+        "seed_8/intervals.csv": "47959e3ab40a408321bd63555d64513df45e89b36e7989288c8cc4b72f0d360f",
+        "seed_8/martingale.csv": "327813f8a9025e80dbf10e8d9b1ecaa46450fcf13dfdda03659f729be2d50f5c",
+        "seed_8/pvalues.csv": "7548ebf9c00784bf82688b1a3343e075b9e1b660ee5abe16e7b57c2627853789",
+        "seed_8/stream.csv": "a86419a57b3fde162033bb76759f0dd593cdc91e220641c5811e0073aa2fe69e",
+        "seed_8/summary.json": "a6cf0f2a517cd393885dc339b0b236686933e7a7e4de8b9555bc306cf2a3130e",
+        "seed_9/intervals.csv": "b1b00b74bab048587d64ad5352f7c821c8f331bf7707c6bcdb71d2eebeafce6e",
+        "seed_9/martingale.csv": "b5482e72ae836c632dbb1a0fb3248d477d3980389a80d8cd6e4750196b2ab06d",
+        "seed_9/pvalues.csv": "23849b34a2b8832a8d70d717ffec11d83826d9f9e7883a0ef675e93b75915403",
+        "seed_9/stream.csv": "152e1007d46453563a481ebabd39a085db9accdb895d1f20ab96a61636b7df22",
+        "seed_9/summary.json": "6c3f52bce0b0e474ac237914ce717f74dd7b9eacaf949a12f7eb6e5b580afe95",
+    },
+}
+
 BASE = {
     "pre": {"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0, "sigma_y": 1.0,
             "rho_cov": 0.5},
@@ -103,6 +151,12 @@ def write_config(tmp_path, name="scenario.cfg", **overrides):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(raw))
     return path
+
+
+def tree_digests(root):
+    return {f.relative_to(root).as_posix():
+            hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(root.rglob("*")) if f.is_file()}
 
 
 def artifact_digests(cfg, out):
@@ -311,6 +365,51 @@ class TestRunScenario:
             "step,center,lower,upper,width,covered\n"
 
 
+def series_of_widths(widths):
+    """An IntervalSeries of steps 2.. with the given widths, all covered."""
+    width = np.array(widths, dtype=np.float64)
+    zeros = np.zeros_like(width)
+    return IntervalSeries(center=zeros, lower=zeros, upper=width,
+                          width=width, covered=np.ones(len(width), dtype=bool))
+
+
+def left_to_right_mean(widths):
+    return left_sum(widths) / len(widths)
+
+
+class TestPhaseMeans:
+    def test_widths_summed_left_to_right(self):
+        # Left to right, each 1e-16 is lost against 1.0; a compensated sum
+        # (math.fsum, or Python 3.12's sum) keeps them.
+        widths = [1.0, 1e-16, 1e-16]
+        coverage, mean_width = _phase_means(series_of_widths(widths), 1, 4)
+        assert coverage == 1.0
+        assert mean_width == 1.0 / 3 == left_to_right_mean(widths)
+        assert mean_width != math.fsum(widths) / 3
+
+    def test_long_series_in_step_order(self):
+        # numpy's pairwise sum differs from step order on this series.
+        rng = np.random.default_rng(5)
+        widths = (rng.random(10_000)
+                  * 10.0 ** rng.integers(-8, 8, size=10_000)).tolist()
+        _, mean_width = _phase_means(series_of_widths(widths), 1, 10_001)
+        assert repr(mean_width) == repr(left_to_right_mean(widths))
+        assert mean_width != float(np.sum(widths)) / len(widths)
+
+    def test_zero_widths_give_positive_zero(self):
+        _, mean_width = _phase_means(series_of_widths([-0.0, -0.0]), 1, 3)
+        assert repr(mean_width) == repr(left_to_right_mean([-0.0, -0.0]))
+        assert repr(mean_width) == "0.0"
+
+    def test_phase_selection(self):
+        # Steps lo+1..hi; the arrays start at step 2.
+        series = series_of_widths([1.0, 2.0, 4.0, 8.0])  # steps 2..5
+        assert _phase_means(series, 1, 3) == (1.0, 1.5)
+        assert _phase_means(series, 3, 5) == (1.0, 6.0)
+        assert _phase_means(series, 5, 5) == (None, None)
+        assert _phase_means(None, 1, 5) == (None, None)
+
+
 class TestReplications:
     def test_single_replication_aggregate_equals_summary(self, tmp_path):
         cfg = make_config(tmp_path)
@@ -324,6 +423,15 @@ class TestReplications:
         cfg = make_config(tmp_path, replications=3, n_pre=100, n_post=100)
         summaries = run_replications(cfg, write_artifacts=False)
         assert [s.seed for s in summaries] == [7, 8, 9]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPLICATIONS))
+    def test_artifacts_match_golden_digests(self, tmp_path, name):
+        cfg = dataclasses.replace(
+            ScenarioConfig.from_file(SCENARIOS / f"{name}.cfg"),
+            n_pre=500, n_post=500, replications=3,
+            output_dir=tmp_path / "out")
+        run_replications(cfg)
+        assert tree_digests(cfg.output_dir) == GOLDEN_REPLICATIONS[name]
 
     def test_aggregate_file_deterministic(self, tmp_path):
         cfg_a = make_config(tmp_path / "a", replications=2, n_pre=100,
