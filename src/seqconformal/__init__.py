@@ -17,7 +17,7 @@ from .martingale import JumperConfig, log10_capital, run_ctm
 from .rng import RandomStream
 from .scenario import (ConfigError, ScenarioConfig, ScenarioSummary,
                        run_replications, run_scenario)
-from .stats import KSReport, ks_uniform, two_sample_ks
+from .stats import KSReport, ks_uniform
 from .transducer import PValue, run_transducer, smoothed_pvalues
 
 __version__ = "0.1.0"

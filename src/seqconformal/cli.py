@@ -15,8 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from .scenario import (ConfigError, ScenarioConfig, check_seeds,
-                       describe_change, run_replications)
+from .scenario import (ConfigError, ScenarioConfig, describe_change,
+                       run_replications)
 
 QUICK_N = 2000
 
@@ -34,7 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a scenario config end to end")
     run.add_argument("--config", required=True, help="path to a scenario config")
-    run.add_argument("--output-dir", default=None, help="override output directory")
+    run.add_argument("--output-dir", type=Path, default=None,
+                     help="override output directory")
     run.add_argument("--seed", type=int, default=None, help="override seed")
     run.add_argument("--replications", type=int, default=None,
                      help="override replication count")
@@ -48,22 +49,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ScenarioConfig:
+    """The config file with the `run` overrides applied. Replacing a field
+    re-runs ScenarioConfig's checks, so an override is checked like a file
+    value."""
     cfg = ScenarioConfig.from_file(args.config)
-    overrides = {}
-    if getattr(args, "output_dir", None) is not None:
-        overrides["output_dir"] = Path(args.output_dir)
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "replications", None) is not None:
-        if args.replications < 1:
-            raise ConfigError("replications", "must be >= 1")
-        overrides["replications"] = args.replications
-    if getattr(args, "quick", False):
+    if args.command == "verify":
+        return cfg
+    overrides = {"output_dir": args.output_dir, "seed": args.seed,
+                 "replications": args.replications}
+    if args.quick:
         overrides["n_pre"] = min(cfg.n_pre, QUICK_N)
         overrides["n_post"] = min(cfg.n_post, QUICK_N)
-    check_seeds(overrides.get("seed", cfg.seed),
-                overrides.get("replications", cfg.replications))
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    return dataclasses.replace(
+        cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import statistics
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -53,26 +54,38 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field_name}': {reason}")
 
 
+# Each measure kind, and how its spec builds it from the pre/post pair.
+_MEASURES = {
+    "oracle": lambda spec, q0, q1: PredictiveOracle(q0),
+    "mahalanobis": lambda spec, q0, q1: Mahalanobis(q0),
+    "likelihood_ratio": lambda spec, q0, q1: LikelihoodRatio(q0, q1),
+    "ensemble": lambda spec, q0, q1: OracleMahalanobisEnsemble(q0, spec.lam),
+}
+
+
 @dataclass(frozen=True)
 class MeasureSpec:
-    kind: str  # oracle | mahalanobis | likelihood_ratio | ensemble
+    kind: str  # a key of _MEASURES
     lam: float = 0.5
+
+    def __post_init__(self):
+        if not 0.0 <= self.lam <= 1.0:
+            raise ConfigError("measure.lambda", "must lie in [0, 1]")
+        if self.kind not in _MEASURES:
+            raise ConfigError("measure.kind",
+                              f"unknown measure kind {self.kind!r}")
 
     def build(self, q0: BivariateGaussian,
               q1: BivariateGaussian) -> ConformityMeasure:
-        if self.kind == "oracle":
-            return PredictiveOracle(q0)
-        if self.kind == "mahalanobis":
-            return Mahalanobis(q0)
-        if self.kind == "likelihood_ratio":
-            return LikelihoodRatio(q0, q1)
-        if self.kind == "ensemble":
-            return OracleMahalanobisEnsemble(q0, self.lam)
-        raise ConfigError("measure.kind", f"unknown measure kind {self.kind!r}")
+        return _MEASURES[self.kind](self, q0, q1)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario. Construction checks every value rule, so a parsed file,
+    a CLI override and a `dataclasses.replace` copy are checked alike; the
+    parser checks only types and shapes."""
+
     pre: BivariateGaussian
     post: BivariateGaussian
     n_pre: int
@@ -83,6 +96,20 @@ class ScenarioConfig:
     epsilon: float
     replications: int
     output_dir: Path
+
+    def __post_init__(self):
+        if self.n_pre < 0 or self.n_post < 0:
+            raise ConfigError("n_pre/n_post", "must be nonnegative")
+        if self.n_pre + self.n_post < 1:
+            raise ConfigError("n_pre/n_post", "stream must be nonempty")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ConfigError("epsilon", "must lie in (0, 1)")
+        if self.replications < 1:
+            raise ConfigError("replications", "must be >= 1")
+        if not 0 <= self.seed <= 2**64 - self.replications:
+            raise ConfigError("seed", f"replication seeds {self.seed} .. "
+                              f"{self.seed + self.replications - 1} must fit "
+                              "in 64 bits")
 
     @staticmethod
     def from_dict(raw: dict[str, Any],
@@ -96,8 +123,6 @@ class ScenarioConfig:
             raw = yaml.safe_load(path.read_text())
         except yaml.YAMLError as exc:
             raise ConfigError("<file>", f"not parseable: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("<file>", "top level must be a mapping")
         return _parse_config(raw, path.parent)
 
 
@@ -107,10 +132,17 @@ def _require(raw: dict, key: str, prefix: str = "") -> Any:
     return raw[key]
 
 
-def _reject_unknown(raw: dict, known: tuple[str, ...], name: str) -> None:
-    unknown = set(raw) - set(known)
+def _mapping(raw: Any, known: tuple[str, ...], name: str) -> dict:
+    """raw, which must be a mapping with no key outside known. At the top
+    level (name "") an unknown key is itself the field."""
+    if not isinstance(raw, dict):
+        raise ConfigError(name or "<file>", f"expected a mapping, got {raw!r}")
+    unknown = sorted(set(raw) - set(known), key=str)
+    if unknown and not name:
+        raise ConfigError(unknown[0], "unknown top-level key")
     if unknown:
-        raise ConfigError(name, f"unknown keys {sorted(unknown)}")
+        raise ConfigError(name, f"unknown keys {unknown}")
+    return raw
 
 
 def _as_number(value: Any, name: str) -> float:
@@ -131,30 +163,19 @@ def _as_int(value: Any, name: str) -> int:
     return value
 
 
-def check_seeds(seed: int, replications: int) -> None:
-    """Every replication seed, seed .. seed + replications - 1, is a valid
-    64-bit seed."""
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed", "must fit in 64 bits")
-    if seed + replications - 1 >= 2**64:
-        raise ConfigError("seed", f"the last replication seed "
-                          f"{seed + replications - 1} does not fit in 64 bits")
-
-
 def _parse_model(raw: Any, name: str) -> BivariateGaussian:
-    if not isinstance(raw, dict):
-        raise ConfigError(name, "expected a mapping of model parameters")
-    fields = ("mu_x", "mu_y", "sigma_x", "sigma_y", "rho_cov")
-    _reject_unknown(raw, fields, name)
+    params = ("mu_x", "mu_y", "sigma_x", "sigma_y", "rho_cov")
+    raw = _mapping(raw, params, name)
     values = {f: _as_number(_require(raw, f, f"{name}."), f"{name}.{f}")
-              for f in fields}
+              for f in params}
     try:
         return BivariateGaussian(**values)
     except ValueError as exc:
         raise ConfigError(name, str(exc)) from exc
 
 
-def _parse_config(raw: dict[str, Any], base_dir: Path) -> ScenarioConfig:
+def _parse_config(raw: Any, base_dir: Path) -> ScenarioConfig:
+    raw = _mapping(raw, tuple(f.name for f in fields(ScenarioConfig)), "")
     pre = _parse_model(_require(raw, "pre"), "pre")
 
     post_raw = _require(raw, "post")
@@ -165,29 +186,16 @@ def _parse_config(raw: dict[str, Any], base_dir: Path) -> ScenarioConfig:
     else:
         post = _parse_model(post_raw, "post")
 
-    n_pre = _as_int(_require(raw, "n_pre"), "n_pre")
-    n_post = _as_int(_require(raw, "n_post"), "n_post")
-    if n_pre < 0 or n_post < 0:
-        raise ConfigError("n_pre/n_post", "must be nonnegative")
-    if n_pre + n_post < 1:
-        raise ConfigError("n_pre/n_post", "stream must be nonempty")
+    measure_raw = _mapping(raw.get("measure", {"kind": "oracle"}),
+                           ("kind", "lambda"), "measure")
+    if "kind" not in measure_raw:
+        raise ConfigError("measure", "missing 'kind'")
+    measure = MeasureSpec(kind=str(measure_raw["kind"]),
+                          lam=_as_number(measure_raw.get("lambda", 0.5),
+                                         "measure.lambda"))
 
-    seed = _as_int(_require(raw, "seed"), "seed")
-
-    measure_raw = raw.get("measure", {"kind": "oracle"})
-    if not isinstance(measure_raw, dict) or "kind" not in measure_raw:
-        raise ConfigError("measure", "expected a mapping with a 'kind' key")
-    _reject_unknown(measure_raw, ("kind", "lambda"), "measure")
-    lam = _as_number(measure_raw.get("lambda", 0.5), "measure.lambda")
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError("measure.lambda", "must lie in [0, 1]")
-    measure = MeasureSpec(kind=str(measure_raw["kind"]), lam=lam)
-    measure.build(pre, post)  # rejects an unknown kind
-
-    jumper_raw = raw.get("jumper", {})
-    if not isinstance(jumper_raw, dict):
-        raise ConfigError("jumper", "expected a mapping")
-    _reject_unknown(jumper_raw, ("epsilons", "jump_rate"), "jumper")
+    jumper_raw = _mapping(raw.get("jumper", {}), ("epsilons", "jump_rate"),
+                          "jumper")
     epsilons = jumper_raw.get("epsilons", (-1.0, 0.0, 1.0))
     if not isinstance(epsilons, (list, tuple)):
         raise ConfigError("jumper.epsilons",
@@ -200,32 +208,19 @@ def _parse_config(raw: dict[str, Any], base_dir: Path) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError("jumper", str(exc)) from exc
 
-    epsilon = _as_number(raw.get("epsilon", 0.05), "epsilon")
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError("epsilon", "must lie in (0, 1)")
-
-    replications = _as_int(raw.get("replications", 1), "replications")
-    if replications < 1:
-        raise ConfigError("replications", "must be >= 1")
-    check_seeds(seed, replications)
-
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir", f"expected a path, got {output_dir!r}")
-    output_dir = Path(output_dir)
-    if not output_dir.is_absolute():
-        output_dir = base_dir / output_dir
 
-    known = {"pre", "post", "n_pre", "n_post", "seed", "measure", "jumper",
-             "epsilon", "replications", "output_dir"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown top-level key")
-
-    return ScenarioConfig(pre=pre, post=post, n_pre=n_pre, n_post=n_post,
-                          seed=seed, measure=measure, jumper=jumper,
-                          epsilon=epsilon, replications=replications,
-                          output_dir=output_dir)
+    return ScenarioConfig(
+        pre=pre, post=post,
+        n_pre=_as_int(_require(raw, "n_pre"), "n_pre"),
+        n_post=_as_int(_require(raw, "n_post"), "n_post"),
+        seed=_as_int(_require(raw, "seed"), "seed"),
+        measure=measure, jumper=jumper,
+        epsilon=_as_number(raw.get("epsilon", 0.05), "epsilon"),
+        replications=_as_int(raw.get("replications", 1), "replications"),
+        output_dir=base_dir / output_dir)
 
 
 @dataclass(frozen=True)
@@ -295,6 +290,11 @@ def _write_csvs(out: Path, n_pre: int, xs: np.ndarray, ys: np.ndarray,
                      intervals.width, intervals.covered))
 
 
+def _write_json(path: Path, obj: dict[str, Any]) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8", newline="\n")
+
+
 def _phase_means(intervals: IntervalSeries | None, lo: int,
                  hi: int) -> tuple[float | None, float | None]:
     """Coverage and mean width over the intervals of steps lo+1..hi."""
@@ -354,9 +354,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
             out.mkdir(parents=True, exist_ok=True)
             _write_csvs(out, cfg.n_pre, xs, ys, pvalues,
                         np.asarray(trajectory), intervals)
-            (out / "summary.json").write_text(
-                json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8", newline="\n")
+            _write_json(out / "summary.json", summary.to_dict())
         except OSError as exc:
             raise IOError(f"while writing artifacts under {out}: {exc}") from exc
 
@@ -380,10 +378,8 @@ def run_replications(cfg: ScenarioConfig,
     if write_artifacts:
         try:
             cfg.output_dir.mkdir(parents=True, exist_ok=True)
-            (cfg.output_dir / "aggregate.json").write_text(
-                json.dumps(aggregate_summaries(summaries), indent=2,
-                           sort_keys=True) + "\n",
-                encoding="utf-8", newline="\n")
+            _write_json(cfg.output_dir / "aggregate.json",
+                        aggregate_summaries(summaries))
         except OSError as exc:
             raise IOError(
                 f"while writing aggregate under {cfg.output_dir}: {exc}"
@@ -391,12 +387,9 @@ def run_replications(cfg: ScenarioConfig,
     return summaries
 
 
-def _median(values: list[float]) -> float | None:
-    vals = sorted(v for v in values if v is not None)
-    if not vals:
-        return None
-    m = len(vals) // 2
-    return vals[m] if len(vals) % 2 else 0.5 * (vals[m - 1] + vals[m])
+def _median(values: list[float | None]) -> float | None:
+    vals = [v for v in values if v is not None]
+    return statistics.median(vals) if vals else None
 
 
 def aggregate_summaries(summaries: list[ScenarioSummary]) -> dict[str, Any]:

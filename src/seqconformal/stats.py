@@ -1,6 +1,6 @@
 """Uniformity diagnostics for p-value streams.
 
-Kolmogorov-Smirnov tests, one-sample against uniform and two-sample.
+The one-sample Kolmogorov-Smirnov test against Uniform(0, 1).
 Thresholds use the asymptotic KS coefficients; all shipped checks run at
 n >= 1000 where the asymptotic approximation error is negligible.
 """
@@ -44,25 +44,5 @@ def ks_uniform(pvalues: Sequence[float], alpha: float = 0.01) -> KSReport:
     d = max(np.max(i / n - u), np.max(u - (i - 1) / n))
     threshold = coeff / np.sqrt(n)
     return KSReport(statistic=float(d), n=int(n),
-                    threshold_at_alpha=float(threshold), alpha=alpha,
-                    reject=bool(d > threshold))
-
-
-def two_sample_ks(a: Sequence[float], b: Sequence[float],
-                  alpha: float = 0.01) -> KSReport:
-    """Two-sample KS statistic, symmetric in its arguments."""
-    coeff = _check_alpha(alpha)
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("empty sample")
-    if np.isnan(a).any() or np.isnan(b).any():
-        raise ValueError("samples must not contain NaN")
-    pooled = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
-    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
-    d = float(np.max(np.abs(cdf_a - cdf_b)))
-    threshold = coeff * np.sqrt((a.size + b.size) / (a.size * b.size))
-    return KSReport(statistic=d, n=int(a.size + b.size),
                     threshold_at_alpha=float(threshold), alpha=alpha,
                     reject=bool(d > threshold))

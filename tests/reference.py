@@ -2,7 +2,9 @@
 
 The package computes every stage over whole arrays. The forms here do the
 same computations the obvious way, one example or one step at a time, and
-the tests compare the package against them bit for bit.
+the tests compare the package against them bit for bit. The module also
+holds helpers that only the tests use: the model's mean vector and
+covariance matrix, and the two-sample KS test.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from seqconformal import (BivariateGaussian, JumperConfig, LikelihoodRatio,
-                          Mahalanobis, OracleMahalanobisEnsemble,
-                          PredictiveOracle, PValue, conditional_mean,
-                          conditional_variance)
+from seqconformal import (BivariateGaussian, JumperConfig, KSReport,
+                          LikelihoodRatio, Mahalanobis,
+                          OracleMahalanobisEnsemble, PredictiveOracle, PValue,
+                          conditional_mean, conditional_variance)
+from seqconformal.stats import _check_alpha
 
 
 class ScoreStore:
@@ -168,6 +171,14 @@ def jumper_step(state: CapitalState, cfg: JumperConfig, p: float,
     return CapitalState(capitals=bet, log10_scale=scale, step=state.step + 1)
 
 
+def mean(q: BivariateGaussian) -> np.ndarray:
+    return np.array([q.mu_x, q.mu_y])
+
+
+def covariance(q: BivariateGaussian) -> np.ndarray:
+    return np.array([[q.sigma_x**2, q.rho_cov], [q.rho_cov, q.sigma_y**2]])
+
+
 def conditional_density(q: BivariateGaussian, x: float, y: float) -> float:
     """pdf of Y | X = x under q, evaluated at y."""
     var = conditional_variance(q)
@@ -196,6 +207,26 @@ def score_fold(measure, stream) -> list[float]:
         return [lam * math.sqrt(2.0) * (o + 0.5) + (1.0 - lam) * (m + 2.0) / 2.0
                 for o, m in zip(oracle, mahalanobis)]
     raise TypeError(f"no reference score for {type(measure).__name__}")
+
+
+def two_sample_ks(a: Sequence[float], b: Sequence[float],
+                  alpha: float = 0.01) -> KSReport:
+    """Two-sample KS statistic, symmetric in its arguments."""
+    coeff = _check_alpha(alpha)
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("empty sample")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("samples must not contain NaN")
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
+    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
+    d = float(np.max(np.abs(cdf_a - cdf_b)))
+    threshold = coeff * np.sqrt((a.size + b.size) / (a.size * b.size))
+    return KSReport(statistic=d, n=int(a.size + b.size),
+                    threshold_at_alpha=float(threshold), alpha=alpha,
+                    reject=bool(d > threshold))
 
 
 def lag1_autocorrelation(values: Sequence[float]) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import seqconformal as sc
-from reference import initial_state, jumper_step
+from reference import initial_state, jumper_step, two_sample_ks
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 QUICK = {"n_pre": 2000, "n_post": 2000}
@@ -110,7 +110,7 @@ def test_criterion_4_score_distribution_invariance():
         rng = sc.RandomStream(seed)
         a = oracle.scores(*sc.sample_arrays(q0, rng.substream(0), 10_000))
         b = oracle.scores(*sc.sample_arrays(pair.q1, rng.substream(1), 10_000))
-        rejections += sc.two_sample_ks(a, b, alpha=0.01).reject
+        rejections += two_sample_ks(a, b, alpha=0.01).reject
     ok = 20 - rejections >= 18
     report(4, ok, f"two-sample KS non-rejections: {20 - rejections}/20 (>= 18)")
     assert 20 - rejections >= 18

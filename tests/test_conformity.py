@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import conditional_density, score_fold
+from reference import conditional_density, score_fold, two_sample_ks
 from seqconformal import (BivariateGaussian, Example, LikelihoodRatio,
                           Mahalanobis, OracleMahalanobisEnsemble,
                           PredictiveOracle, RandomStream, columns,
                           cryptic_shift, ks_uniform, sample, sample_arrays,
-                          smoothed_pvalues, two_sample_ks)
+                          smoothed_pvalues)
 from seqconformal.scenario import DATA_SUBSTREAM, TAU_SUBSTREAM
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)

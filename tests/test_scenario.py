@@ -12,8 +12,8 @@ from reference import left_sum
 from seqconformal import ConfigError, ScenarioConfig, run_replications, run_scenario
 from seqconformal.cli import main as cli_main
 from seqconformal.intervals import IntervalSeries
-from seqconformal.scenario import (_phase_means, aggregate_summaries,
-                                   describe_change)
+from seqconformal.scenario import (MeasureSpec, _phase_means,
+                                   aggregate_summaries, describe_change)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ARTIFACTS = ("stream.csv", "pvalues.csv", "martingale.csv", "intervals.csv",
@@ -231,6 +231,26 @@ class TestConfigParsing:
     def test_largest_seed_accepted(self, tmp_path):
         assert make_config(tmp_path, seed=2**64 - 2,
                            replications=2).seed == 2**64 - 2
+
+    @pytest.mark.parametrize("changes,field", [
+        ({"replications": 0}, "replications"),
+        ({"n_pre": 0, "n_post": 0}, "n_pre/n_post"),
+        ({"n_pre": -1}, "n_pre/n_post"),
+        ({"epsilon": 1.0}, "epsilon"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2**64 - 1, "replications": 2}, "seed"),
+    ])
+    def test_replace_checks_values(self, tmp_path, changes, field):
+        # CLI overrides and resized copies go through dataclasses.replace
+        cfg = make_config(tmp_path)
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(cfg, **changes)
+        assert err.value.field_name == field
+
+    def test_measure_spec_checks_kind(self):
+        with pytest.raises(ConfigError) as err:
+            MeasureSpec("psychic")
+        assert err.value.field_name == "measure.kind"
 
     def test_from_file_round_trips(self, tmp_path):
         path = write_config(tmp_path)
@@ -511,11 +531,13 @@ class TestCli:
         ["--seed", "-1"],
         ["--seed", str(2**64)],
         ["--seed", str(2**64 - 1), "--replications", "2"],
+        ["--replications", "0"],
     ])
     def test_seed_override_range(self, tmp_path, capsys, args):
         path = write_config(tmp_path)
         assert cli_main(["run", "--config", str(path), *args]) == 1
-        assert "'seed'" in capsys.readouterr().err
+        # the error names the field of the first flag
+        assert f"'{args[0][2:]}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_replications_override_checks_seed_range(self, tmp_path, capsys):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from reference import lag1_autocorrelation
-from seqconformal import ks_uniform, two_sample_ks
+from reference import lag1_autocorrelation, two_sample_ks
+from seqconformal import ks_uniform
 
 
 class TestKsUniform:
