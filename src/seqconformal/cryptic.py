@@ -17,6 +17,16 @@ from .gaussian import BivariateGaussian, conditional_mean, conditional_variance
 _CONSTRUCTION_TOL = 1e-12
 
 
+def _slope(q0: BivariateGaussian) -> float:
+    """Slope of the line of undetectable mean shifts."""
+    return q0.correlation * q0.sigma_y / q0.sigma_x
+
+
+def _same_covariance(q0: BivariateGaussian, q1: BivariateGaussian) -> bool:
+    return (q0.sigma_x == q1.sigma_x and q0.sigma_y == q1.sigma_y
+            and q0.rho_cov == q1.rho_cov)
+
+
 @dataclass(frozen=True)
 class CrypticPair:
     """Pre/post models with identical covariance and on-line mean shift."""
@@ -25,13 +35,10 @@ class CrypticPair:
     q1: BivariateGaussian
 
     def __post_init__(self):
-        if (self.q0.sigma_x != self.q1.sigma_x
-                or self.q0.sigma_y != self.q1.sigma_y
-                or self.q0.rho_cov != self.q1.rho_cov):
+        if not _same_covariance(self.q0, self.q1):
             raise ValueError("pair must share one covariance matrix")
-        slope = self.q0.correlation * self.q0.sigma_y / self.q0.sigma_x
         residual = abs((self.q1.mu_y - self.q0.mu_y)
-                       - slope * (self.q1.mu_x - self.q0.mu_x))
+                       - _slope(self.q0) * (self.q1.mu_x - self.q0.mu_x))
         if not residual <= _CONSTRUCTION_TOL:
             raise ValueError(
                 f"mean shift is off the cryptic line (residual {residual:.3e})"
@@ -48,16 +55,14 @@ class InvarianceReport:
 
 def cryptic_line(q0: BivariateGaussian, x: float) -> float:
     """y-coordinate at x of the line of undetectable mean shifts."""
-    slope = q0.correlation * q0.sigma_y / q0.sigma_x
-    return q0.mu_y + slope * (x - q0.mu_x)
+    return q0.mu_y + _slope(q0) * (x - q0.mu_x)
 
 
 def cryptic_shift(q0: BivariateGaussian, delta_mu_x: float) -> CrypticPair:
     """Shift the mean along the cryptic line by delta_mu_x in x."""
-    slope = q0.correlation * q0.sigma_y / q0.sigma_x
     q1 = replace(q0,
                  mu_x=q0.mu_x + delta_mu_x,
-                 mu_y=q0.mu_y + slope * delta_mu_x)
+                 mu_y=q0.mu_y + _slope(q0) * delta_mu_x)
     return CrypticPair(q0=q0, q1=q1)
 
 

@@ -53,16 +53,15 @@ def interval_series(xs: np.ndarray, ys: np.ndarray, q0: BivariateGaussian,
 
     At step n the interval for x_n uses the |r| of z_1..z_{n-1}; z_n is
     admitted to the store afterwards. The first step has nothing to
-    predict from, so the arrays start at step 2. The half-width at step
-    m + 1 is the k-th largest of the m stored |r|, at the conservative rank
+    predict from, so the arrays start at step 2; they are empty for a
+    stream of fewer than two examples. The half-width at step m + 1 is the
+    k-th largest of the m stored |r|, at the conservative rank
     k = ceil(epsilon * (m + 1)), capped at m.
 
     k never falls and grows by at most one as m grows, so the k largest
     |r| stay in a min-heap and the rest in a max-heap (stored negated);
     the half-width is the top of the min-heap.
     """
-    if len(xs) < 2:
-        raise ValueError("stream must contain at least two examples")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     center = conditional_mean(q0, xs)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -29,7 +29,8 @@ import yaml
 
 from .conformity import (ConformityMeasure, LikelihoodRatio, Mahalanobis,
                          OracleMahalanobisEnsemble, PredictiveOracle)
-from .cryptic import cryptic_line, cryptic_shift, verify_conditions
+from .cryptic import (_same_covariance, cryptic_line, cryptic_shift,
+                      verify_conditions)
 from .gaussian import BivariateGaussian, sample_arrays
 from .intervals import IntervalSeries, interval_series
 from .martingale import JumperConfig, log10_capital
@@ -66,7 +67,7 @@ _MEASURES = {
 @dataclass(frozen=True)
 class MeasureSpec:
     kind: str  # a key of _MEASURES
-    lam: float = 0.5
+    lam: float = OracleMahalanobisEnsemble.lam
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -84,18 +85,19 @@ class MeasureSpec:
 class ScenarioConfig:
     """A scenario. Construction checks every value rule, so a parsed file,
     a CLI override and a `dataclasses.replace` copy are checked alike; the
-    parser checks only types and shapes."""
+    parser checks only types and shapes. The defaults here are those of a
+    config file that omits the key."""
 
     pre: BivariateGaussian
     post: BivariateGaussian
     n_pre: int
     n_post: int
     seed: int
-    measure: MeasureSpec
-    jumper: JumperConfig
-    epsilon: float
-    replications: int
-    output_dir: Path
+    measure: MeasureSpec = MeasureSpec("oracle")
+    jumper: JumperConfig = JumperConfig()
+    epsilon: float = 0.05
+    replications: int = 1
+    output_dir: Path = Path("out")
 
     def __post_init__(self):
         if self.n_pre < 0 or self.n_post < 0:
@@ -186,29 +188,31 @@ def _parse_config(raw: Any, base_dir: Path) -> ScenarioConfig:
     else:
         post = _parse_model(post_raw, "post")
 
-    measure_raw = _mapping(raw.get("measure", {"kind": "oracle"}),
-                           ("kind", "lambda"), "measure")
-    if "kind" not in measure_raw:
-        raise ConfigError("measure", "missing 'kind'")
-    measure = MeasureSpec(kind=str(measure_raw["kind"]),
-                          lam=_as_number(measure_raw.get("lambda", 0.5),
-                                         "measure.lambda"))
+    measure = ScenarioConfig.measure
+    if "measure" in raw:
+        measure_raw = _mapping(raw["measure"], ("kind", "lambda"), "measure")
+        if "kind" not in measure_raw:
+            raise ConfigError("measure", "missing 'kind'")
+        measure = MeasureSpec(
+            kind=str(measure_raw["kind"]),
+            lam=_as_number(measure_raw.get("lambda", MeasureSpec.lam),
+                           "measure.lambda"))
 
     jumper_raw = _mapping(raw.get("jumper", {}), ("epsilons", "jump_rate"),
                           "jumper")
-    epsilons = jumper_raw.get("epsilons", (-1.0, 0.0, 1.0))
+    epsilons = jumper_raw.get("epsilons", JumperConfig.epsilons)
     if not isinstance(epsilons, (list, tuple)):
         raise ConfigError("jumper.epsilons",
                           f"expected a list of numbers, got {epsilons!r}")
     epsilons = tuple(_as_number(e, "jumper.epsilons") for e in epsilons)
-    jump_rate = _as_number(jumper_raw.get("jump_rate", 0.01),
+    jump_rate = _as_number(jumper_raw.get("jump_rate", JumperConfig.jump_rate),
                            "jumper.jump_rate")
     try:
         jumper = JumperConfig(epsilons=epsilons, jump_rate=jump_rate)
     except ValueError as exc:
         raise ConfigError("jumper", str(exc)) from exc
 
-    output_dir = raw.get("output_dir", "out")
+    output_dir = raw.get("output_dir", str(ScenarioConfig.output_dir))
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir", f"expected a path, got {output_dir!r}")
 
@@ -218,8 +222,11 @@ def _parse_config(raw: Any, base_dir: Path) -> ScenarioConfig:
         n_post=_as_int(_require(raw, "n_post"), "n_post"),
         seed=_as_int(_require(raw, "seed"), "seed"),
         measure=measure, jumper=jumper,
-        epsilon=_as_number(raw.get("epsilon", 0.05), "epsilon"),
-        replications=_as_int(raw.get("replications", 1), "replications"),
+        epsilon=_as_number(raw.get("epsilon", ScenarioConfig.epsilon),
+                           "epsilon"),
+        replications=_as_int(
+            raw.get("replications", ScenarioConfig.replications),
+            "replications"),
         output_dir=base_dir / output_dir)
 
 
@@ -272,7 +279,7 @@ def _write_table(path: Path, header: str, row_format: str, steps: range,
 
 def _write_csvs(out: Path, n_pre: int, xs: np.ndarray, ys: np.ndarray,
                 pvalues: np.ndarray, trajectory: np.ndarray,
-                intervals: IntervalSeries | None) -> None:
+                intervals: IntervalSeries) -> None:
     """stream.csv, pvalues.csv, martingale.csv and intervals.csv."""
     n = len(xs)
     _write_table(out / "stream.csv", "step,x,y,phase", "%d,%.17g,%.17g",
@@ -284,10 +291,9 @@ def _write_csvs(out: Path, n_pre: int, xs: np.ndarray, ys: np.ndarray,
     _write_table(out / "intervals.csv",
                  "step,center,lower,upper,width,covered",
                  "%d,%.17g,%.17g,%.17g,%.17g,%d",
-                 range(2, n + 1),  # empty when there are no intervals
-                 () if intervals is None else (
-                     intervals.center, intervals.lower, intervals.upper,
-                     intervals.width, intervals.covered))
+                 range(2, n + 1),
+                 (intervals.center, intervals.lower, intervals.upper,
+                  intervals.width, intervals.covered))
 
 
 def _write_json(path: Path, obj: dict[str, Any]) -> None:
@@ -295,12 +301,12 @@ def _write_json(path: Path, obj: dict[str, Any]) -> None:
                     encoding="utf-8", newline="\n")
 
 
-def _phase_means(intervals: IntervalSeries | None, lo: int,
+def _phase_means(intervals: IntervalSeries, lo: int,
                  hi: int) -> tuple[float | None, float | None]:
     """Coverage and mean width over the intervals of steps lo+1..hi."""
     # The arrays start at step 2.
     sel = slice(max(lo - 1, 0), max(hi - 1, 0))
-    if intervals is None or not intervals.covered[sel].size:
+    if not intervals.covered[sel].size:
         return None, None
     covered, width = intervals.covered[sel], intervals.width[sel]
     # cumsum adds in step order, like a loop from 0.0 (0.0 + maps -0.0 to 0.0).
@@ -313,10 +319,12 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
                  write_artifacts: bool = True) -> ScenarioSummary:
     """Sample, transduce, bet, predict, summarize.
 
-    seed/output_dir override the config values (used by replications).
+    seed/output_dir override the config values (used by replications). The
+    seed override is checked like a file value, as the seed of one run.
     """
-    seed = cfg.seed if seed is None else seed
-    root = RandomStream(seed)
+    if seed is not None:
+        cfg = replace(cfg, seed=seed, replications=1)
+    root = RandomStream(cfg.seed)
     data_rng = root.substream(DATA_SUBSTREAM)
     tau_rng = root.substream(TAU_SUBSTREAM)
 
@@ -328,9 +336,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     pvalues = smoothed_pvalues(measure, xs, ys, tau_rng)
     trajectory = log10_capital(cfg.jumper, pvalues.tolist())  # index = step
     n = cfg.n_pre + cfg.n_post
-    # A one-example stream has no earlier example to predict from.
-    intervals = (interval_series(xs, ys, cfg.pre, cfg.epsilon)
-                 if n > 1 else None)
+    intervals = interval_series(xs, ys, cfg.pre, cfg.epsilon)
 
     pre_p, post_p = pvalues[:cfg.n_pre], pvalues[cfg.n_pre:]
     coverage_pre, mean_width_pre = _phase_means(intervals, 1, cfg.n_pre)
@@ -345,7 +351,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
         coverage_post=coverage_post,
         mean_width_pre=mean_width_pre,
         mean_width_post=mean_width_post,
-        seed=seed,
+        seed=cfg.seed,
     )
 
     if write_artifacts:
@@ -387,36 +393,23 @@ def run_replications(cfg: ScenarioConfig,
     return summaries
 
 
-def _median(values: list[float | None]) -> float | None:
-    vals = [v for v in values if v is not None]
-    return statistics.median(vals) if vals else None
-
-
 def aggregate_summaries(summaries: list[ScenarioSummary]) -> dict[str, Any]:
-    def fraction_rejecting(pick):
-        reports = [pick(s) for s in summaries]
-        reports = [r for r in reports if r is not None]
-        if not reports:
-            return None
-        return sum(r.reject for r in reports) / len(reports)
-
-    return {
-        "replications": len(summaries),
-        "seeds": [s.seed for s in summaries],
-        "median_final_log10_capital": _median(
-            [s.final_log10_capital for s in summaries]),
-        "median_max_log10_capital": _median(
-            [s.max_log10_capital for s in summaries]),
-        "median_coverage_pre": _median([s.coverage_pre for s in summaries]),
-        "median_coverage_post": _median([s.coverage_post for s in summaries]),
-        "median_mean_width_pre": _median(
-            [s.mean_width_pre for s in summaries]),
-        "median_mean_width_post": _median(
-            [s.mean_width_post for s in summaries]),
-        "fraction_ks_all_reject": fraction_rejecting(lambda s: s.ks_all),
-        "fraction_ks_pre_reject": fraction_rejecting(lambda s: s.ks_pre),
-        "fraction_ks_post_reject": fraction_rejecting(lambda s: s.ks_post),
-    }
+    """Each KS field of ScenarioSummary gives fraction_<field>_reject and
+    each other field but seed gives median_<field>, over the replications
+    where it is not None; None where it is None in all of them."""
+    agg: dict[str, Any] = {"replications": len(summaries),
+                           "seeds": [s.seed for s in summaries]}
+    for f in fields(ScenarioSummary):
+        values = [v for s in summaries
+                  if (v := getattr(s, f.name)) is not None]
+        if f.name.startswith("ks_"):
+            agg[f"fraction_{f.name}_reject"] = (
+                sum(r.reject for r in values) / len(values)
+                if values else None)
+        elif f.name != "seed":
+            agg[f"median_{f.name}"] = (statistics.median(values) if values
+                                       else None)
+    return agg
 
 
 def describe_change(cfg: ScenarioConfig) -> dict[str, Any]:
@@ -428,7 +421,5 @@ def describe_change(cfg: ScenarioConfig) -> dict[str, Any]:
         "cond2_residual": report.cond2_residual,
         "cryptic_line_y_at_post_mu_x": on_line_y,
         "post_mu_y_offset_from_line": cfg.post.mu_y - on_line_y,
-        "same_covariance": (cfg.pre.sigma_x == cfg.post.sigma_x
-                            and cfg.pre.sigma_y == cfg.post.sigma_y
-                            and cfg.pre.rho_cov == cfg.post.rho_cov),
+        "same_covariance": _same_covariance(cfg.pre, cfg.post),
     }

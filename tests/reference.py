@@ -269,7 +269,7 @@ def write_csvs(out: Path, n_pre: int, xs: np.ndarray, ys: np.ndarray,
                for i, p in enumerate(pvalues)))
     write_csv(out / "martingale.csv", ["step", "log10_capital"],
               ([str(i), fmt(c)] for i, c in enumerate(trajectory)))
-    interval_rows = () if intervals is None else zip(
+    interval_rows = zip(
         range(2, n + 1), intervals.center.tolist(),
         intervals.lower.tolist(), intervals.upper.tolist(),
         intervals.width.tolist(), intervals.covered.tolist())

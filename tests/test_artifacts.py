@@ -42,7 +42,7 @@ def test_block_writer_matches_reference_bytes(tmp_path, n, n_pre):
     rng = np.random.default_rng(n * 100_003 + n_pre)
     xs, ys, pvalues, trajectory = (floats(rng, n), floats(rng, n),
                                    floats(rng, n), floats(rng, n + 1))
-    intervals = None if n == 1 else IntervalSeries(
+    intervals = IntervalSeries(  # empty when n == 1
         center=floats(rng, n - 1), lower=floats(rng, n - 1),
         upper=floats(rng, n - 1), width=floats(rng, n - 1),
         covered=rng.random(n - 1) < 0.5)

@@ -9,7 +9,9 @@ import pytest
 import yaml
 
 from reference import left_sum
-from seqconformal import ConfigError, ScenarioConfig, run_replications, run_scenario
+from seqconformal import (BivariateGaussian, ConfigError,
+                          OracleMahalanobisEnsemble, ScenarioConfig,
+                          ScenarioSummary, run_replications, run_scenario)
 from seqconformal.cli import main as cli_main
 from seqconformal.intervals import IntervalSeries
 from seqconformal.scenario import (MeasureSpec, _phase_means,
@@ -252,6 +254,17 @@ class TestConfigParsing:
             MeasureSpec("psychic")
         assert err.value.field_name == "measure.kind"
 
+    def test_omitted_keys_take_dataclass_defaults(self, tmp_path):
+        post = {**BASE["pre"], "mu_x": 2.0}
+        required = {"pre": BASE["pre"], "post": post, "n_pre": 30,
+                    "n_post": 40, "seed": 3}
+        cfg = ScenarioConfig.from_dict(required, base_dir=tmp_path)
+        assert cfg == ScenarioConfig(
+            BivariateGaussian(**BASE["pre"]), BivariateGaussian(**post),
+            30, 40, 3, output_dir=tmp_path / "out")
+        ensemble = make_config(tmp_path, measure={"kind": "ensemble"})
+        assert ensemble.measure.lam == OracleMahalanobisEnsemble.lam
+
     def test_from_file_round_trips(self, tmp_path):
         path = write_config(tmp_path)
         cfg = ScenarioConfig.from_file(path)
@@ -362,6 +375,13 @@ class TestRunScenario:
         cfg = ScenarioConfig.from_file(SCENARIOS / f"{name}.cfg")
         assert artifact_digests(cfg, tmp_path) == GOLDEN_FULL[name]
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_override_range(self, tmp_path, seed):
+        cfg = make_config(tmp_path, n_pre=50, n_post=50)
+        with pytest.raises(ConfigError) as err:
+            run_scenario(cfg, seed=seed, write_artifacts=False)
+        assert err.value.field_name == "seed"
+
     @pytest.mark.parametrize("kind", MEASURE_KINDS)
     @pytest.mark.parametrize("n_pre,n_post", [(1, 0), (0, 1)])
     def test_one_example_stream(self, tmp_path, kind, n_pre, n_post):
@@ -427,7 +447,7 @@ class TestPhaseMeans:
         assert _phase_means(series, 1, 3) == (1.0, 1.5)
         assert _phase_means(series, 3, 5) == (1.0, 6.0)
         assert _phase_means(series, 5, 5) == (None, None)
-        assert _phase_means(None, 1, 5) == (None, None)
+        assert _phase_means(series_of_widths([]), 1, 5) == (None, None)
 
 
 class TestReplications:
@@ -452,6 +472,36 @@ class TestReplications:
             output_dir=tmp_path / "out")
         run_replications(cfg)
         assert tree_digests(cfg.output_dir) == GOLDEN_REPLICATIONS[name]
+
+    def test_last_seeds_of_the_range_run(self, tmp_path):
+        # run_scenario checks each seed override as the seed of one run
+        cfg = make_config(tmp_path, seed=2**64 - 2, replications=2,
+                          n_pre=50, n_post=50)
+        summaries = run_replications(cfg, write_artifacts=False)
+        assert [s.seed for s in summaries] == [2**64 - 2, 2**64 - 1]
+
+    def test_aggregate_keys_follow_summary_fields(self, tmp_path):
+        # n_post = 0 leaves every post-change field None in each replication
+        cfg = make_config(tmp_path, replications=3, n_pre=100, n_post=0)
+        summaries = run_replications(cfg, write_artifacts=False)
+        agg = aggregate_summaries(summaries)
+        names = [f.name for f in dataclasses.fields(ScenarioSummary)]
+        assert set(agg) == (
+            {"replications", "seeds"}
+            | {f"fraction_{n}_reject" for n in names if n.startswith("ks_")}
+            | {f"median_{n}" for n in names
+               if not n.startswith("ks_") and n != "seed"})
+        for key in ("fraction_ks_post_reject", "median_coverage_post",
+                    "median_mean_width_post"):
+            assert agg[key] is None, key
+        # A field that is None in some replications is taken over the rest.
+        summaries[0] = dataclasses.replace(summaries[0], coverage_pre=None,
+                                           ks_pre=None)
+        agg = aggregate_summaries(summaries)
+        assert agg["median_coverage_pre"] == (
+            summaries[1].coverage_pre + summaries[2].coverage_pre) / 2
+        assert agg["fraction_ks_pre_reject"] == sum(
+            s.ks_pre.reject for s in summaries[1:]) / 2
 
     def test_aggregate_file_deterministic(self, tmp_path):
         cfg_a = make_config(tmp_path / "a", replications=2, n_pre=100,
