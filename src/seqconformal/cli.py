@@ -81,6 +81,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         summaries = run_replications(cfg)
+    except ConfigError as exc:  # a draw of the configured model overflowed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

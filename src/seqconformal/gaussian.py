@@ -90,6 +90,16 @@ def residual(q: BivariateGaussian, x, y):
     return y - conditional_mean(q, x)
 
 
+class NonFiniteDraw(ValueError):
+    """A draw of `sample_arrays` that overflowed: its 0-based index among
+    the draws of the call, and its (x, y)."""
+
+    def __init__(self, index: int, x: float, y: float):
+        self.index, self.x, self.y = index, x, y
+        super().__init__(
+            f"draw {index} is not finite: (x, y) = ({x!r}, {y!r})")
+
+
 def sample_arrays(q: BivariateGaussian, rng: RandomStream,
                   n: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw n examples from q, reproducibly, as x and y float64 arrays.
@@ -100,7 +110,8 @@ def sample_arrays(q: BivariateGaussian, rng: RandomStream,
     platform, but the normals are only as portable as numpy's float64
     `log`, `sin` and `cos`: numpy's AVX-512 `log` differs from glibc's in
     the last bit on about 4 draws in 1,000, so the exact stream can differ
-    between CPUs.
+    between CPUs. A draw that overflows raises `NonFiniteDraw`, naming
+    the first such draw.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -115,10 +126,14 @@ def sample_arrays(q: BivariateGaussian, rng: RandomStream,
     # lower Cholesky factor of the covariance matrix
     l21 = q.rho_cov / q.sigma_x
     l22 = math.sqrt(q.sigma_y**2 - l21 * l21)
-    xs = q.mu_x + q.sigma_x * z1
-    ys = q.mu_y + l21 * z1 + l22 * z2
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise ValueError("example coordinates must be finite")
+    # An overflow is reported below, with the draw it happened in.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = q.mu_x + q.sigma_x * z1
+        ys = q.mu_y + l21 * z1 + l22 * z2
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteDraw(i, float(xs[i]), float(ys[i]))
     return xs, ys
 
 

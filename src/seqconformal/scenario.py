@@ -9,10 +9,11 @@ artifacts plus a JSON summary. Runs are fully deterministic per seed: the
 data stream and the tie-breaking stream are independent substreams of
 the scenario seed.
 
-The CSV artifacts are written by one table writer, `_write_table`. Each
-table has one %-style row format (steps and `covered` as `%d`, floats as
-`%.17g`), and the rows go out in blocks of `BLOCK_ROWS`, each block formatted
-by a single `%` over its interleaved column values.
+The CSV artifacts are written by one table writer, `_write_table`. Its
+rows go out in blocks of `BLOCK_ROWS`: each block is one rows x columns
+float64 matrix (the step, then the table's columns), turned into text by a
+single `_csvtext.csv_rows` call. The bytes are those of `%.17g` for every
+float and of `%d` for the steps and `covered`, built in numpy.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .conformity import (ConformityMeasure, LikelihoodRatio, Mahalanobis,
                          OracleMahalanobisEnsemble, PredictiveOracle)
 from .cryptic import (_same_covariance, cryptic_line, cryptic_shift,
                       verify_conditions)
-from .gaussian import BivariateGaussian, sample_arrays
+from .gaussian import BivariateGaussian, NonFiniteDraw, sample_arrays
 from .intervals import IntervalSeries, interval_series
 from .martingale import JumperConfig, log10_capital
 from .rng import RandomStream
@@ -41,9 +42,13 @@ from .transducer import smoothed_pvalues
 DATA_SUBSTREAM = 0
 TAU_SUBSTREAM = 1
 
-# Rows of a CSV artifact formatted per `%` operation; a block bounds the
-# text held in memory at once.
-BLOCK_ROWS = 4096
+# Rows of a CSV artifact formatted per `csv_rows` call; a block bounds the
+# memory that formatting holds at once.
+BLOCK_ROWS = 1024
+# The end bytes of a row, NUL-padded: without a phase field, and with
+# `pre` or `post`.
+_ROW_END = np.frombuffer(b"\n", np.uint8)[None, :]
+_PHASE_ENDS = np.frombuffer(b",pre\n\0,post\n", np.uint8).reshape(2, 6)
 
 
 class ConfigError(ValueError):
@@ -247,51 +252,45 @@ class ScenarioSummary:
         return asdict(self)
 
 
-def _write_table(path: Path, header: str, row_format: str, steps: range,
+def _write_table(path: Path, header: str, first_step: int,
                  columns: Sequence[np.ndarray],
                  n_pre: int | None = None) -> None:
-    """Write a CSV of the header line and one row per step.
+    """Write a CSV of the header line and one row per element of the columns.
 
-    The row of steps[i] is row_format % (steps[i], columns[0][i], ...).
-    With n_pre, each row also ends in a phase field: `pre` for the first
-    n_pre rows and `post` after. "%.17g" % x and "%d" % v give the bytes
-    of format(x, ".17g") and str(int(v)).
+    Row i is the step first_step + i and columns[0][i], columns[1][i], ...,
+    each as '%.17g' formats it ('%d' for the steps and for bools). With
+    n_pre, each row also ends in a phase field: `pre` for the first n_pre
+    rows and `post` after.
     """
-    if n_pre is None:
-        pre_row = post_row = row_format + "\n"
-        n_pre = len(steps)
-    else:
-        pre_row = row_format + ",pre\n"
-        post_row = row_format + ",post\n"
-    width = 1 + len(columns)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(steps), BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, len(steps))
-            values: list[Any] = [None] * ((stop - start) * width)
-            values[0::width] = steps[start:stop]
+    # Imported here, so that a run without artifacts never builds the
+    # formatter's tables: with the numpy code they touch, about 1 MiB.
+    from ._csvtext import csv_rows
+
+    n = len(columns[0])
+    with path.open("wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, n, BLOCK_ROWS):
+            rows = np.arange(start, min(start + BLOCK_ROWS, n))
+            block = np.empty((len(rows), 1 + len(columns)))
+            block[:, 0] = rows + first_step
             for j, column in enumerate(columns, 1):
-                values[j::width] = column[start:stop].tolist()
-            pre = min(max(n_pre - start, 0), stop - start)
-            fh.write((pre_row * pre + post_row * (stop - start - pre))
-                     % tuple(values))
+                block[:, j] = column[start:start + len(rows)]
+            ends = (_ROW_END if n_pre is None
+                    else _PHASE_ENDS[(rows >= n_pre).astype(np.intp)])
+            fh.write(csv_rows(block, ends))
 
 
 def _write_csvs(out: Path, n_pre: int, xs: np.ndarray, ys: np.ndarray,
                 pvalues: np.ndarray, trajectory: np.ndarray,
                 intervals: IntervalSeries) -> None:
     """stream.csv, pvalues.csv, martingale.csv and intervals.csv."""
-    n = len(xs)
-    _write_table(out / "stream.csv", "step,x,y,phase", "%d,%.17g,%.17g",
-                 range(1, n + 1), (xs, ys), n_pre)
-    _write_table(out / "pvalues.csv", "step,pvalue,phase", "%d,%.17g",
-                 range(1, n + 1), (pvalues,), n_pre)
-    _write_table(out / "martingale.csv", "step,log10_capital", "%d,%.17g",
-                 range(n + 1), (trajectory,))
+    _write_table(out / "stream.csv", "step,x,y,phase", 1, (xs, ys), n_pre)
+    _write_table(out / "pvalues.csv", "step,pvalue,phase", 1, (pvalues,),
+                 n_pre)
+    _write_table(out / "martingale.csv", "step,log10_capital", 0,
+                 (trajectory,))
     _write_table(out / "intervals.csv",
-                 "step,center,lower,upper,width,covered",
-                 "%d,%.17g,%.17g,%.17g,%.17g,%d",
-                 range(2, n + 1),
+                 "step,center,lower,upper,width,covered", 2,
                  (intervals.center, intervals.lower, intervals.upper,
                   intervals.width, intervals.covered))
 
@@ -320,7 +319,9 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     """Sample, transduce, bet, predict, summarize.
 
     seed/output_dir override the config values (used by replications). The
-    seed override is checked like a file value, as the seed of one run.
+    seed override is checked like a file value, as the seed of one run. A
+    draw that overflows raises ConfigError naming its phase, seed, 1-based
+    step and (x, y).
     """
     if seed is not None:
         cfg = replace(cfg, seed=seed, replications=1)
@@ -328,8 +329,17 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     data_rng = root.substream(DATA_SUBSTREAM)
     tau_rng = root.substream(TAU_SUBSTREAM)
 
-    pre_xs, pre_ys = sample_arrays(cfg.pre, data_rng, cfg.n_pre)
-    post_xs, post_ys = sample_arrays(cfg.post, data_rng, cfg.n_post)
+    phases = []
+    for phase, model, n, first_step in (("pre", cfg.pre, cfg.n_pre, 1),
+                                        ("post", cfg.post, cfg.n_post,
+                                         cfg.n_pre + 1)):
+        try:
+            phases.append(sample_arrays(model, data_rng, n))
+        except NonFiniteDraw as exc:
+            raise ConfigError(phase, (
+                f"seed {cfg.seed}, step {first_step + exc.index}: the draw "
+                f"(x, y) = ({exc.x!r}, {exc.y!r}) is not finite")) from exc
+    (pre_xs, pre_ys), (post_xs, post_ys) = phases
     xs = np.concatenate((pre_xs, post_xs))
     ys = np.concatenate((pre_ys, post_ys))
     measure = cfg.measure.build(cfg.pre, cfg.post)

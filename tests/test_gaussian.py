@@ -9,6 +9,7 @@ from reference import conditional_density, covariance, mean
 from seqconformal import (BivariateGaussian, Example, RandomStream, columns,
                           conditional_mean, conditional_variance, residual,
                           sample, sample_arrays)
+from seqconformal.gaussian import NonFiniteDraw
 
 
 def random_model(rng: np.random.Generator) -> BivariateGaussian:
@@ -153,6 +154,20 @@ class TestSampling:
             sample_arrays(q, RandomStream(1), 100)
         with pytest.raises(ValueError, match="finite"):
             sample(q, RandomStream(1), 100)
+
+    def test_first_non_finite_draw_is_named(self):
+        # With sigma_x = 1e308, x is 1e308 times the unit-scale x.
+        unit, _ = sample_arrays(BivariateGaussian(0, 0, 1, 1, 0),
+                                RandomStream(5), 200)
+        with np.errstate(over="ignore"):
+            first = int(np.argmax(np.isinf(unit * 1e308)))
+        assert first > 0
+        with pytest.raises(NonFiniteDraw) as info:
+            sample_arrays(BivariateGaussian(0, 0, 1e308, 1, 0),
+                          RandomStream(5), 200)
+        assert info.value.index == first
+        assert info.value.x == math.copysign(math.inf, unit[first])
+        assert f"draw {first} " in str(info.value)
 
     def test_residual_of_arrays_matches_floats(self):
         q = BivariateGaussian(1.0, -1.0, 1.5, 0.8, 0.6)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -212,3 +212,66 @@ class TestInlineRecurrence:
         assert all(type(v) is float for v in values)
         assert repr(list(enumerate(values))) == repr(
             folded_trajectory(JumperConfig(), ps))
+
+
+U = 2.0**-53  # unit roundoff of float64
+
+
+def fairness_tolerance(k: int, log10_totals: tuple[float, float]) -> float:
+    """The rounding budget of |log10 S(prefix + [1/2]) - log10 S(prefix)|
+    on a grid of k bets, to first order in U.
+
+    At p = 1/2 every bet 1 + eps * (p - 1/2) is exactly 1.0, so the step
+    only mixes, and in exact arithmetic it keeps the total T:
+    (1 - J) * sum(c) + k * (J / k) * T = T, where T = sum(c).
+    - T, the carried total, is the left-to-right sum of the capitals c:
+      sum(c) = T * (1 + t) with |t| <= (k - 1) U.
+    - keep = fl(1 - J) and k * fl(J / k) are each off by a relative U.
+    - Each new capital keep * c_i + share * T rounds three times (two
+      products and a sum), so it is off by a relative 3 U; all terms are
+      positive.
+    - Summing the k new capitals rounds k - 1 more times.
+    So the new total is T (1 + e) with |e| <= (2k + 2) U. A rescale on that
+    step divides each capital by fl(10**m) and sums again: (k + 1) U more.
+    log10(1 + e) <= |e| / ln 10. The two log10 totals lie in [-7, 7], where
+    a float's ulp is at most 2**-50, and glibc's log10 is within 2 ulp, so
+    they add 4 * 2**-50. Adding the decimal scale rounds each result by
+    half its ulp.
+    """
+    relative = (3 * k + 3) * U * 1.01  # 1 % covers the second order
+    return (relative / math.log(10) + 4 * 2.0**-50
+            + math.ulp(max(abs(v) for v in log10_totals)))
+
+
+class TestExactFairness:
+    """S_n is affine in p_n, and mixing is linear, so E[S_n | p_1..p_{n-1}]
+    under a uniform p_n is S_n at p_n = 1/2: the martingale property is
+    that this equals S_{n-1}, for every prefix, grid and jump rate."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=7),
+           jump_rate=st.floats(0.0, 1.0, exclude_max=True),
+           prefix=st.lists(st.floats(0.0, 1.0), max_size=100))
+    @example(grid=[1.0], jump_rate=0.0, prefix=[1.0] * 40)
+    @example(grid=[1.0], jump_rate=0.0, prefix=[0.0] * 40)
+    @example(grid=[-1.0, 0.0, 1.0], jump_rate=0.01,
+             prefix=[0.0, 1.0] * 50)
+    def test_half_is_the_conditional_mean(self, grid, jump_rate, prefix):
+        cfg = JumperConfig(epsilons=tuple(grid), jump_rate=jump_rate)
+        before = log10_capital(cfg, prefix)[-1]
+        after = log10_capital(cfg, prefix + [0.5])[-1]
+        assert abs(after - before) <= fairness_tolerance(
+            len(grid), (before, after))
+
+    @pytest.mark.parametrize("p,direction", [(1.0, 1), (0.0, -1)])
+    def test_fair_at_every_step_through_rescales(self, p, direction):
+        # Under the grid (1.0,) with no jumps every bet multiplies the
+        # capital by 1 + (p - 1/2): 1.5 per step passes 10**6 at step 35,
+        # 0.5 per step passes 10**-6 at step 20, and each rescales.
+        cfg = JumperConfig(epsilons=(1.0,), jump_rate=0.0)
+        trajectory = log10_capital(cfg, [p] * 60)
+        assert direction * trajectory[-1] > 6
+        for n, before in enumerate(trajectory):
+            after = log10_capital(cfg, [p] * n + [0.5])[-1]
+            assert abs(after - before) <= fairness_tolerance(
+                1, (before, after))

@@ -362,6 +362,21 @@ class TestRunScenario:
         assert math.isfinite(summary.final_log10_capital)
         assert math.isfinite(summary.mean_width_post)
 
+    @pytest.mark.parametrize("phase", ["pre", "post"])
+    def test_non_finite_draw_names_phase_and_step(self, tmp_path, phase):
+        model = {**BASE["pre"], "sigma_x": 1.0e308, "rho_cov": 0.0}
+        cfg = make_config(tmp_path, **{phase: model})
+        with pytest.raises(ConfigError) as info:
+            run_scenario(cfg)
+        step = int(info.value.reason.split("step ")[1].split(":")[0])
+        first = 1 if phase == "pre" else cfg.n_pre + 1
+        assert info.value.field_name == phase
+        assert first <= step < first + 300
+        # the step is that of the first overflow in the phase's draws
+        assert step - first == info.value.__cause__.index
+        assert "inf" in info.value.reason
+        assert not cfg.output_dir.exists()
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_2K))
     def test_shipped_config_artifacts_match_golden_digests(self, tmp_path,
                                                            name):
@@ -595,6 +610,21 @@ class TestCli:
         assert cli_main(["run", "--config", str(path),
                          "--replications", "2"]) == 1
         assert "'seed'" in capsys.readouterr().err
+
+    def test_non_finite_draw_exit_code(self, tmp_path, capsys):
+        # The model is valid, so verify accepts it, but about 7 % of its x
+        # draws overflow to inf.
+        path = write_config(tmp_path, pre={
+            "mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e+308, "sigma_y": 1.0,
+            "rho_cov": 0.0})
+        assert cli_main(["verify", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: config field 'pre': seed 7, step ")
+        assert "is not finite" in err[0]
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
