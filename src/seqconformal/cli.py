@@ -76,7 +76,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
     if args.command == "verify":
-        print(json.dumps(describe_change(cfg), indent=2, sort_keys=True))
+        info = describe_change(cfg)
+        try:  # JSON has no nan or infinity; dumps raises before any output
+            print(json.dumps(info, indent=2, sort_keys=True, allow_nan=False))
+        except ValueError:
+            print("error: verify: a reported value is not finite for this "
+                  "config", file=sys.stderr)
+            return EXIT_CONFIG
         return EXIT_OK
 
     try:

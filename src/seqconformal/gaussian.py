@@ -18,8 +18,6 @@ import numpy as np
 
 from .rng import RandomStream
 
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class BivariateGaussian:
@@ -104,25 +102,16 @@ def sample_arrays(q: BivariateGaussian, rng: RandomStream,
                   n: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw n examples from q, reproducibly, as x and y float64 arrays.
 
-    Two uniforms per example feed a Box-Muller transform; the resulting
-    standard-normal pair is pushed through the lower Cholesky factor of the
-    covariance and shifted by the mean. The uniforms are the same on every
-    platform, but the normals are only as portable as numpy's float64
-    `log`, `sin` and `cos`: numpy's AVX-512 `log` differs from glibc's in
-    the last bit on about 4 draws in 1,000, so the exact stream can differ
-    between CPUs. A draw that overflows raises `NonFiniteDraw`, naming
-    the first such draw.
+    Example i is normals 2i and 2i+1 of numpy's ziggurat `standard_normal`
+    (so a stream's first k examples are its k-example stream) through the
+    covariance's lower Cholesky factor, plus the mean. The ziggurat calls
+    no SIMD transcendental, only libm `exp`/`log1p` in rare branches, so
+    for one numpy and one libm the draws are the same at every SIMD
+    dispatch level. The first overflowing draw raises `NonFiniteDraw`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return np.zeros(0), np.zeros(0)
-    u = rng.uniforms(2 * n).reshape(n, 2)
-    u1 = 1.0 - u[:, 0]  # (0, 1]: keeps log() finite
-    radius = np.sqrt(-2.0 * np.log(u1))
-    theta = _TWO_PI * u[:, 1]
-    z1 = radius * np.cos(theta)
-    z2 = radius * np.sin(theta)
+    z1, z2 = rng.normals(2 * n).reshape(n, 2).T
     # lower Cholesky factor of the covariance matrix
     l21 = q.rho_cov / q.sigma_x
     l22 = math.sqrt(q.sigma_y**2 - l21 * l21)

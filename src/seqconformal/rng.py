@@ -1,10 +1,10 @@
 """Seedable random streams with deterministic substreams.
 
 All randomness in the package flows through :class:`RandomStream`, a thin
-wrapper over numpy's PCG64 generator. A stream is identified by its
-64-bit seed plus a path of substream indices, so e.g. the data stream and
-the tie-breaking stream of a scenario are derived independently and
-changing how much one consumes never perturbs the other.
+wrapper over numpy's PCG64 generator (`uniforms`, ziggurat `normals`). A
+stream is identified by its 64-bit seed plus a path of substream indices,
+so the data and tie-breaking streams of a scenario are derived
+independently and changing how much one consumes never perturbs the other.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 
 class RandomStream:
-    """PCG64-backed uniform stream, addressable by (seed, substream path)."""
+    """PCG64-backed random stream, addressable by (seed, substream path)."""
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed)
@@ -29,6 +29,10 @@ class RandomStream:
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform draws from [0, 1)."""
         return self._gen.random(int(n))
+
+    def normals(self, n: int) -> np.ndarray:
+        """n standard normal draws (numpy's ziggurat)."""
+        return self._gen.standard_normal(int(n))
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, path={self.path})"

@@ -136,6 +136,14 @@ class TestSampling:
         cx, cy = columns(zs)
         assert cx.tolist() == xs.tolist() and cy.tolist() == ys.tolist()
 
+    def test_shorter_stream_is_a_prefix(self):
+        # Example i takes normals 2i and 2i+1; a (2, n) layout fails this.
+        q = BivariateGaussian(1.0, -1.0, 1.5, 0.8, 0.6)
+        xs, ys = sample_arrays(q, RandomStream(12), 10)
+        xs4, ys4 = sample_arrays(q, RandomStream(12), 4)
+        assert xs[:4].tolist() == xs4.tolist()
+        assert ys[:4].tolist() == ys4.tolist()
+
     def test_empty_arrays_draw_nothing(self):
         q = BivariateGaussian(0, 0, 1, 1, 0.5)
         rng = RandomStream(8)

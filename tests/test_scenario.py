@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 import yaml
 
 from reference import left_sum
+import seqconformal
 from seqconformal import (BivariateGaussian, ConfigError,
                           OracleMahalanobisEnsemble, ScenarioConfig,
                           ScenarioSummary, run_replications, run_scenario)
@@ -21,110 +25,111 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ARTIFACTS = ("stream.csv", "pvalues.csv", "martingale.csv", "intervals.csv",
              "summary.json")
 MEASURE_KINDS = ("oracle", "mahalanobis", "likelihood_ratio", "ensemble")
+# numpy's AVX-512 and AVX2 kernels switched off: the dispatch of a CPU
+# without them, on one that has them.
+REDUCED_DISPATCH = "X86_V4 AVX512_ICL AVX512_SPR X86_V3"
 
 # SHA-256 of every artifact of the shipped configs cut to 2000 + 2000 steps,
 # taken with Python 3.11.7 and numpy 2.4.6. The digests pin the bytes across
-# refactors of the pipeline; a numpy whose PCG64 or float formatting differs
-# may legitimately change them. The intervals.csv digests were retaken
-# when the half-width became the stored |r| itself in place of the
-# exp/log round trip through the oracle density (last-digit changes).
-# The ensemble's pvalues.csv, martingale.csv and summary.json digests were
-# retaken when it began to standardize its components by their moments
-# under Q0 in place of running moments over the stream.
+# refactors of the pipeline; a numpy whose PCG64, ziggurat normals or float
+# formatting differ may legitimately change them. All three golden tables
+# were retaken when the data stream moved from a Box-Muller transform of
+# uniforms to numpy's `standard_normal`; the same bytes came out at numpy's
+# default SIMD dispatch and with AVX-512 and AVX2 switched off
+# (test_golden_digests_do_not_depend_on_simd_dispatch checks the latter).
 GOLDEN_2K = {
     "cryptic": {
-        "stream.csv": "29644ef141b54d8f1954cac918b896aea74e1d6cb4774ba1c58fa390a753f7e2",
-        "pvalues.csv": "8bf93144e1d112c2fed5fc6613429bb276fb130c5aed186c817243ada08492fa",
-        "martingale.csv": "3eace3cc4f59890de884ad1c6a8033e7595794e0f7b9a692877d029c97097deb",
-        "intervals.csv": "06d6ebece7936168f35f5fa03900abe217ade5d76b7b2b158c6cdde3ff28351f",
-        "summary.json": "629bb39623eb66b26194cf4d82abf3214a58224790af1c6883cd21a2c9245137",
+        "intervals.csv": "c358e0aeec75909fdf6952e082e597e470e19805b1d3169c21720aec9a859276",
+        "martingale.csv": "aeb7d520c3c11a6dfdcfa40c9f9d1b04813aee5056707ab5192cf53c142dd7c7",
+        "pvalues.csv": "5bccbd2b1ebf783148ad0b082a8b4587089f8cf66588eefccabca54a049d96cc",
+        "stream.csv": "f60ce783d67846082005d5883d154e4edc265aeb2df7fbb804bed086484978b4",
+        "summary.json": "44747cbe723497287b5363f3fb15a8a55bb51e2102efbb0ad4e8ec7ac019b21c",
     },
     "ensemble_cryptic": {
-        "stream.csv": "29644ef141b54d8f1954cac918b896aea74e1d6cb4774ba1c58fa390a753f7e2",
-        "pvalues.csv": "049e5d3021ea7f3ff3b0df198c1717e8db7f6b1e1385a30f5a9078887994559f",
-        "martingale.csv": "b31671889fad3d83e53803932b9b7a89307786d9b69c269814a3a68370e38067",
-        "intervals.csv": "06d6ebece7936168f35f5fa03900abe217ade5d76b7b2b158c6cdde3ff28351f",
-        "summary.json": "178d8d57841611fb9411a225a598216a11cdb82f3b373273903d19d8752789d9",
+        "intervals.csv": "c358e0aeec75909fdf6952e082e597e470e19805b1d3169c21720aec9a859276",
+        "martingale.csv": "93d4e4acccc711256751e3f5f5b835b01feffc043440e80d97f8c831a6ef702b",
+        "pvalues.csv": "d824250c2c02b3522b0f21701ca1662d919a564084e973629436510d3628c6e8",
+        "stream.csv": "f60ce783d67846082005d5883d154e4edc265aeb2df7fbb804bed086484978b4",
+        "summary.json": "17f6db8df58d644e2e5c8a00b5397e404fcad445e92109c8780d12eef3af0cd4",
     },
     "non_cryptic": {
-        "stream.csv": "d68e6edd66744a65f4fcf7f6203dc9068c83a1759d654d8dc1022184769a44e1",
-        "pvalues.csv": "0ecae4dae4570dd1b738dfa19b32bc2251ced923b9f71f7f63fbd74f0fd038a3",
-        "martingale.csv": "fc44d899e90493dfca0c90bceb781ae21feac10ca2fe45e907d5e1244858bd19",
-        "intervals.csv": "07ce978061566a1289b9f3800ac550fb943bedf07e4a08e7146bbaafd8295cf9",
-        "summary.json": "82c801b67150a38c07e4def96312251e76d9e39ceba614adc8881cdf362e9a59",
+        "intervals.csv": "9e0781f2f8852e9a87112422462dcb8e5b67f41e232a8345a0e84c03415287e5",
+        "martingale.csv": "4117181738fb13ac878404fd4ed7832b2a049ab060b6fe0f3fa40797565d0825",
+        "pvalues.csv": "e2471cc4e7528c4e6eea6cb1b431af8f45fc67af050be6bd4037591fba507132",
+        "stream.csv": "65545a51139a30030f3f6366e93de7f1ffe593131914a31269830c5d74979de4",
+        "summary.json": "ad65b4a1b8d55a7ed2b3b6d9aabab926535eeef4f6e7db7626868ea72827fb7c",
     },
 }
 
 # SHA-256 of every artifact of the shipped configs at their full 10000 +
-# 10000 steps, taken with Python 3.11.7 and numpy 2.4.6 from the writer
-# that formatted each value with its own format(x, ".17g") call (now
-# `reference.write_csvs`), before the block writer replaced it. Unlike
-# GOLDEN_2K, each CSV here spans several blocks of the writer.
+# 10000 steps, taken with Python 3.11.7 and numpy 2.4.6; the writer that
+# formats each value with its own format(x, ".17g") call,
+# `reference.write_csvs`, gives the same bytes. Unlike GOLDEN_2K, each CSV
+# here spans several blocks of the writer.
 GOLDEN_FULL = {
     "cryptic": {
-        "stream.csv": "2697bd674eafc0581833cf989b2b46b086cfe14110ffee573bc49b6c3e256f8c",
-        "pvalues.csv": "edf2d12403fab70379c7d3e40542bb32a08e33c16d108699322e1b4d37a900de",
-        "martingale.csv": "cd4fc9029167a068c1302e539d9dc485f1bb1422220c4105f8ea0a402d9c8eea",
-        "intervals.csv": "e06206f5e98397aae9962c6f9e8764df77815f018095004b77a3007e19a531b9",
-        "summary.json": "fc0777bbcb4421b30115d11bf631c3aafa32d49a905a3b35083bbc58686a3d56",
+        "intervals.csv": "49d978387279cfb8f5bec59eabdb0edd27ea8bc767f67b133a005a08a1565239",
+        "martingale.csv": "cfe22f579c8e00d00c9264cfc357e4f6785e0c728617e82e81d9fdb7dff8cf4e",
+        "pvalues.csv": "f525c83af2b6a27008f7f2d5a63973b036559f6d40501831e7ff957d85c8e887",
+        "stream.csv": "4955184dc0e09c9b49607090301e37ee3ba1dcd8070fd49f51da31034c0c4fc8",
+        "summary.json": "dc20e8a76279237b2ccae2fadbc3f367739960c8f80923aa588995897e55cd14",
     },
     "ensemble_cryptic": {
-        "stream.csv": "2697bd674eafc0581833cf989b2b46b086cfe14110ffee573bc49b6c3e256f8c",
-        "pvalues.csv": "256e2f3c7eadbbd5800fed62d2ad07bc71224f4dfe48aa5554c58934b0d8457a",
-        "martingale.csv": "8ba3d1d9bf92b197455e8e7473550f380843b01b78dbcb5aa689883f998cba3d",
-        "intervals.csv": "e06206f5e98397aae9962c6f9e8764df77815f018095004b77a3007e19a531b9",
-        "summary.json": "cd15c4f68076d7ba79cf4fb8745069f32bf998c1d3c84f447fddd047059deb27",
+        "intervals.csv": "49d978387279cfb8f5bec59eabdb0edd27ea8bc767f67b133a005a08a1565239",
+        "martingale.csv": "d2b05b43183b25632a2416ef30865284ef289290203e93f591d1a91ae28103f6",
+        "pvalues.csv": "777152b60f2716a0e1764de2661074c26324883fc0199b1ffcfe13cae5cfc3df",
+        "stream.csv": "4955184dc0e09c9b49607090301e37ee3ba1dcd8070fd49f51da31034c0c4fc8",
+        "summary.json": "9c6fd89088fce8a660dbccd93bc712e34b28eb455599392086d6d2c3461c199a",
     },
     "non_cryptic": {
-        "stream.csv": "198e504e77b14b5d38c2b638c4dc129fc130ece8a27e8270fa5fa1fca7800353",
-        "pvalues.csv": "78845d038409de10334cd9856dbb9ce25ab338fb1a951ecaa2274352e7b5f346",
-        "martingale.csv": "2a7ea4839455c7a06435fdf8f4dff0cab785aa59db10277fd088463770580c77",
-        "intervals.csv": "ced96920e6b910bc211e363c2de313ed2138815ac7ba47c70100dfa4b9177e03",
-        "summary.json": "baddbec65ebc8e37750d335883c3d3712e1b1ed26baf29209c21bfd03de00b0b",
+        "intervals.csv": "b8ec24a1eb1b38224e98d3219e8b3fb891e2eb7b4eec33aca712087e2ff69735",
+        "martingale.csv": "bf5ffd22a6205e0eb6eb9acb736cbf8c0af8cac3463de83e873dcceb9cb67d22",
+        "pvalues.csv": "083757fa91e7aeee768c4ebb7ac51c35bead4b9fef8f46a12b74b1acbcdf353b",
+        "stream.csv": "f1e508e41f28f5339068129ffa6140cd66d9c41ff0fc5772a01e3e09ef7aba2a",
+        "summary.json": "5c5e016ec403d7f612c87aec35e1fab16983175c2e7b55e997d22921a962bce9",
     },
 }
 
 # SHA-256 of every file that run_replications writes for the shipped
 # configs cut to 500 + 500 steps at 3 replications (seeds 7, 8 and 9): one
 # directory per seed and aggregate.json. Taken with Python 3.11.7 and
-# numpy 2.4.6 before the Simple Jumper update became one loop per step and
-# the p-values stayed an array through the summary; neither moved a byte.
+# numpy 2.4.6.
 GOLDEN_REPLICATIONS = {
     "cryptic": {
-        "aggregate.json": "190ca539a55ff0275a700b745a50e2ab433e589817254abe86fb81db5566a1b9",
-        "seed_7/intervals.csv": "40da7bcf307e111e7492c5310be831c33c2adc03a0fca1a16da5818bbe84b744",
-        "seed_7/martingale.csv": "587d4cad172e9d78f8eed849e6d638189f3d0866e14c43861867c0abe2df9f52",
-        "seed_7/pvalues.csv": "b15e4ccddfa5f22d847234705eecae888fad1003e4311724dd3d899416f89d61",
-        "seed_7/stream.csv": "7d59eccbae8ef2ddf20454817ac8fc4823f857948439879fca0adccdd2b81b76",
-        "seed_7/summary.json": "57476bc8cd0739fc41e8abfadc1f5320b6e4b232667e96953a389297c542b8b4",
-        "seed_8/intervals.csv": "47959e3ab40a408321bd63555d64513df45e89b36e7989288c8cc4b72f0d360f",
-        "seed_8/martingale.csv": "f35832fd4ea0a815930524a37e4886622202bb8ae31c932c0d8b9305bf97881d",
-        "seed_8/pvalues.csv": "d19ec7f90ef2d00a3d90ddab06357f1b1aa47d63a21b6370ece2829526218fcd",
-        "seed_8/stream.csv": "a86419a57b3fde162033bb76759f0dd593cdc91e220641c5811e0073aa2fe69e",
-        "seed_8/summary.json": "485b7c75b4802fad8d09274c9028f446a0015567634c8ee8702d12976f05ed30",
-        "seed_9/intervals.csv": "b1b00b74bab048587d64ad5352f7c821c8f331bf7707c6bcdb71d2eebeafce6e",
-        "seed_9/martingale.csv": "5a60ffc822c3d2825c5b40c92bbc56f3291b0f8c10b34ac313b2a0eb603fcb21",
-        "seed_9/pvalues.csv": "e9b7668ba45d01ace53b40b3c39c77fc6afbcd1d59d687cd18e5d46eb300d4ce",
-        "seed_9/stream.csv": "152e1007d46453563a481ebabd39a085db9accdb895d1f20ab96a61636b7df22",
-        "seed_9/summary.json": "5aed00540e108383bba7f8e6c7a1ce389fa17d0a95140ddb4cd402682a9c3e3c",
+        "aggregate.json": "13c34251e510e8a6fc6e73bc288f7fabb5144c942047f61533349daf690efc50",
+        "seed_7/intervals.csv": "24daea67bbbf9e5e9fa4381ff74d83e9d7ef19d9db58de8d79d180aff25d9b1c",
+        "seed_7/martingale.csv": "77da6e2c07af929bb13b4b668c55c16d72d773a83a6bbf5e22036e6964a8b378",
+        "seed_7/pvalues.csv": "29dd8f9c62599bbf0daa6e4e86318fe2ddb9e1980a0ec6f9d3d496d0855cc9fa",
+        "seed_7/stream.csv": "d1bae57276ed028a7ebec9ba590829e72f5239c5cd6afdf846346e3475b491b4",
+        "seed_7/summary.json": "65b87d2a31363b09f14d3cc1d4b293f83cda1b6bae88b41a5e00984eb99fd932",
+        "seed_8/intervals.csv": "a815f0c6cb4275bca8d2791f1a6eee013460eb79a14cb317c441dcb10a396cc7",
+        "seed_8/martingale.csv": "6c07beabd5b43c30a3f06ecd07244cd1c33287466c071c3509abd2ffe0046748",
+        "seed_8/pvalues.csv": "4929113dfd370620039ba6b9f81b3d27d80a7d2807fcee14a59bd4c2f6d2e88e",
+        "seed_8/stream.csv": "a5e9f42a3e4d3b6088f0383e927a909e77d4441bb0b501544b82dfbe6ddcecd3",
+        "seed_8/summary.json": "da487640621497064f17d591aefe27917fc98140affb0295b0f2aedf5aa89dc5",
+        "seed_9/intervals.csv": "621e84705f2cebc558ef063b5800a4ca1f51da1d51bf81d58e4685205de91edc",
+        "seed_9/martingale.csv": "b317a6a98485d2433d4b6889db2034d05d139dff1b89afafa292ce66d0ac0a2b",
+        "seed_9/pvalues.csv": "2c47b8e7a145f54b6cf3cb8d455bd064f580aa95b9aad7b78e030e6947f4c7e9",
+        "seed_9/stream.csv": "bd973254c24460cd4e6e59cef4c7f349868edab4201bb014221ba4d930a4690a",
+        "seed_9/summary.json": "3ce7cadf42e0b51bac4fe405ff81319ec44f2a113a27375cdcb44575997ca136",
     },
     "ensemble_cryptic": {
-        "aggregate.json": "dea81d605ed223493bf8e336c82cd144c35311eb68736b141c8e4b67ead04f79",
-        "seed_7/intervals.csv": "40da7bcf307e111e7492c5310be831c33c2adc03a0fca1a16da5818bbe84b744",
-        "seed_7/martingale.csv": "adc7858c6fcfd92910ef1cd2b8cd04d62036e3adb8349d840d41f20396f5fe00",
-        "seed_7/pvalues.csv": "aced803b923e791c84ccd532bb042ac22f6bcf65d916b68a88345ea62475a292",
-        "seed_7/stream.csv": "7d59eccbae8ef2ddf20454817ac8fc4823f857948439879fca0adccdd2b81b76",
-        "seed_7/summary.json": "48fa8a8d3cb1753acd81384cd6e3563ddc2a3f9c86c82ea089e2abc7ca65f106",
-        "seed_8/intervals.csv": "47959e3ab40a408321bd63555d64513df45e89b36e7989288c8cc4b72f0d360f",
-        "seed_8/martingale.csv": "327813f8a9025e80dbf10e8d9b1ecaa46450fcf13dfdda03659f729be2d50f5c",
-        "seed_8/pvalues.csv": "7548ebf9c00784bf82688b1a3343e075b9e1b660ee5abe16e7b57c2627853789",
-        "seed_8/stream.csv": "a86419a57b3fde162033bb76759f0dd593cdc91e220641c5811e0073aa2fe69e",
-        "seed_8/summary.json": "a6cf0f2a517cd393885dc339b0b236686933e7a7e4de8b9555bc306cf2a3130e",
-        "seed_9/intervals.csv": "b1b00b74bab048587d64ad5352f7c821c8f331bf7707c6bcdb71d2eebeafce6e",
-        "seed_9/martingale.csv": "b5482e72ae836c632dbb1a0fb3248d477d3980389a80d8cd6e4750196b2ab06d",
-        "seed_9/pvalues.csv": "23849b34a2b8832a8d70d717ffec11d83826d9f9e7883a0ef675e93b75915403",
-        "seed_9/stream.csv": "152e1007d46453563a481ebabd39a085db9accdb895d1f20ab96a61636b7df22",
-        "seed_9/summary.json": "6c3f52bce0b0e474ac237914ce717f74dd7b9eacaf949a12f7eb6e5b580afe95",
+        "aggregate.json": "c12e582cd6f0cb8945ae7d45e680e6fd01cf33ba2df6a31a72fef10fe4d9b759",
+        "seed_7/intervals.csv": "24daea67bbbf9e5e9fa4381ff74d83e9d7ef19d9db58de8d79d180aff25d9b1c",
+        "seed_7/martingale.csv": "aef4388521fc708bbaac9747cddcf9c0ea06c9dfc30bcc166af055af89a7086a",
+        "seed_7/pvalues.csv": "fe3ac98fad1f8f481ace47070e346b32cd4b093de5d8c1ab594149c4b324a034",
+        "seed_7/stream.csv": "d1bae57276ed028a7ebec9ba590829e72f5239c5cd6afdf846346e3475b491b4",
+        "seed_7/summary.json": "fa4f0fddc65b3ec7e9f4c287abb3698ae98d028676185141e8eda59d0a3b0ea6",
+        "seed_8/intervals.csv": "a815f0c6cb4275bca8d2791f1a6eee013460eb79a14cb317c441dcb10a396cc7",
+        "seed_8/martingale.csv": "31300e6bef67a501e88f1cc50e0c6b8500d2f5a909b687b172af5927ad012be5",
+        "seed_8/pvalues.csv": "6dad562446c26efa6e39603579d734e4bfbed5fb8e290ff93d27726b0cd43873",
+        "seed_8/stream.csv": "a5e9f42a3e4d3b6088f0383e927a909e77d4441bb0b501544b82dfbe6ddcecd3",
+        "seed_8/summary.json": "4c4eebcaeb1f6ab8fffab9d5375753fbde30bb2da8b4db5ac54bc4bdb6567c1b",
+        "seed_9/intervals.csv": "621e84705f2cebc558ef063b5800a4ca1f51da1d51bf81d58e4685205de91edc",
+        "seed_9/martingale.csv": "829e531e5c97b660cbaf56400661f6ed1dd703ac05b45ff482db28d5ea0f2f12",
+        "seed_9/pvalues.csv": "61ee3b4a456dbafd5cb2b0f89ebb3153d9918cd3de07b4f5cd4a44aa120e48a0",
+        "seed_9/stream.csv": "bd973254c24460cd4e6e59cef4c7f349868edab4201bb014221ba4d930a4690a",
+        "seed_9/summary.json": "fd8276b5ad98a7f664363ce5ea4d5a2eaed771133eb9a92c1ff5c643f81f63d2",
     },
 }
 
@@ -390,6 +395,23 @@ class TestRunScenario:
         cfg = ScenarioConfig.from_file(SCENARIOS / f"{name}.cfg")
         assert artifact_digests(cfg, tmp_path) == GOLDEN_FULL[name]
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_2K))
+    def test_golden_digests_do_not_depend_on_simd_dispatch(self, tmp_path,
+                                                           name):
+        # `run --quick` cuts the stream to the 2000 + 2000 steps of
+        # GOLDEN_2K. Only the child process has the reduced dispatch; numpy
+        # warns (ImportWarning) when the CPU lacks a feature named there.
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": REDUCED_DISPATCH,
+               "PYTHONPATH": str(Path(seqconformal.__file__).parents[1])}
+        subprocess.run(
+            [sys.executable, "-W", "ignore::ImportWarning", "-m",
+             "seqconformal.cli", "run", "--config",
+             str(SCENARIOS / f"{name}.cfg"), "--quick",
+             "--output-dir", str(tmp_path)],
+            env=env, check=True)
+        assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ARTIFACTS} == GOLDEN_2K[name]
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_seed_override_range(self, tmp_path, seed):
         cfg = make_config(tmp_path, n_pre=50, n_post=50)
@@ -612,12 +634,12 @@ class TestCli:
         assert "'seed'" in capsys.readouterr().err
 
     def test_non_finite_draw_exit_code(self, tmp_path, capsys):
-        # The model is valid, so verify accepts it, but about 7 % of its x
-        # draws overflow to inf.
+        # The model is valid, but about 7 % of its x draws overflow to inf,
+        # and so does verify's +-5 sigma probe grid.
         path = write_config(tmp_path, pre={
             "mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e+308, "sigma_y": 1.0,
             "rho_cov": 0.0})
-        assert cli_main(["verify", "--config", str(path)]) == 0
+        assert cli_main(["verify", "--config", str(path)]) == 1
         capsys.readouterr()
         assert cli_main(["run", "--config", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
@@ -625,6 +647,18 @@ class TestCli:
         assert err[0].startswith("error: config field 'pre': seed 7, step ")
         assert "is not finite" in err[0]
         assert not (tmp_path / "out").exists()
+
+    def test_verify_non_finite_residual_exit_code(self, tmp_path, capsys):
+        # The probe grid mu_x +- 5 sigma_x overflows to -inf, where the
+        # conditional mean is nan; JSON has no nan, so verify prints none.
+        model = {"mu_x": -1.7e+308, "mu_y": 0.0, "sigma_x": 1.0e+307,
+                 "sigma_y": 1.0, "rho_cov": 0.0}
+        path = write_config(tmp_path, pre=model, post=model)
+        assert cli_main(["verify", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: verify: a reported value is not finite for this config"]
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
