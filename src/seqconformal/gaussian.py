@@ -77,10 +77,18 @@ def conditional_mean(q: BivariateGaussian, x):
     return q.mu_y + r * q.sigma_y * (x - q.mu_x) / q.sigma_x
 
 
+def _square(v: float) -> float:
+    """v**2 (libm pow, which x * x need not match); inf where it overflows."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
 def conditional_variance(q: BivariateGaussian) -> float:
     """Var[Y | X = x] under q; does not depend on x."""
     r = q.correlation
-    return (1.0 - r * r) * q.sigma_y**2
+    return (1.0 - r * r) * _square(q.sigma_y)
 
 
 def residual(q: BivariateGaussian, x, y):
@@ -114,7 +122,7 @@ def sample_arrays(q: BivariateGaussian, rng: RandomStream,
     z1, z2 = rng.normals(2 * n).reshape(n, 2).T
     # lower Cholesky factor of the covariance matrix
     l21 = q.rho_cov / q.sigma_x
-    l22 = math.sqrt(q.sigma_y**2 - l21 * l21)
+    l22 = math.sqrt(_square(q.sigma_y) - l21 * l21)
     # An overflow is reported below, with the draw it happened in.
     with np.errstate(over="ignore", invalid="ignore"):
         xs = q.mu_x + q.sigma_x * z1

@@ -13,6 +13,10 @@ built from unsmoothed p-values and are therefore deterministic.
 `interval_series` runs a whole stream, given as x and y arrays, and
 tracks the threshold with a two-heap streaming order statistic, O(log n)
 per step; `efficiency_series` gives its result as one record per step.
+The loop reads one `tolist()` block of `BLOCK_STEPS` steps at a time into
+a float64 array. Only the growths of the rank still to come take |r| out
+of the heap of the smaller ones, each its largest, so that heap keeps just
+that many largest values: no other can reach an interval.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import BivariateGaussian, Example, columns, conditional_mean
+from .martingale import BLOCK_STEPS
 
 
 @dataclass(frozen=True)
@@ -64,25 +69,33 @@ def interval_series(xs: np.ndarray, ys: np.ndarray, q0: BivariateGaussian,
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    n = len(xs)
     center = conditional_mean(q0, xs)
-    abs_r = np.abs(ys - center).tolist()
-    m = np.arange(1, len(xs))  # m residuals are stored at step m + 1
-    rank = np.minimum(np.ceil(epsilon * (m + 1)), m)
-    grows = (np.diff(rank, prepend=0.0) > 0).tolist()
+    abs_r = np.abs(ys - center)
+    def rank(m):  # k at m stored |r|, as a float; rank(0) is 0
+        return np.minimum(np.ceil(epsilon * (m + 1)), m)
     push, pushpop, pop = heapq.heappush, heapq.heappushpop, heapq.heappop
-    largest: list[float] = []
+    largest: list[float] = []  # one value per growth of k so far
     rest: list[float] = []  # negated
-    halfwidths = []
-    for r, grow in zip(abs_r, grows):
-        # The smaller of r and the top of largest moves on to rest.
-        push(rest, -pushpop(largest, r))
-        if grow:
-            push(largest, -pop(rest))
-        halfwidths.append(largest[0])
-    halfwidth = np.array(halfwidths)
+    halfwidth = np.empty(max(n - 1, 0))
+    for start in range(0, n - 1, BLOCK_STEPS):
+        left = int(rank(n - 1)) - len(largest)  # growths still to come
+        if len(rest) > 2 * left:  # trimming costs O(1) per step this way
+            rest = sorted(rest)[:left]  # a sorted list is a heap
+        stop = min(start + BLOCK_STEPS, n - 1)
+        grows = np.diff(rank(np.arange(start, stop + 1))) > 0
+        halfwidths = []
+        for r, grow in zip(abs_r[start:stop].tolist(), grows.tolist()):
+            # The smaller of r and the top of largest moves on to rest.
+            push(rest, -pushpop(largest, r))
+            if grow:
+                push(largest, -pop(rest))
+            halfwidths.append(largest[0])
+        halfwidth[start:stop] = halfwidths
+    del abs_r
     center = center[1:]
-    lower = center - halfwidth
     upper = center + halfwidth
+    lower = np.subtract(center, halfwidth, out=halfwidth)
     ys = ys[1:]
     return IntervalSeries(center=center, lower=lower, upper=upper,
                           width=upper - lower,

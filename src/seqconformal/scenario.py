@@ -329,34 +329,31 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     data_rng = root.substream(DATA_SUBSTREAM)
     tau_rng = root.substream(TAU_SUBSTREAM)
 
-    phases = []
-    for phase, model, n, first_step in (("pre", cfg.pre, cfg.n_pre, 1),
-                                        ("post", cfg.post, cfg.n_post,
-                                         cfg.n_pre + 1)):
+    n = cfg.n_pre + cfg.n_post
+    xs, ys = np.empty(n), np.empty(n)
+    for phase, model, lo, hi in (("pre", cfg.pre, 0, cfg.n_pre),
+                                 ("post", cfg.post, cfg.n_pre, n)):
         try:
-            phases.append(sample_arrays(model, data_rng, n))
+            xs[lo:hi], ys[lo:hi] = sample_arrays(model, data_rng, hi - lo)
         except NonFiniteDraw as exc:
             raise ConfigError(phase, (
-                f"seed {cfg.seed}, step {first_step + exc.index}: the draw "
+                f"seed {cfg.seed}, step {lo + 1 + exc.index}: the draw "
                 f"(x, y) = ({exc.x!r}, {exc.y!r}) is not finite")) from exc
-    (pre_xs, pre_ys), (post_xs, post_ys) = phases
-    xs = np.concatenate((pre_xs, post_xs))
-    ys = np.concatenate((pre_ys, post_ys))
     measure = cfg.measure.build(cfg.pre, cfg.post)
     pvalues = smoothed_pvalues(measure, xs, ys, tau_rng)
-    trajectory = log10_capital(cfg.jumper, pvalues.tolist())  # index = step
-    n = cfg.n_pre + cfg.n_post
+    trajectory = log10_capital(cfg.jumper, pvalues)  # index = step
+    # KS runs before the interval arrays exist, to keep the peak memory low.
+    ks_all, ks_pre, ks_post = (
+        ks_uniform(p, alpha=0.01) if p.size else None
+        for p in (pvalues, pvalues[:cfg.n_pre], pvalues[cfg.n_pre:]))
     intervals = interval_series(xs, ys, cfg.pre, cfg.epsilon)
 
-    pre_p, post_p = pvalues[:cfg.n_pre], pvalues[cfg.n_pre:]
     coverage_pre, mean_width_pre = _phase_means(intervals, 1, cfg.n_pre)
     coverage_post, mean_width_post = _phase_means(intervals, cfg.n_pre, n)
     summary = ScenarioSummary(
-        final_log10_capital=trajectory[-1],
-        max_log10_capital=max(trajectory),
-        ks_all=ks_uniform(pvalues, alpha=0.01),
-        ks_pre=ks_uniform(pre_p, alpha=0.01) if pre_p.size else None,
-        ks_post=ks_uniform(post_p, alpha=0.01) if post_p.size else None,
+        final_log10_capital=float(trajectory[-1]),
+        max_log10_capital=float(trajectory.max()),
+        ks_all=ks_all, ks_pre=ks_pre, ks_post=ks_post,
         coverage_pre=coverage_pre,
         coverage_post=coverage_post,
         mean_width_pre=mean_width_pre,
@@ -368,8 +365,8 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
         out = cfg.output_dir if output_dir is None else output_dir
         try:
             out.mkdir(parents=True, exist_ok=True)
-            _write_csvs(out, cfg.n_pre, xs, ys, pvalues,
-                        np.asarray(trajectory), intervals)
+            _write_csvs(out, cfg.n_pre, xs, ys, pvalues, trajectory,
+                        intervals)
             _write_json(out / "summary.json", summary.to_dict())
         except OSError as exc:
             raise IOError(f"while writing artifacts under {out}: {exc}") from exc

@@ -40,8 +40,10 @@ def ks_uniform(pvalues: Sequence[float], alpha: float = 0.01) -> KSReport:
         raise ValueError("values must lie in [0, 1]")
     n = u.size
     u = np.sort(u)
-    i = np.arange(1, n + 1)
-    d = max(np.max(i / n - u), np.max(u - (i - 1) / n))
+    gap = np.arange(1, n + 1) / n
+    d = np.max(np.subtract(gap, u, out=gap))  # i / n - u, in place
+    np.divide(np.arange(n), n, out=gap)
+    d = max(d, np.max(np.subtract(u, gap, out=gap)))  # u - (i - 1) / n
     threshold = coeff / np.sqrt(n)
     return KSReport(statistic=float(d), n=int(n),
                     threshold_at_alpha=float(threshold), alpha=alpha,

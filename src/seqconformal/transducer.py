@@ -13,7 +13,8 @@ fixed function of the example and its bag; every measure in
 
 `smoothed_pvalues` computes every p-value of a stream, given as x and y
 arrays, in one array pass: both counts come from O(n log n) rank queries
-over rank-compressed scores, and the taus are drawn as one block.
+over rank-compressed scores, in int32 below 2^31 scores, and the taus are
+drawn as one block, which the formula then updates in place.
 """
 
 from __future__ import annotations
@@ -48,15 +49,14 @@ def _earlier_counts(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     queries descend together: O(n log n) time, O(n) memory.
     """
     n = len(scores)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    _, ranks = np.unique(scores, return_inverse=True)
-    less = np.zeros(n, dtype=np.int64)
-    start = np.zeros(n, dtype=np.int64)
-    end = np.arange(n, dtype=np.int64)
+    dtype = np.int32 if n < 2**31 else np.int64
+    ranks = np.unique(scores, return_inverse=True)[1].astype(dtype)
+    less = np.zeros(n, dtype)
+    start = np.zeros(n, dtype)
+    end = np.arange(n, dtype=dtype)
     level = ranks.copy()  # the ranks in the order of the current level
-    zeros = np.zeros(n + 1, dtype=np.int64)  # clear bits before each position
-    for bit in reversed(range(int(ranks.max()).bit_length())):
+    zeros = np.zeros(n + 1, dtype)  # clear bits before each position
+    for bit in reversed(range(int(ranks.max(initial=0)).bit_length())):
         np.cumsum((level >> bit) & 1 == 0, out=zeros[1:])
         one = (ranks >> bit) & 1
         zs, ze = zeros[start], zeros[end]
@@ -78,12 +78,14 @@ def smoothed_pvalues(measure: ConformityMeasure, xs: np.ndarray,
     score into a sorted bag and evaluating the formula above one step at a
     time.
     """
-    scores = measure.scores(xs, ys)
-    n = len(scores)
-    taus = rng.uniforms(n)
-    less, equal = _earlier_counts(scores)
-    # One step at a time this is int + float * int, then / int.
-    return (less + taus * (equal + 1)) / np.arange(1, n + 1)
+    less, equal = _earlier_counts(measure.scores(xs, ys))
+    n = len(less)
+    # int + float * int, then / int, as one step at a time, on the taus.
+    pvalues = rng.uniforms(n)
+    pvalues *= equal + 1
+    pvalues += less
+    pvalues /= np.arange(1, n + 1)
+    return pvalues
 
 
 def run_transducer(measure: ConformityMeasure,

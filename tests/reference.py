@@ -9,6 +9,7 @@ covariance matrix, and the two-sample KS test.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from seqconformal import (BivariateGaussian, JumperConfig, KSReport,
                           LikelihoodRatio, Mahalanobis,
                           OracleMahalanobisEnsemble, PredictiveOracle, PValue,
                           conditional_mean, conditional_variance)
+from seqconformal.intervals import IntervalSeries
 from seqconformal.stats import _check_alpha
 
 
@@ -105,6 +107,37 @@ def predict_interval(q0: BivariateGaussian, store: ScoreStore, x: float,
                               upper=center + halfwidth,
                               center=center,
                               step_index=step_index)
+
+
+def two_heap_series(xs: np.ndarray, ys: np.ndarray, q0: BivariateGaussian,
+                    epsilon: float) -> IntervalSeries:
+    """`interval_series` as one loop over whole-stream lists, with both
+    heaps kept whole: every |r| stays stored until the end."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    center = conditional_mean(q0, xs)
+    abs_r = np.abs(ys - center).tolist()
+    m = np.arange(1, len(xs))  # m residuals are stored at step m + 1
+    rank = np.minimum(np.ceil(epsilon * (m + 1)), m)
+    grows = (np.diff(rank, prepend=0.0) > 0).tolist()
+    push, pushpop, pop = heapq.heappush, heapq.heappushpop, heapq.heappop
+    largest: list[float] = []
+    rest: list[float] = []  # negated
+    halfwidths = []
+    for r, grow in zip(abs_r, grows):
+        # The smaller of r and the top of largest moves on to rest.
+        push(rest, -pushpop(largest, r))
+        if grow:
+            push(largest, -pop(rest))
+        halfwidths.append(largest[0])
+    halfwidth = np.array(halfwidths)
+    center = center[1:]
+    lower = center - halfwidth
+    upper = center + halfwidth
+    ys = ys[1:]
+    return IntervalSeries(center=center, lower=lower, upper=upper,
+                          width=upper - lower,
+                          covered=(lower <= ys) & (ys <= upper))
 
 
 def left_sum(values: Iterable[float]) -> float:

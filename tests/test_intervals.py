@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import ScoreStore, predict_interval, store_of
+from reference import ScoreStore, predict_interval, store_of, two_heap_series
+from seqconformal import intervals
 from seqconformal import (BivariateGaussian, EfficiencyRecord, Example,
                           RandomStream, columns, efficiency_series,
                           interval_series, residual, sample)
+from seqconformal.martingale import BLOCK_STEPS
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
 SIGMA_C = math.sqrt(0.75)
@@ -164,3 +167,70 @@ class TestStreamingThreshold:
         for epsilon in (0.0, 1.0):
             with pytest.raises(ValueError, match="epsilon"):
                 efficiency_series(stream, Q0, epsilon)
+
+
+def assert_same_bits(got, want):
+    for name in ("center", "lower", "upper", "width", "covered"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+B = BLOCK_STEPS
+
+
+class TestBlockBoundaries:
+    """The loop reads BLOCK_STEPS steps per block and trims the smaller heap
+    between blocks; the intervals must equal those of one loop that keeps
+    every |r| (`reference.two_heap_series`) bit for bit."""
+
+    # Stream lengths whose n - 1 intervals end one short of, on, and one
+    # past a block boundary, and one past the second.
+    @pytest.mark.parametrize("intervals_count", [B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.5, 0.9])
+    def test_equals_untrimmed_two_heap_loop(self, intervals_count, epsilon):
+        # x = 0 puts every center at 0, so |r| = |y| is an integer and ties
+        # are everywhere.
+        n = intervals_count + 1
+        ys = np.random.default_rng(intervals_count).integers(
+            -20, 21, n).astype(float)
+        xs = np.zeros(n)
+        assert_same_bits(interval_series(xs, ys, Q0, epsilon),
+                         two_heap_series(xs, ys, Q0, epsilon))
+
+    def test_trimming_drops_values(self, monkeypatch):
+        # At epsilon = 1/2 over 4B intervals, k at m stored |r| is
+        # m // 2 + 1 for m >= 1 (ceil((m + 1) / 2)), so the last k is
+        # 2B + 1. At the start of block 3 (m = 3B) largest holds 1.5B + 1
+        # values and rest 1.5B - 1; 0.5B growths are left, fewer than half
+        # of rest, so rest keeps its 0.5B largest and drops B - 1 values.
+        # Block 3 then pushes B and pops 0.5B: rest ends with B values,
+        # where a loop that keeps every |r| ends with 4B - (2B + 1).
+        heaps = {}  # the heaps the loop last pushed onto, by role
+
+        def push(heap, item):
+            heaps["largest" if heap is heaps.get("largest") else "rest"] = heap
+            heapq.heappush(heap, item)
+
+        def pushpop(heap, item):
+            heaps["largest"] = heap
+            return heapq.heappushpop(heap, item)
+
+        class CountingHeapq:
+            heappush = staticmethod(push)
+            heappushpop = staticmethod(pushpop)
+            heappop = staticmethod(heapq.heappop)
+
+        # With |r| falling along the stream every later |r| is smaller than
+        # every kept one, so the growths take exactly the kept values: rest
+        # keeping one fewer would change the last interval.
+        n = 4 * B + 1
+        ys = np.sort(np.abs(np.random.default_rng(1).standard_normal(n)))[::-1]
+        xs = np.zeros(n)
+        want = two_heap_series(xs, ys, Q0, 0.5)
+        monkeypatch.setattr(intervals, "heapq", CountingHeapq)
+        got = interval_series(xs, ys, Q0, 0.5)
+        largest, rest = heaps["largest"], heaps["rest"]
+        assert len(largest) == 2 * B + 1
+        assert len(rest) == B
+        assert (4 * B - (2 * B + 1)) - len(rest) == B - 1
+        assert_same_bits(got, want)

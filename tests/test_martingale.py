@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from reference import betting_function, initial_state, jumper_step
 from seqconformal import JumperConfig, PValue, log10_capital, run_ctm
+from seqconformal.martingale import BLOCK_STEPS
 
 
 class TestConfig:
@@ -197,7 +198,7 @@ class TestInlineRecurrence:
             state = jumper_step(state, cfg, p)
             want.append(state.log10_total)
         assert direction * state.log10_scale > 6
-        assert repr(log10_capital(cfg, ps)) == repr(want)
+        assert repr(log10_capital(cfg, ps).tolist()) == repr(want)
 
     def test_array_and_object_inputs(self):
         ps = PVALUE_RUNS["random"][:500]
@@ -209,9 +210,62 @@ class TestInlineRecurrence:
     def test_log10_capital_is_the_trajectory_by_index(self):
         ps = PVALUE_RUNS["random"][:500]
         values = log10_capital(JumperConfig(), ps)
-        assert all(type(v) is float for v in values)
-        assert repr(list(enumerate(values))) == repr(
+        assert values.dtype == np.float64
+        assert repr(list(enumerate(values.tolist()))) == repr(
             folded_trajectory(JumperConfig(), ps))
+        # run_ctm gives the same values as Python floats
+        assert all(type(v) is float for _, v in run_ctm(JumperConfig(), ps))
+
+
+B = BLOCK_STEPS
+# Under the grid (1.0,) with no jumps p = 1/2 bets exactly 1.0 and leaves
+# the capital as it is, and p = 1 multiplies it by 1.5.
+ONE_BET = JumperConfig(epsilons=(1.0,), jump_rate=0.0)
+
+
+def rescaling_run(n, steps):
+    """n p-values under which ONE_BET rescales at each of the given 1-based
+    steps and nowhere else: p = 1/2, except for a run of ones ending at
+    each step, as long as the capital needs to pass 10**6 there."""
+    ps, state = [], initial_state(ONE_BET)
+    for step in steps:
+        run, probe = 0, state
+        while probe.log10_scale == state.log10_scale:
+            probe = jumper_step(probe, ONE_BET, 1.0)
+            run += 1
+        ps += [0.5] * (step - run - len(ps)) + [1.0] * run
+        state = probe
+    return ps + [0.5] * (n - len(ps))
+
+
+class TestBlockBoundaries:
+    """log10_capital reads BLOCK_STEPS p-values per block; a rescale on the
+    last step of a block or the first of the next must carry over."""
+
+    # Steps 1..B make block 0, B+1..2B block 1, and so on.
+    @pytest.mark.parametrize("n,steps", [(B - 1, [B - 1]), (B, [B]),
+                                         (B + 1, [B + 1]),
+                                         (2 * B + 1, [B, 2 * B + 1])])
+    def test_rescale_on_a_block_boundary(self, n, steps):
+        ps = rescaling_run(n, steps)
+        assert len(ps) == n
+        want = folded_trajectory(ONE_BET, ps)
+        state, rescaled = initial_state(ONE_BET), []
+        for step, p in enumerate(ps, start=1):
+            scale = state.log10_scale
+            state = jumper_step(state, ONE_BET, p)
+            if state.log10_scale != scale:
+                rescaled.append(step)
+        assert rescaled == steps
+        got = log10_capital(ONE_BET, ps)
+        assert repr(list(enumerate(got.tolist()))) == repr(want)
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+    def test_default_grid_across_blocks(self, n):
+        ps = np.random.default_rng(n).beta(0.2, 1.0, size=n).tolist()
+        got = log10_capital(JumperConfig(), ps).tolist()
+        assert (repr(list(enumerate(got)))
+                == repr(folded_trajectory(JumperConfig(), ps)))
 
 
 U = 2.0**-53  # unit roundoff of float64

@@ -648,6 +648,28 @@ class TestCli:
         assert "is not finite" in err[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    def test_sigma_y_past_square_overflow_exit_code(self, tmp_path, capsys,
+                                                    kind):
+        # sigma_y**2 overflows past about 1.34e154: the conditional
+        # variance is inf, so every y draw is inf and verify's variance
+        # residual is inf - inf, not a number.
+        path = write_config(tmp_path, measure={"kind": kind}, pre={
+            "mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0, "sigma_y": 1.0e+200,
+            "rho_cov": 0.0})
+        assert cli_main(["verify", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: verify: a reported value is not finite for this config"]
+        assert cli_main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "error: config field 'pre': seed 7, step 1: the draw (x, y) = ")
+        assert "inf) is not finite" in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_verify_non_finite_residual_exit_code(self, tmp_path, capsys):
         # The probe grid mu_x +- 5 sigma_x overflows to -inf, where the
         # conditional mean is nan; JSON has no nan, so verify prints none.

@@ -30,6 +30,15 @@ class TestKsUniform:
         ours = ks_uniform(u, alpha=0.05).statistic
         assert ours == pytest.approx(kstest(u, "uniform").statistic)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 100_001])
+    def test_statistic_equals_whole_array_formula_bit_for_bit(self, n):
+        # ks_uniform computes i / n - u and u - (i - 1) / n in one buffer,
+        # with the same operations as these whole-array expressions.
+        u = np.sort(np.random.default_rng(n).random(n))
+        i = np.arange(1, n + 1)
+        want = max(np.max(i / n - u), np.max(u - (i - 1) / n))
+        assert repr(ks_uniform(u).statistic) == repr(float(want))
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             ks_uniform([], alpha=0.05)
