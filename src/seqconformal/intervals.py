@@ -17,11 +17,23 @@ The loop reads one `tolist()` block of `BLOCK_STEPS` steps at a time into
 a float64 array. Only the growths of the rank still to come take |r| out
 of the heap of the smaller ones, each its largest, so that heap keeps just
 that many largest values: no other can reach an interval.
+
+Two tests keep most |r| away from the heaps. The top of the heap of the
+larger ones is kept in a local, and an |r| replaces it only when it is
+greater; otherwise it goes on toward the heap of the smaller ones with no
+heap call. And each trim sets a floor, the smallest value it kept, below
+which no later |r| is pushed. This is exact: after a trim with `left`
+growths to come, that heap holds `left` values at or above the floor, and
+each of at most `left` pops takes its largest, so a value below the floor
+is never popped. The floor stays valid until the next trim replaces it:
+each pop removes at most one of the values the trim kept and leaves one
+pop fewer to come.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,23 +86,31 @@ def interval_series(xs: np.ndarray, ys: np.ndarray, q0: BivariateGaussian,
     abs_r = np.abs(ys - center)
     def rank(m):  # k at m stored |r|, as a float; rank(0) is 0
         return np.minimum(np.ceil(epsilon * (m + 1)), m)
-    push, pushpop, pop = heapq.heappush, heapq.heappushpop, heapq.heappop
+    push, replace, pop = heapq.heappush, heapq.heapreplace, heapq.heappop
     largest: list[float] = []  # one value per growth of k so far
     rest: list[float] = []  # negated
+    top = math.inf  # largest[0], the half-width
+    floor = -math.inf  # no |r| below this can reach largest
     halfwidth = np.empty(max(n - 1, 0))
     for start in range(0, n - 1, BLOCK_STEPS):
         left = int(rank(n - 1)) - len(largest)  # growths still to come
         if len(rest) > 2 * left:  # trimming costs O(1) per step this way
             rest = sorted(rest)[:left]  # a sorted list is a heap
+            floor = -rest[-1] if rest else math.inf
         stop = min(start + BLOCK_STEPS, n - 1)
         grows = np.diff(rank(np.arange(start, stop + 1))) > 0
         halfwidths = []
         for r, grow in zip(abs_r[start:stop].tolist(), grows.tolist()):
-            # The smaller of r and the top of largest moves on to rest.
-            push(rest, -pushpop(largest, r))
+            # The smaller of r and top moves on toward rest.
+            if r > top:
+                r = replace(largest, r)
+                top = largest[0]
+            if not r < floor:  # a NaN |r| is pushed too
+                push(rest, -r)
             if grow:
                 push(largest, -pop(rest))
-            halfwidths.append(largest[0])
+                top = largest[0]
+            halfwidths.append(top)
         halfwidth[start:stop] = halfwidths
     del abs_r
     center = center[1:]

@@ -11,6 +11,19 @@ bits do not depend on the Python version. The loop reads one `tolist()`
 block of `BLOCK_STEPS` p-values at a time into a float64 array, so it
 holds O(1) Python floats per block, not per step.
 
+The step loop is generated once per grid size k from a source template:
+the k capitals and the k epsilons are local variables c0..c{k-1} and
+e0..e{k-1}, unpacked from the loop's arguments, so no list is indexed and
+no config value is written into the source. Each step evaluates, per bet
+and in grid order, the expressions a loop over the grid would:
+`centred = p - 0.5`, `mixed = share * total`, then
+`c_i = (keep * c_i + mixed) * (1.0 + e_i * centred)`, and the total is
+`0.0 + c0 + ... + c{k-1}`; so the bits are those of that loop. The loop
+collects each step's linear total; after the block, `math.log10` maps
+over them, and the decimal scale, recorded with its index in the block at
+each rescale, is added in numpy, where float64 addition rounds as
+Python's does.
+
 Defaults (eps grid {-1, 0, 1}, J = 0.01) follow the standard Simple
 Jumper parameterization; both are configurable.
 """
@@ -19,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import add
 from typing import Iterable, Sequence
 
@@ -45,17 +58,62 @@ class JumperConfig:
             raise ValueError("jump_rate must lie in [0, 1)")
 
 
+# One block of Jumper steps for a grid of k bets, unrolled into k local
+# capitals and k local epsilons; `_step_loop` fills in the names and
+# expressions for one k. It returns the capitals, total and scale after the
+# block, appends each step's total to `totals`, and appends (index in the
+# block, new scale) to `rescales` at each rescale.
+_STEP_TEMPLATE = """\
+def steps(ps, capitals, epsilons, keep, share, bound, low, total, scale,
+          totals, rescales):
+    {c}, = capitals
+    {e}, = epsilons
+    append = totals.append
+    for p in ps:
+        centred = p - 0.5
+        mixed = share * total
+{bets}
+        total = {total}
+        if total > bound or total < low:
+            m = floor(log10(total))
+            factor = 10.0**m
+{rescale}
+            scale += m
+            rescales.append((len(totals), scale))
+            total = {total}
+        append(total)
+    return ({c},), total, scale
+"""
+
+
+@cache
+def _step_loop(k: int):
+    """The block loop of a k-bet grid, compiled once per k."""
+    c = [f"c{i}" for i in range(k)]
+    source = _STEP_TEMPLATE.format(
+        c=", ".join(c), e=", ".join(f"e{i}" for i in range(k)),
+        bets="\n".join(f"        c{i} = (keep * c{i} + mixed)"
+                       f" * (1.0 + e{i} * centred)" for i in range(k)),
+        total=" + ".join(["0.0"] + c),
+        rescale="\n".join(f"            c{i} = c{i} / factor"
+                          for i in range(k)))
+    namespace = {"floor": math.floor, "log10": math.log10}
+    exec(compile(source, f"<jumper step, k={k}>", "exec"), namespace)
+    return namespace["steps"]
+
+
 def log10_capital(cfg: JumperConfig, pvalues: Sequence[float]) -> np.ndarray:
     """log10 capital after each p-value, as a float64 array from 0 at index 0.
 
     Each step mixes, then bets with f_eps(p) = 1 + eps * (p - 1/2), then
     rescales by a power of ten whenever the capital sum leaves
     [10^-6, 10^6]; the reported log10 total is invariant under rescaling.
-    One loop per step updates each capital in place and adds it to the total.
-    Every total is summed left to right from 0.0, never by the builtin `sum`.
+    The step loop is the one `_step_loop` generated for the grid size (see
+    the module docstring). Every total is summed left to right from 0.0,
+    never by the builtin `sum`.
     """
-    grid = list(enumerate(cfg.epsilons))
-    k = len(grid)
+    k = len(cfg.epsilons)
+    steps = _step_loop(k)
     keep = 1.0 - cfg.jump_rate
     share = cfg.jump_rate / k
     bound = 10.0**6
@@ -66,23 +124,17 @@ def log10_capital(cfg: JumperConfig, pvalues: Sequence[float]) -> np.ndarray:
     trajectory = np.empty(len(pvalues) + 1)
     trajectory[0] = math.log10(total) + scale
     for start in range(0, len(pvalues), BLOCK_STEPS):
-        log10_totals = []
-        for p in pvalues[start:start + BLOCK_STEPS].tolist():
-            centred = p - 0.5
-            mixed = share * total
-            total = 0.0
-            for i, e in grid:
-                c = (keep * capitals[i] + mixed) * (1.0 + e * centred)
-                capitals[i] = c
-                total += c
-            if total > bound or total < 1.0 / bound:
-                m = math.floor(math.log10(total))
-                factor = 10.0**m
-                capitals = [c / factor for c in capitals]
-                scale += m
-                total = reduce(add, capitals, 0.0)
-            log10_totals.append(math.log10(total) + scale)
-        trajectory[start + 1:start + 1 + BLOCK_STEPS] = log10_totals
+        block_scale, totals, rescales = scale, [], []
+        capitals, total, scale = steps(
+            pvalues[start:start + BLOCK_STEPS].tolist(), capitals,
+            cfg.epsilons, keep, share, bound, 1.0 / bound, total, scale,
+            totals, rescales)
+        out = trajectory[start + 1:start + 1 + len(totals)]
+        out[:] = np.fromiter(map(math.log10, totals), np.float64, len(totals))
+        # The scale of each step: the block's first, then each rescale's.
+        edges = [0] + [i for i, _ in rescales] + [len(totals)]
+        out += np.repeat([block_scale] + [s for _, s in rescales],
+                         np.diff(edges))
     return trajectory
 
 

@@ -178,21 +178,56 @@ def assert_same_bits(got, want):
 B = BLOCK_STEPS
 
 
+def falling(n):
+    """n distinct |r|, largest first (abs of normals, sorted)."""
+    return np.sort(np.abs(np.random.default_rng(n).standard_normal(n)))[::-1]
+
+
+def falling_late(n, epsilon):
+    """`falling`, but at the step of the last growth of k, the |r| halfway
+    between the k-th and (k - 1)-th largest of the others, k = the last k.
+
+    Once the smaller heap has been trimmed, those two are the smallest
+    values it keeps. The late |r| lies between them, and the last growth
+    takes it: a floor one rank too high would drop it, and the last
+    interval would change."""
+    ys = falling(n)
+    m = np.arange(n)
+    rank = np.minimum(np.ceil(epsilon * (m + 1)), m).astype(int)
+    k = rank[n - 1]
+    last_growth = int(np.argmax(rank[1:] == k))  # 0-based, among the |r|
+    if k >= 2:
+        ys[last_growth] = (ys[k - 1] + ys[k - 2]) / 2
+    return ys
+
+
+PATTERNS = {
+    # x = 0 puts every center at 0, so |r| = |y|. Integers make ties
+    # everywhere, at the floor value too.
+    "integers": lambda n, epsilon: np.random.default_rng(n - 1).integers(
+        -20, 21, n).astype(float),
+    "falling": lambda n, epsilon: falling(n),
+    "rising": lambda n, epsilon: falling(n)[::-1].copy(),
+    "falling_late": falling_late,
+}
+
+
 class TestBlockBoundaries:
-    """The loop reads BLOCK_STEPS steps per block and trims the smaller heap
-    between blocks; the intervals must equal those of one loop that keeps
-    every |r| (`reference.two_heap_series`) bit for bit."""
+    """The loop reads BLOCK_STEPS steps per block, trims the smaller heap
+    between blocks and drops every later |r| below the smallest value a
+    trim kept; the intervals must equal those of one loop that keeps every
+    |r| (`reference.two_heap_series`) bit for bit."""
 
     # Stream lengths whose n - 1 intervals end one short of, on, and one
-    # past a block boundary, and one past the second.
-    @pytest.mark.parametrize("intervals_count", [B - 1, B, B + 1, 2 * B + 1])
+    # past a block boundary, and one past the second and the third.
+    @pytest.mark.parametrize("intervals_count",
+                             [B - 1, B, B + 1, 2 * B + 1, 3 * B + 1])
     @pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.5, 0.9])
-    def test_equals_untrimmed_two_heap_loop(self, intervals_count, epsilon):
-        # x = 0 puts every center at 0, so |r| = |y| is an integer and ties
-        # are everywhere.
+    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
+    def test_equals_untrimmed_two_heap_loop(self, pattern, intervals_count,
+                                            epsilon):
         n = intervals_count + 1
-        ys = np.random.default_rng(intervals_count).integers(
-            -20, 21, n).astype(float)
+        ys = PATTERNS[pattern](n, epsilon)
         xs = np.zeros(n)
         assert_same_bits(interval_series(xs, ys, Q0, epsilon),
                          two_heap_series(xs, ys, Q0, epsilon))
@@ -200,37 +235,50 @@ class TestBlockBoundaries:
     def test_trimming_drops_values(self, monkeypatch):
         # At epsilon = 1/2 over 4B intervals, k at m stored |r| is
         # m // 2 + 1 for m >= 1 (ceil((m + 1) / 2)), so the last k is
-        # 2B + 1. At the start of block 3 (m = 3B) largest holds 1.5B + 1
-        # values and rest 1.5B - 1; 0.5B growths are left, fewer than half
-        # of rest, so rest keeps its 0.5B largest and drops B - 1 values.
-        # Block 3 then pushes B and pops 0.5B: rest ends with B values,
-        # where a loop that keeps every |r| ends with 4B - (2B + 1).
-        heaps = {}  # the heaps the loop last pushed onto, by role
+        # 2B + 1. With |r| falling along the stream no |r| passes the top
+        # of largest, so each |r| is pushed onto rest, unless it is below
+        # the floor, and each growth moves the top of rest to largest.
+        # Blocks 0, 1 and 2 push all 3B of their |r| and pop 1.5B + 1. At
+        # the start of block 3 (m = 3B) largest holds 1.5B + 1 values and
+        # rest 1.5B - 1; 0.5B growths are left, fewer than half of rest,
+        # so rest keeps its 0.5B largest, drops B - 1 values and sets the
+        # floor to the smallest kept. Every |r| of block 3 is below the
+        # floor and is not pushed, and the 0.5B pops empty rest, where a
+        # loop that keeps every |r| ends with 4B - (2B + 1) values.
+        heaps = {}  # the heaps the loop last pushed onto or popped, by role
+        pushes = {"largest": 0, "rest": 0}
 
         def push(heap, item):
-            heaps["largest" if heap is heaps.get("largest") else "rest"] = heap
+            # rest holds negated |r|; every |r| here is positive
+            role = "rest" if item < 0 else "largest"
+            heaps[role] = heap
+            pushes[role] += 1
             heapq.heappush(heap, item)
 
-        def pushpop(heap, item):
-            heaps["largest"] = heap
-            return heapq.heappushpop(heap, item)
+        def replace(heap, item):
+            raise AssertionError("no |r| passes the top of largest")
+
+        def pop(heap):
+            heaps["rest"] = heap  # the trim makes a new list
+            return heapq.heappop(heap)
 
         class CountingHeapq:
             heappush = staticmethod(push)
-            heappushpop = staticmethod(pushpop)
-            heappop = staticmethod(heapq.heappop)
+            heapreplace = staticmethod(replace)
+            heappop = staticmethod(pop)
 
-        # With |r| falling along the stream every later |r| is smaller than
-        # every kept one, so the growths take exactly the kept values: rest
-        # keeping one fewer would change the last interval.
         n = 4 * B + 1
-        ys = np.sort(np.abs(np.random.default_rng(1).standard_normal(n)))[::-1]
+        ys = falling(n)
         xs = np.zeros(n)
         want = two_heap_series(xs, ys, Q0, 0.5)
         monkeypatch.setattr(intervals, "heapq", CountingHeapq)
         got = interval_series(xs, ys, Q0, 0.5)
         largest, rest = heaps["largest"], heaps["rest"]
-        assert len(largest) == 2 * B + 1
-        assert len(rest) == B
-        assert (4 * B - (2 * B + 1)) - len(rest) == B - 1
+        assert len(largest) == pushes["largest"] == 2 * B + 1
+        assert pushes["rest"] == 3 * B
+        assert len(rest) == 0
+        # The growths take exactly the kept values, and the last of them,
+        # the 2B + 1-th largest |r|, is the last half-width: rest keeping
+        # one fewer would change the last interval.
+        assert got.upper[-1] == ys[2 * B]
         assert_same_bits(got, want)

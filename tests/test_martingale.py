@@ -163,7 +163,8 @@ class TestInlineRecurrence:
                                           (-1.0, -0.5, 0.0, 0.5, 1.0),
                                           (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6,
                                            0.9),
-                                          (-0.5, 0.25, 1.0), (1.0,)])
+                                          (-0.5, 0.25, 1.0), (1.0,),
+                                          (-1.0, 1.0), (0.5, -1.0, 0.5)])
     @pytest.mark.parametrize("jump_rate", [0.0, 0.01, 0.5])
     @pytest.mark.parametrize("run", sorted(PVALUE_RUNS))
     def test_equals_folded_jumper_step_bit_for_bit(self, epsilons, jump_rate,
@@ -221,44 +222,69 @@ B = BLOCK_STEPS
 # Under the grid (1.0,) with no jumps p = 1/2 bets exactly 1.0 and leaves
 # the capital as it is, and p = 1 multiplies it by 1.5.
 ONE_BET = JumperConfig(epsilons=(1.0,), jump_rate=0.0)
+# Two bets with no jumps: p = 1/2 leaves both capitals as they are, p = 1
+# multiplies them by 1.25 and 1.5 and p = 0 by 0.75 and 0.5, so the total
+# rises past 10**6 under ones and falls past 10**-6 under zeros.
+TWO_BETS = JumperConfig(epsilons=(0.5, 1.0), jump_rate=0.0)
 
 
-def rescaling_run(n, steps):
-    """n p-values under which ONE_BET rescales at each of the given 1-based
-    steps and nowhere else: p = 1/2, except for a run of ones ending at
-    each step, as long as the capital needs to pass 10**6 there."""
-    ps, state = [], initial_state(ONE_BET)
-    for step in steps:
+def rescaling_run(cfg, n, rescales):
+    """n p-values under which cfg, which has no jumps, rescales at each of
+    the given 1-based steps and nowhere else. `rescales` holds (step, p)
+    pairs: the p-values are 1/2, except for a run of that p ending at each
+    step, as long as the capital needs to leave [10**-6, 10**6] there."""
+    ps, state = [], initial_state(cfg)
+    for step, p in rescales:
         run, probe = 0, state
         while probe.log10_scale == state.log10_scale:
-            probe = jumper_step(probe, ONE_BET, 1.0)
+            probe = jumper_step(probe, cfg, p)
             run += 1
-        ps += [0.5] * (step - run - len(ps)) + [1.0] * run
+        assert step - run >= len(ps), "the steps are too close"
+        ps += [0.5] * (step - run - len(ps)) + [p] * run
         state = probe
     return ps + [0.5] * (n - len(ps))
 
 
+def rescaled_steps(cfg, ps):
+    """The 1-based steps at which folding jumper_step rescales."""
+    state, steps = initial_state(cfg), []
+    for step, p in enumerate(ps, start=1):
+        scale = state.log10_scale
+        state = jumper_step(state, cfg, p)
+        if state.log10_scale != scale:
+            steps.append(step)
+    return steps
+
+
 class TestBlockBoundaries:
-    """log10_capital reads BLOCK_STEPS p-values per block; a rescale on the
-    last step of a block or the first of the next must carry over."""
+    """log10_capital reads BLOCK_STEPS p-values per block and adds, after
+    the block, the decimal scale recorded at each rescale with its index
+    in the block; a rescale on the last step of a block or the first of
+    the next must carry over."""
 
     # Steps 1..B make block 0, B+1..2B block 1, and so on.
     @pytest.mark.parametrize("n,steps", [(B - 1, [B - 1]), (B, [B]),
                                          (B + 1, [B + 1]),
                                          (2 * B + 1, [B, 2 * B + 1])])
     def test_rescale_on_a_block_boundary(self, n, steps):
-        ps = rescaling_run(n, steps)
+        ps = rescaling_run(ONE_BET, n, [(step, 1.0) for step in steps])
         assert len(ps) == n
-        want = folded_trajectory(ONE_BET, ps)
-        state, rescaled = initial_state(ONE_BET), []
-        for step, p in enumerate(ps, start=1):
-            scale = state.log10_scale
-            state = jumper_step(state, ONE_BET, p)
-            if state.log10_scale != scale:
-                rescaled.append(step)
-        assert rescaled == steps
+        assert rescaled_steps(ONE_BET, ps) == steps
         got = log10_capital(ONE_BET, ps)
-        assert repr(list(enumerate(got.tolist()))) == repr(want)
+        assert repr(list(enumerate(got.tolist()))) == repr(
+            folded_trajectory(ONE_BET, ps))
+
+    def test_two_bets_rescale_both_ways_within_and_at_block_edges(self):
+        # Up and down four times inside block 0, on its last step, and on
+        # the first and the last step of block 2.
+        rescales = [(100, 1.0), (200, 0.0), (300, 1.0), (400, 0.0),
+                    (500, 1.0), (B, 0.0), (2 * B + 1, 1.0), (3 * B, 0.0)]
+        n = 3 * B + 10
+        ps = rescaling_run(TWO_BETS, n, rescales)
+        assert rescaled_steps(TWO_BETS, ps) == [step for step, _ in rescales]
+        got = log10_capital(TWO_BETS, ps)
+        assert repr(list(enumerate(got.tolist()))) == repr(
+            folded_trajectory(TWO_BETS, ps))
 
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
     def test_default_grid_across_blocks(self, n):

@@ -2,8 +2,9 @@
 
 `tracemalloc` counts numpy's data buffers as well as Python objects, so the
 peak it reports for one run does not depend on the allocator or the
-machine. The run takes about 8 s on a 2-vCPU host with Python 3.11: tracing
-every allocation slows the per-step Jumper and interval loops about 30-fold.
+machine. The test takes about 4.5 s on a 2-vCPU host with Python 3.11:
+tracing every allocation makes the run about 11 times slower than the
+0.27 s it takes untraced.
 """
 
 import dataclasses

@@ -670,6 +670,37 @@ class TestCli:
         assert "inf) is not finite" in err[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    def test_sigma_x_past_square_overflow_exit_code(self, tmp_path, capsys,
+                                                    kind):
+        # sigma_x**2 overflows past about 1.34e154, but the draws stay
+        # finite. The oracle never squares sigma_x and runs; the quadratic
+        # form of every other measure does, and the run names the field.
+        path = write_config(tmp_path, measure={"kind": kind}, pre={
+            "mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e+200, "sigma_y": 1.0,
+            "rho_cov": 0.0})
+        code = cli_main(["run", "--config", str(path)])
+        err = capsys.readouterr().err.splitlines()
+        if kind == "oracle":
+            assert (code, err) == (0, [])
+            return
+        assert code == 1
+        assert err == [
+            "error: config field 'pre.sigma_x': 1e+200 is too large for "
+            f"the {kind} measure: its square overflows a float"]
+        assert not (tmp_path / "out").exists()
+
+    def test_post_scale_past_square_overflow_names_post(self, tmp_path):
+        # Only the likelihood ratio scores with the post model.
+        post = {"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e+200, "sigma_y": 1.0,
+                "rho_cov": 0.0}
+        path = write_config(tmp_path, post=post)
+        cfg = dataclasses.replace(ScenarioConfig.from_file(path),
+                                  measure=MeasureSpec("likelihood_ratio"))
+        with pytest.raises(ConfigError) as info:
+            run_scenario(cfg, write_artifacts=False)
+        assert info.value.field_name == "post.sigma_x"
+
     def test_verify_non_finite_residual_exit_code(self, tmp_path, capsys):
         # The probe grid mu_x +- 5 sigma_x overflows to -inf, where the
         # conditional mean is nan; JSON has no nan, so verify prints none.
