@@ -87,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         summaries = run_replications(cfg)
-    except ConfigError as exc:  # a draw or a measure's square overflowed
+    except ConfigError as exc:  # a draw overflowed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -7,7 +7,8 @@ and every score lives in log space, so a far-off example cannot
 underflow it.
 
 - The predictive oracle scores by the log conditional density of Y given
-  X under the reference model, without its constant.
+  X under the reference model, without its constant: -w^2 / 2 with w the
+  residual y - E[Y | x] in units of the conditional sd.
 - The Mahalanobis and likelihood-ratio measures target detection of
   marginal shifts.
 - The oracle-Mahalanobis ensemble adds the oracle and Mahalanobis scores,
@@ -23,8 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gaussian import (BivariateGaussian, Example, conditional_variance,
-                       residual)
+from .gaussian import BivariateGaussian, Example, conditional_sd, residual
 
 
 class ConformityMeasure:
@@ -45,16 +45,16 @@ class ConformityMeasure:
 
 @dataclass
 class PredictiveOracle(ConformityMeasure):
-    """-r^2 / (2 var) with r = y - E[Y | x] and var = Var[Y | x] under q0:
-    the log conditional density of y at x without its constant."""
+    """-w^2 / 2 with w = (y - E[Y | x]) / Sd[Y | x] under q0: the log
+    conditional density of y at x without its constant."""
 
     q0: BivariateGaussian
 
     def scores(self, xs, ys):
-        # r * r, not r ** 2: Python's float ** calls libm pow, which can
+        # w * w, not w ** 2: Python's float ** calls libm pow, which can
         # differ from numpy's square in the last bit.
-        r = residual(self.q0, xs, ys)
-        return -(r * r) / (2.0 * conditional_variance(self.q0))
+        w = residual(self.q0, xs, ys) / conditional_sd(self.q0)
+        return -0.5 * (w * w)
 
 
 @dataclass
@@ -70,14 +70,22 @@ class Mahalanobis(ConformityMeasure):
 
 @dataclass
 class LikelihoodRatio(ConformityMeasure):
-    """Negative log likelihood ratio of q1 to q0; zero when q1 == q0."""
+    """Negative log likelihood ratio of q1 to q0; zero when q1 == q0.
+
+    Its constant is log(|Sigma1| / |Sigma0|) / 2, with |Sigma| =
+    sigma_x^2 sigma_y^2 (1 - r^2) taken factor by factor, so no scale is
+    squared."""
 
     q0: BivariateGaussian
     q1: BivariateGaussian
 
     def scores(self, xs, ys):
-        return (0.5 * (self.q1.quad(xs, ys) - self.q0.quad(xs, ys))
-                + 0.5 * math.log(self.q1.determinant / self.q0.determinant))
+        q0, q1 = self.q0, self.q1
+        r0, r1 = q0.correlation, q1.correlation
+        half_log_det = (math.log(q1.sigma_x / q0.sigma_x)
+                        + math.log(q1.sigma_y / q0.sigma_y)
+                        + 0.5 * math.log((1.0 - r1 * r1) / (1.0 - r0 * r0)))
+        return 0.5 * (q1.quad(xs, ys) - q0.quad(xs, ys)) + half_log_det
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .gaussian import BivariateGaussian, conditional_mean, conditional_variance
+from .gaussian import BivariateGaussian, conditional_mean, conditional_sd
 
 _CONSTRUCTION_TOL = 1e-12
 
@@ -39,7 +39,8 @@ class CrypticPair:
             raise ValueError("pair must share one covariance matrix")
         residual = abs((self.q1.mu_y - self.q0.mu_y)
                        - _slope(self.q0) * (self.q1.mu_x - self.q0.mu_x))
-        if not residual <= _CONSTRUCTION_TOL:
+        # in units of sigma_y: acceptance does not depend on the unit of y
+        if not residual <= _CONSTRUCTION_TOL * self.q0.sigma_y:
             raise ValueError(
                 f"mean shift is off the cryptic line (residual {residual:.3e})"
             )
@@ -72,10 +73,13 @@ def verify_conditions(q0: BivariateGaussian,
 
     The conditional mean is affine in x, so the +-5 sigma probe grid is
     redundant-by-design evidence: agreement at any two points already
-    implies identity.
+    implies identity. The variance residual |var0 - var1| is taken from the
+    conditional sds as |sd0 - sd1| (sd0 + sd1), so no sd is squared; it is
+    exactly 0 for equal sds.
     """
     grid = [q0.mu_x + k * q0.sigma_x for k in range(-5, 6)]
     cond1 = max(abs(conditional_mean(q0, x) - conditional_mean(q1, x))
                 for x in grid)
-    cond2 = abs(conditional_variance(q0) - conditional_variance(q1))
+    sd0, sd1 = conditional_sd(q0), conditional_sd(q1)
+    cond2 = abs(sd0 - sd1) * (sd0 + sd1)
     return InvarianceReport(cond1_max_residual=cond1, cond2_residual=cond2)

@@ -2,10 +2,17 @@
 
 Parameterization, closed-form conditional quantities of Y given X, and
 deterministic sampling. The off-diagonal covariance entry is stored as a
-covariance; the implied correlation ``r = rho_cov / (sigma_x * sigma_y)``
+covariance; the implied correlation ``r = rho_cov / sigma_x / sigma_y``
 is what enters the conditional-mean slope and conditional variance, which
 is dimensionally correct and coincides with the covariance reading at unit
 marginal variances.
+
+Every quantity is computed from the standardized coordinates
+u = (x - mu_x) / sigma_x and v = (y - mu_y) / sigma_y, the scales and r,
+and no scale is ever squared or multiplied by another, so no positive
+finite scale overflows or underflows them. Changing the units of x and y
+by powers of 2 leaves u, v and r unchanged and scales the conditional
+mean and sd exactly.
 """
 
 from __future__ import annotations
@@ -44,19 +51,16 @@ class BivariateGaussian:
 
     @property
     def correlation(self) -> float:
-        return self.rho_cov / (self.sigma_x * self.sigma_y)
-
-    @property
-    def determinant(self) -> float:
-        return self.sigma_x**2 * self.sigma_y**2 - self.rho_cov**2
+        return self.rho_cov / self.sigma_x / self.sigma_y
 
     def quad(self, x, y):
-        """Quadratic form d^T Sigma^{-1} d of d = (x, y) - mean, with the
-        2x2 inverse written out; x and y may be floats or float64 arrays."""
-        dx = x - self.mu_x
-        dy = y - self.mu_y
-        return (self.sigma_y**2 * dx * dx - 2.0 * self.rho_cov * dx * dy
-                + self.sigma_x**2 * dy * dy) / self.determinant
+        """Quadratic form d^T Sigma^{-1} d of d = (x, y) - mean, written in
+        the standardized coordinates; x and y may be floats or float64
+        arrays."""
+        u = (x - self.mu_x) / self.sigma_x
+        v = (y - self.mu_y) / self.sigma_y
+        r = self.correlation
+        return (u * u - 2.0 * r * u * v + v * v) / (1.0 - r * r)
 
 
 @dataclass(frozen=True)
@@ -74,21 +78,19 @@ class Example:
 def conditional_mean(q: BivariateGaussian, x):
     """E[Y | X = x] under q; x may be a float or a float64 array."""
     r = q.correlation
-    return q.mu_y + r * q.sigma_y * (x - q.mu_x) / q.sigma_x
+    return q.mu_y + r * q.sigma_y * ((x - q.mu_x) / q.sigma_x)
 
 
-def _square(v: float) -> float:
-    """v**2 (libm pow, which x * x need not match); inf where it overflows."""
-    try:
-        return v**2
-    except OverflowError:
-        return math.inf
+def conditional_sd(q: BivariateGaussian) -> float:
+    """Sd[Y | X = x] under q; does not depend on x."""
+    r = q.correlation
+    return q.sigma_y * math.sqrt(1.0 - r * r)
 
 
 def conditional_variance(q: BivariateGaussian) -> float:
     """Var[Y | X = x] under q; does not depend on x."""
-    r = q.correlation
-    return (1.0 - r * r) * _square(q.sigma_y)
+    sd = conditional_sd(q)
+    return sd * sd
 
 
 def residual(q: BivariateGaussian, x, y):
@@ -122,7 +124,7 @@ def sample_arrays(q: BivariateGaussian, rng: RandomStream,
     z1, z2 = rng.normals(2 * n).reshape(n, 2).T
     # lower Cholesky factor of the covariance matrix
     l21 = q.rho_cov / q.sigma_x
-    l22 = math.sqrt(_square(q.sigma_y) - l21 * l21)
+    l22 = conditional_sd(q)
     # An overflow is reported below, with the draw it happened in.
     with np.errstate(over="ignore", invalid="ignore"):
         xs = q.mu_x + q.sigma_x * z1

@@ -1,6 +1,6 @@
 """Conformal prediction intervals from the predictive-oracle measure.
 
-The oracle score of (x, y) is -r^2 / (2 Var_Q0[Y | X]), a decreasing
+The oracle score of (x, y) is -(r / Sd_Q0[Y | X])^2 / 2, a decreasing
 function of |r| with r = y - E_Q0[Y | X = x]. The candidate-label sweep
 therefore collapses to an order statistic: a label y is kept when its
 score is at least the k-th smallest stored score,

@@ -189,7 +189,10 @@ def _parse_config(raw: Any, base_dir: Path) -> ScenarioConfig:
     if isinstance(post_raw, dict) and set(post_raw) == {"cryptic_delta_mu_x"}:
         delta = _as_number(post_raw["cryptic_delta_mu_x"],
                            "post.cryptic_delta_mu_x")
-        post = cryptic_shift(pre, delta).q1
+        try:
+            post = cryptic_shift(pre, delta).q1
+        except ValueError as exc:
+            raise ConfigError("post.cryptic_delta_mu_x", str(exc)) from exc
     else:
         post = _parse_model(post_raw, "post")
 
@@ -313,24 +316,6 @@ def _phase_means(intervals: IntervalSeries, lo: int,
             (0.0 + float(np.cumsum(width)[-1])) / covered.size)
 
 
-def _square_overflow(cfg: ScenarioConfig) -> ConfigError | None:
-    """The error for a measure whose `BivariateGaussian.quad` overflowed,
-    or None if no model field's square overflows. It names the measure and
-    the first field, pre before post, whose square is past the float
-    range. Every measure that calls `quad` squares the pre model, so a pre
-    field is one it squared; if no pre square overflows, post's did."""
-    for phase, model in (("pre", cfg.pre), ("post", cfg.post)):
-        for name in ("sigma_x", "sigma_y", "rho_cov"):
-            value = getattr(model, name)
-            try:
-                value**2
-            except OverflowError:
-                return ConfigError(f"{phase}.{name}", (
-                    f"{value!r} is too large for the {cfg.measure.kind} "
-                    "measure: its square overflows a float"))
-    return None
-
-
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
                  output_dir: Path | None = None,
                  write_artifacts: bool = True) -> ScenarioSummary:
@@ -339,8 +324,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     seed/output_dir override the config values (used by replications). The
     seed override is checked like a file value, as the seed of one run. A
     draw that overflows raises ConfigError naming its phase, seed, 1-based
-    step and (x, y); a model scale whose square overflows in the measure
-    raises ConfigError naming the field and the measure.
+    step and (x, y).
     """
     if seed is not None:
         cfg = replace(cfg, seed=seed, replications=1)
@@ -359,12 +343,6 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
                 f"seed {cfg.seed}, step {lo + 1 + exc.index}: the draw "
                 f"(x, y) = ({exc.x!r}, {exc.y!r}) is not finite")) from exc
     measure = cfg.measure.build(cfg.pre, cfg.post)
-    # One score of floats first: a scale whose square overflows raises
-    # there, before an array product past the float range warns.
-    try:
-        measure.scores(0.0, 0.0)
-    except OverflowError as exc:
-        raise _square_overflow(cfg) or exc
     pvalues = smoothed_pvalues(measure, xs, ys, tau_rng)
     trajectory = log10_capital(cfg.jumper, pvalues)  # index = step
     # KS runs before the interval arrays exist, to keep the peak memory low.

@@ -222,15 +222,21 @@ def conditional_density(q: BivariateGaussian, x: float, y: float) -> float:
 def score_fold(measure, stream) -> list[float]:
     """The score of each example of a stream, one example at a time."""
     if isinstance(measure, PredictiveOracle):
-        var = conditional_variance(measure.q0)
-        residuals = [z.y - conditional_mean(measure.q0, z.x) for z in stream]
-        return [-(r * r) / (2.0 * var) for r in residuals]
+        q0 = measure.q0
+        r = q0.correlation
+        sd = q0.sigma_y * math.sqrt(1.0 - r * r)
+        ws = [(z.y - conditional_mean(q0, z.x)) / sd for z in stream]
+        return [-0.5 * (w * w) for w in ws]
     if isinstance(measure, Mahalanobis):
         return [-measure.q0.quad(z.x, z.y) for z in stream]
     if isinstance(measure, LikelihoodRatio):
+        # half the log determinant ratio, one covariance factor at a time
         q0, q1 = measure.q0, measure.q1
-        return [0.5 * (q1.quad(z.x, z.y) - q0.quad(z.x, z.y))
-                + 0.5 * math.log(q1.determinant / q0.determinant)
+        r0, r1 = q0.correlation, q1.correlation
+        half_log_det = (math.log(q1.sigma_x / q0.sigma_x)
+                        + math.log(q1.sigma_y / q0.sigma_y)
+                        + 0.5 * math.log((1.0 - r1 * r1) / (1.0 - r0 * r0)))
+        return [0.5 * (q1.quad(z.x, z.y) - q0.quad(z.x, z.y)) + half_log_det
                 for z in stream]
     if isinstance(measure, OracleMahalanobisEnsemble):
         # each component standardized by its mean and sd under q0

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import conditional_density, score_fold, two_sample_ks
+from scipy.stats import multivariate_normal
+
+from reference import (conditional_density, covariance, mean, score_fold,
+                       two_sample_ks)
 from seqconformal import (BivariateGaussian, Example, LikelihoodRatio,
                           Mahalanobis, OracleMahalanobisEnsemble,
                           PredictiveOracle, RandomStream, columns,
@@ -81,6 +84,46 @@ class TestLikelihoodRatioScore:
         assert scores == sorted(scores, reverse=True)
 
 
+def random_model(rng: np.random.Generator) -> BivariateGaussian:
+    sx, sy = rng.uniform(0.2, 5.0, 2)
+    r = rng.uniform(-0.95, 0.95)
+    return BivariateGaussian(mu_x=rng.uniform(-5, 5), mu_y=rng.uniform(-5, 5),
+                             sigma_x=sx, sigma_y=sy, rho_cov=r * sx * sy)
+
+
+class TestAgainstScipyLogpdf:
+    # scipy's multivariate_normal inverts the covariance matrix and takes
+    # its log determinant by an eigendecomposition, so it checks the
+    # standardized formulas independently, on models with sigma != 1.
+    def points(self, q, rng):
+        return (q.mu_x + q.sigma_x * rng.uniform(-4, 4, 40),
+                q.mu_y + q.sigma_y * rng.uniform(-4, 4, 40))
+
+    def test_mahalanobis_is_the_log_density_without_its_constant(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            q = random_model(rng)
+            xs, ys = self.points(q, rng)
+            cov = covariance(q)
+            logpdf = multivariate_normal(mean(q), cov).logpdf(
+                np.column_stack([xs, ys]))
+            log_det = np.linalg.slogdet(cov)[1]
+            assert Mahalanobis(q).scores(xs, ys) == pytest.approx(
+                2.0 * logpdf + 2.0 * math.log(2.0 * math.pi) + log_det,
+                rel=1e-9, abs=1e-9)
+
+    def test_likelihood_ratio_is_the_log_density_ratio(self):
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            q0, q1 = random_model(rng), random_model(rng)
+            xs, ys = self.points(q0, rng)
+            z = np.column_stack([xs, ys])
+            want = (multivariate_normal(mean(q0), covariance(q0)).logpdf(z)
+                    - multivariate_normal(mean(q1), covariance(q1)).logpdf(z))
+            assert LikelihoodRatio(q0, q1).scores(xs, ys) == pytest.approx(
+                want, rel=1e-9, abs=1e-9)
+
+
 class TestOracleMahalanobisEnsemble:
     def test_rejects_weight_outside_unit_interval(self):
         for lam in (-0.1, 1.5, math.nan):
@@ -129,10 +172,11 @@ class TestScoreDistributionInvariance:
         assert not two_sample_ks(a, b, alpha=0.01).reject
 
 
-# Under Q0 the conditional mean at x = 0 is 0.0, so this y is the residual.
-# Python's y ** 2 (libm pow) and numpy's y * y differ in its last bit, and
+# Under Q0 the conditional mean at x = 0 is 0.0 and the conditional sd is
+# sqrt(0.75), so the oracle standardizes this y to w = y / sqrt(0.75).
+# Python's w ** 2 (libm pow) and numpy's w * w differ in its last bit, and
 # so do the oracle scores computed from them.
-POW_NOT_SQUARE = 1.1445772631495523
+POW_NOT_SQUARE = 0.6065326707917666
 
 MEASURES = {
     "oracle": lambda: PredictiveOracle(Q0),
@@ -145,11 +189,11 @@ MEASURES = {
 
 class TestArrayScores:
     def test_fixed_residual_separates_pow_from_square(self):
-        d = POW_NOT_SQUARE
-        assert d ** 2 != d * d
-        score = PredictiveOracle(Q0).score(Example(0.0, d))
-        assert score == -(d * d) / 1.5
-        assert score != -(d ** 2) / 1.5
+        w = POW_NOT_SQUARE / math.sqrt(0.75)
+        assert w ** 2 != w * w
+        score = PredictiveOracle(Q0).score(Example(0.0, POW_NOT_SQUARE))
+        assert score == -0.5 * (w * w)
+        assert score != -0.5 * (w ** 2)
 
     @given(points=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
                            max_size=200),

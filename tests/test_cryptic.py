@@ -44,6 +44,24 @@ class TestCrypticShift:
             assert report.cond1_max_residual <= 1e-10
             assert report.cond2_residual <= 1e-10
 
+    def test_acceptance_does_not_depend_on_the_unit_of_y(self):
+        # The construction residual is checked in units of sigma_y, so a
+        # shift accepted at one unit of y is accepted at every other.
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            sx, sy = rng.uniform(0.3, 3, 2)
+            r = rng.uniform(-0.9, 0.9)
+            mu_x, mu_y = rng.uniform(-5, 5, 2)
+            delta = rng.uniform(-30, 30)
+            want = cryptic_shift(
+                BivariateGaussian(mu_x, mu_y, sx, sy, r * sx * sy), delta)
+            for b in (-600, 600):
+                q0 = BivariateGaussian(mu_x, math.ldexp(mu_y, b), sx,
+                                       math.ldexp(sy, b),
+                                       math.ldexp(r * sx * sy, b))
+                assert (cryptic_shift(q0, delta).q1.mu_y
+                        == math.ldexp(want.q1.mu_y, b))
+
 
 class TestCrypticPairValidation:
     def test_rejects_covariance_mismatch(self):

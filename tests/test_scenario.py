@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,22 @@ def tree_digests(root):
     return {f.relative_to(root).as_posix():
             hashlib.sha256(f.read_bytes()).hexdigest()
             for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+def assert_cli_runs(path, capsys):
+    """`seqconformal run` on the config file at path exits 0 with no
+    warning and nothing on stderr, and writes p-values in (0, 1] and a
+    finite martingale."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["run", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    out = path.parent / "out"
+    pvalues = np.loadtxt(out / "pvalues.csv", delimiter=",", skiprows=1,
+                         usecols=1)
+    assert ((0.0 < pvalues) & (pvalues <= 1.0)).all()
+    assert np.isfinite(np.loadtxt(out / "martingale.csv", delimiter=",",
+                                  skiprows=1, usecols=1)).all()
 
 
 def artifact_digests(cfg, out):
@@ -442,6 +459,73 @@ class TestRunScenario:
             "step,center,lower,upper,width,covered\n"
 
 
+# (a, b): x in units 2**a times smaller, y in units 2**b times smaller.
+SCALINGS = [(600, 0), (0, 600), (-600, 0), (0, -600), (400, 400),
+            (-400, -400), (500, -500), (-500, 500)]
+UNIT_PRE = {"mu_x": 0.75, "mu_y": -1.5, "sigma_x": 1.5, "sigma_y": 0.8,
+            "rho_cov": 0.6}
+UNIT_POSTS = {
+    "cryptic": {"cryptic_delta_mu_x": 3.0},
+    "explicit": {"mu_x": 2.0, "mu_y": 0.5, "sigma_x": 1.25, "sigma_y": 1.1,
+                 "rho_cov": -0.3},
+}
+
+
+def rescaled(model, a, b):
+    """A config model with x scaled by 2**a and y by 2**b."""
+    if "cryptic_delta_mu_x" in model:
+        return {"cryptic_delta_mu_x": math.ldexp(model["cryptic_delta_mu_x"],
+                                                 a)}
+    return {"mu_x": math.ldexp(model["mu_x"], a),
+            "mu_y": math.ldexp(model["mu_y"], b),
+            "sigma_x": math.ldexp(model["sigma_x"], a),
+            "sigma_y": math.ldexp(model["sigma_y"], b),
+            "rho_cov": math.ldexp(model["rho_cov"], a + b)}
+
+
+def run_columns(cfg, out):
+    """The draws, scores, p-values, log10 capital and interval widths of a
+    run of cfg, read back from its artifacts; %.17g round-trips floats."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_scenario(cfg, output_dir=out)
+
+    def column(name, i):
+        return np.loadtxt(out / name, delimiter=",", skiprows=1, usecols=i)
+
+    xs, ys = column("stream.csv", 1), column("stream.csv", 2)
+    return {"x": xs, "y": ys,
+            "score": cfg.measure.build(cfg.pre, cfg.post).scores(xs, ys),
+            "pvalue": column("pvalues.csv", 1),
+            "log10_capital": column("martingale.csv", 1),
+            "width": column("intervals.csv", 4)}
+
+
+class TestScaleFree:
+    """Changing the units of x and y by powers of 2 changes no p-value, no
+    score and no capital, and scales the draws and the interval widths
+    exactly: the model never squares a scale."""
+
+    @pytest.mark.parametrize("post", sorted(UNIT_POSTS))
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    @pytest.mark.parametrize("a,b", SCALINGS)
+    def test_units_scale_out_exactly(self, tmp_path, a, b, kind, post):
+        def config(pre, post):
+            return make_config(tmp_path, pre=pre, post=post,
+                               measure={"kind": kind}, n_pre=200, n_post=200)
+
+        unit = run_columns(config(UNIT_PRE, UNIT_POSTS[post]),
+                           tmp_path / "unit")
+        got = run_columns(config(rescaled(UNIT_PRE, a, b),
+                                 rescaled(UNIT_POSTS[post], a, b)),
+                          tmp_path / "rescaled")
+        assert got["x"].tobytes() == np.ldexp(unit["x"], a).tobytes()
+        assert got["y"].tobytes() == np.ldexp(unit["y"], b).tobytes()
+        for name in ("score", "pvalue", "log10_capital"):
+            assert got[name].tobytes() == unit[name].tobytes(), name
+        assert got["width"].tobytes() == np.ldexp(unit["width"], b).tobytes()
+
+
 def series_of_widths(widths):
     """An IntervalSeries of steps 2.. with the given widths, all covered."""
     width = np.array(widths, dtype=np.float64)
@@ -651,55 +735,73 @@ class TestCli:
     @pytest.mark.parametrize("kind", MEASURE_KINDS)
     def test_sigma_y_past_square_overflow_exit_code(self, tmp_path, capsys,
                                                     kind):
-        # sigma_y**2 overflows past about 1.34e154: the conditional
-        # variance is inf, so every y draw is inf and verify's variance
-        # residual is inf - inf, not a number.
+        # sigma_y**2 would overflow past about 1.34e154, but no scale is
+        # squared: the run succeeds under every measure, and verify takes
+        # its variance residual from the conditional sds.
         path = write_config(tmp_path, measure={"kind": kind}, pre={
             "mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0, "sigma_y": 1.0e+200,
             "rho_cov": 0.0})
-        assert cli_main(["verify", "--config", str(path)]) == 1
+        assert cli_main(["verify", "--config", str(path)]) == 0
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [
-            "error: verify: a reported value is not finite for this config"]
-        assert cli_main(["run", "--config", str(path)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith(
-            "error: config field 'pre': seed 7, step 1: the draw (x, y) = ")
-        assert "inf) is not finite" in err[0]
-        assert not (tmp_path / "out").exists()
+        assert err == ""
+        assert json.loads(out)["cond2_residual"] == 0.0
+        assert_cli_runs(path, capsys)
 
     @pytest.mark.parametrize("kind", MEASURE_KINDS)
     def test_sigma_x_past_square_overflow_exit_code(self, tmp_path, capsys,
                                                     kind):
-        # sigma_x**2 overflows past about 1.34e154, but the draws stay
-        # finite. The oracle never squares sigma_x and runs; the quadratic
-        # form of every other measure does, and the run names the field.
+        # sigma_x**2 would overflow past about 1.34e154, and the draws stay
+        # finite; the quadratic form is taken in standardized coordinates.
         path = write_config(tmp_path, measure={"kind": kind}, pre={
             "mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e+200, "sigma_y": 1.0,
             "rho_cov": 0.0})
-        code = cli_main(["run", "--config", str(path)])
-        err = capsys.readouterr().err.splitlines()
-        if kind == "oracle":
-            assert (code, err) == (0, [])
-            return
-        assert code == 1
-        assert err == [
-            "error: config field 'pre.sigma_x': 1e+200 is too large for "
-            f"the {kind} measure: its square overflows a float"]
-        assert not (tmp_path / "out").exists()
+        assert_cli_runs(path, capsys)
 
-    def test_post_scale_past_square_overflow_names_post(self, tmp_path):
-        # Only the likelihood ratio scores with the post model.
-        post = {"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e+200, "sigma_y": 1.0,
-                "rho_cov": 0.0}
-        path = write_config(tmp_path, post=post)
-        cfg = dataclasses.replace(ScenarioConfig.from_file(path),
-                                  measure=MeasureSpec("likelihood_ratio"))
-        with pytest.raises(ConfigError) as info:
-            run_scenario(cfg, write_artifacts=False)
-        assert info.value.field_name == "post.sigma_x"
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    def test_post_scale_past_square_overflow_runs(self, tmp_path, capsys,
+                                                  kind):
+        # A covariance change at scales past the square range; the
+        # likelihood ratio scores with the post model too.
+        path = write_config(
+            tmp_path, measure={"kind": kind},
+            pre={"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e+200,
+                 "sigma_y": 1.0, "rho_cov": 0.0},
+            post={"mu_x": 2.0e+200, "mu_y": 1.0, "sigma_x": 3.0e+200,
+                  "sigma_y": 1.0, "rho_cov": 1.0e+200})
+        assert_cli_runs(path, capsys)
+
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    @pytest.mark.parametrize("sigma,delta", [
+        # Both squares are finite, but their product is not.
+        (1.0e+100, 20.0),
+        # The product sigma_x * sigma_y underflows to 0; the shift is 20
+        # sds of x, as in BASE.
+        (1.0e-200, 2.0e-199),
+    ])
+    def test_far_scales_run(self, tmp_path, capsys, sigma, delta, kind):
+        path = write_config(
+            tmp_path, measure={"kind": kind},
+            pre={"mu_x": 0.0, "mu_y": 0.0, "sigma_x": sigma,
+                 "sigma_y": sigma, "rho_cov": 0.0},
+            post={"cryptic_delta_mu_x": delta})
+        assert_cli_runs(path, capsys)
+
+    def test_cryptic_shift_out_of_range_names_the_field(self, tmp_path,
+                                                        capsys):
+        # mu_x + delta overflows to inf, so the shifted mean is off the
+        # cryptic line by an infinite residual.
+        path = write_config(
+            tmp_path,
+            pre={"mu_x": 1.0e+308, "mu_y": 0.0, "sigma_x": 1.0,
+                 "sigma_y": 1.0, "rho_cov": 0.5},
+            post={"cryptic_delta_mu_x": 1.0e+308})
+        for command in ("run", "verify"):
+            assert cli_main([command, "--config", str(path)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(
+                "error: config field 'post.cryptic_delta_mu_x': ")
+        assert not (tmp_path / "out").exists()
 
     def test_verify_non_finite_residual_exit_code(self, tmp_path, capsys):
         # The probe grid mu_x +- 5 sigma_x overflows to -inf, where the
