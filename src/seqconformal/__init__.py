@@ -7,10 +7,10 @@ are invisible to the predictive-oracle conformity measure.
 
 from .conformity import (LikelihoodRatio, Mahalanobis,
                          OracleMahalanobisEnsemble, PredictiveOracle)
-from .cryptic import (CrypticPair, InvarianceReport, cryptic_line,
-                      cryptic_shift, verify_conditions)
+from .cryptic import (CrypticPair, InvarianceReport, cryptic_shift,
+                      verify_conditions)
 from .gaussian import (BivariateGaussian, Example, columns, conditional_mean,
-                       conditional_variance, residual, sample, sample_arrays)
+                       sample, sample_arrays)
 from .intervals import (EfficiencyRecord, IntervalSeries, efficiency_series,
                         interval_series)
 from .martingale import JumperConfig, log10_capital, run_ctm

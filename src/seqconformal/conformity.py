@@ -6,11 +6,15 @@ example alone, so a score does not depend on when its example arrived,
 and every score lives in log space, so a far-off example cannot
 underflow it.
 
-- The predictive oracle scores by the log conditional density of Y given
-  X under the reference model, without its constant: -w^2 / 2 with w the
-  residual y - E[Y | x] in units of the conditional sd.
-- The Mahalanobis and likelihood-ratio measures target detection of
-  marginal shifts.
+Each kernel whitens the examples once per model it uses
+(`BivariateGaussian.whiten`) and never builds another measure. Under that
+model u and w are independent standard normals, and a sum of their
+squares is never NaN: far enough out it is inf, and the score -inf.
+
+- The predictive oracle scores -w^2 / 2: the log conditional density of Y
+  given X under the reference model, without its constant.
+- Mahalanobis scores -(u^2 + w^2); the likelihood ratio is half the
+  difference of two such sums plus a constant. Both target marginal shifts.
 - The oracle-Mahalanobis ensemble adds the oracle and Mahalanobis scores,
   each standardized by its closed-form moments under the reference model.
 
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gaussian import BivariateGaussian, Example, conditional_sd, residual
+from .gaussian import BivariateGaussian, Example
 
 
 class ConformityMeasure:
@@ -53,19 +57,20 @@ class PredictiveOracle(ConformityMeasure):
     def scores(self, xs, ys):
         # w * w, not w ** 2: Python's float ** calls libm pow, which can
         # differ from numpy's square in the last bit.
-        w = residual(self.q0, xs, ys) / conditional_sd(self.q0)
+        _, w = self.q0.whiten(xs, ys)
         return -0.5 * (w * w)
 
 
 @dataclass
 class Mahalanobis(ConformityMeasure):
-    """Negated squared Mahalanobis distance from the mean of q0 (at most
-    0); sensitive to marginal mean shifts."""
+    """Negated squared Mahalanobis distance from the mean of q0, -(u^2 +
+    w^2) (at most 0); sensitive to marginal mean shifts."""
 
     q0: BivariateGaussian
 
     def scores(self, xs, ys):
-        return -self.q0.quad(xs, ys)
+        u, w = self.q0.whiten(xs, ys)
+        return -(u * u + w * w)
 
 
 @dataclass
@@ -85,16 +90,19 @@ class LikelihoodRatio(ConformityMeasure):
         half_log_det = (math.log(q1.sigma_x / q0.sigma_x)
                         + math.log(q1.sigma_y / q0.sigma_y)
                         + 0.5 * math.log((1.0 - r1 * r1) / (1.0 - r0 * r0)))
-        return 0.5 * (q1.quad(xs, ys) - q0.quad(xs, ys)) + half_log_det
+        u0, w0 = q0.whiten(xs, ys)
+        u1, w1 = q1.whiten(xs, ys)
+        return 0.5 * ((u1 * u1 + w1 * w1) - (u0 * u0 + w0 * w0)) + half_log_det
 
 
 @dataclass
 class OracleMahalanobisEnsemble(ConformityMeasure):
     """The oracle at weight lam plus Mahalanobis at weight 1 - lam, each
-    standardized by its moments under q0.
-
-    Under q0 the oracle score is -chi2_1 / 2 (mean -1/2, sd 1/sqrt(2))
-    and the Mahalanobis score is -chi2_2 (mean -2, sd 2).
+    standardized by its moments under q0: -w^2/2 is -chi2_1/2 (mean -1/2,
+    sd 1/sqrt(2)) and -(u^2 + w^2) is -chi2_2 (mean -2, sd 2). Expanded,
+    lam sqrt(2) (1/2 - w^2/2) + (1 - lam) (2 - u^2 - w^2) / 2 is
+    c - (a w^2 + b u^2), with a = lam/sqrt(2) + (1 - lam)/2,
+    b = (1 - lam)/2 and c = lam/sqrt(2) + 1 - lam.
     """
 
     q0: BivariateGaussian
@@ -105,7 +113,10 @@ class OracleMahalanobisEnsemble(ConformityMeasure):
             raise ValueError("ensemble weight lam must lie in [0, 1]")
 
     def scores(self, xs, ys):
-        o = PredictiveOracle(self.q0).scores(xs, ys)
-        m = Mahalanobis(self.q0).scores(xs, ys)
-        return (self.lam * math.sqrt(2.0) * (o + 0.5)
-                + (1.0 - self.lam) * (m + 2.0) / 2.0)
+        lam = self.lam
+        a = lam / math.sqrt(2.0) + (1.0 - lam) / 2.0
+        b = (1.0 - lam) / 2.0
+        c = lam / math.sqrt(2.0) + 1.0 - lam
+        u, w = self.q0.whiten(xs, ys)
+        # Left to right, (b * u) * u is 0 when b is 0, even for a far u.
+        return c - (a * w * w + b * u * u)

@@ -3,16 +3,17 @@
 Parameterization, closed-form conditional quantities of Y given X, and
 deterministic sampling. The off-diagonal covariance entry is stored as a
 covariance; the implied correlation ``r = rho_cov / sigma_x / sigma_y``
-is what enters the conditional-mean slope and conditional variance, which
-is dimensionally correct and coincides with the covariance reading at unit
+is what enters the conditional-mean slope and conditional sd, which is
+dimensionally correct and coincides with the covariance reading at unit
 marginal variances.
 
-Every quantity is computed from the standardized coordinates
-u = (x - mu_x) / sigma_x and v = (y - mu_y) / sigma_y, the scales and r,
-and no scale is ever squared or multiplied by another, so no positive
-finite scale overflows or underflows them. Changing the units of x and y
-by powers of 2 leaves u, v and r unchanged and scales the conditional
-mean and sd exactly.
+`BivariateGaussian.whiten` maps (x, y) to the whitened coordinates
+u = (x - mu_x) / sigma_x and w = (y - E[Y | x]) / Sd[Y | x], the two
+independent standard normals that `sample_arrays` maps to (x, y). Every
+quantity is computed from u, the scales and r; no scale is ever squared
+or multiplied by another, so no positive finite scale overflows or
+underflows them, and changing the units of x and y by powers of 2 leaves
+u, w and r unchanged and scales the conditional mean and sd exactly.
 """
 
 from __future__ import annotations
@@ -53,14 +54,15 @@ class BivariateGaussian:
     def correlation(self) -> float:
         return self.rho_cov / self.sigma_x / self.sigma_y
 
-    def quad(self, x, y):
-        """Quadratic form d^T Sigma^{-1} d of d = (x, y) - mean, written in
-        the standardized coordinates; x and y may be floats or float64
+    def whiten(self, x, y):
+        """The whitened coordinates (u, w) of (x, y): u = (x - mu_x) /
+        sigma_x and w = (y - E[Y | x]) / Sd[Y | x], independent standard
+        normals under this model; x and y may be floats or float64
         arrays."""
         u = (x - self.mu_x) / self.sigma_x
-        v = (y - self.mu_y) / self.sigma_y
-        r = self.correlation
-        return (u * u - 2.0 * r * u * v + v * v) / (1.0 - r * r)
+        w = ((y - (self.mu_y + self.correlation * self.sigma_y * u))
+             / conditional_sd(self))
+        return u, w
 
 
 @dataclass(frozen=True)
@@ -85,17 +87,6 @@ def conditional_sd(q: BivariateGaussian) -> float:
     """Sd[Y | X = x] under q; does not depend on x."""
     r = q.correlation
     return q.sigma_y * math.sqrt(1.0 - r * r)
-
-
-def conditional_variance(q: BivariateGaussian) -> float:
-    """Var[Y | X = x] under q; does not depend on x."""
-    sd = conditional_sd(q)
-    return sd * sd
-
-
-def residual(q: BivariateGaussian, x, y):
-    """y - E[Y | X = x] under q; x and y may be floats or float64 arrays."""
-    return y - conditional_mean(q, x)
 
 
 class NonFiniteDraw(ValueError):

@@ -30,9 +30,9 @@ import yaml
 
 from .conformity import (ConformityMeasure, LikelihoodRatio, Mahalanobis,
                          OracleMahalanobisEnsemble, PredictiveOracle)
-from .cryptic import (_same_covariance, cryptic_line, cryptic_shift,
-                      verify_conditions)
-from .gaussian import BivariateGaussian, NonFiniteDraw, sample_arrays
+from .cryptic import _same_covariance, cryptic_shift, verify_conditions
+from .gaussian import (BivariateGaussian, NonFiniteDraw, conditional_mean,
+                       sample_arrays)
 from .intervals import IntervalSeries, interval_series
 from .martingale import JumperConfig, log10_capital
 from .rng import RandomStream
@@ -425,7 +425,7 @@ def aggregate_summaries(summaries: list[ScenarioSummary]) -> dict[str, Any]:
 def describe_change(cfg: ScenarioConfig) -> dict[str, Any]:
     """Invariance residuals of the configured pre/post pair, for `verify`."""
     report = verify_conditions(cfg.pre, cfg.post)
-    on_line_y = cryptic_line(cfg.pre, cfg.post.mu_x)
+    on_line_y = conditional_mean(cfg.pre, cfg.post.mu_x)
     return {
         "cond1_max_residual": report.cond1_max_residual,
         "cond2_residual": report.cond2_residual,

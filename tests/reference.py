@@ -21,7 +21,8 @@ import numpy as np
 from seqconformal import (BivariateGaussian, JumperConfig, KSReport,
                           LikelihoodRatio, Mahalanobis,
                           OracleMahalanobisEnsemble, PredictiveOracle, PValue,
-                          conditional_mean, conditional_variance)
+                          conditional_mean)
+from seqconformal.gaussian import conditional_sd
 from seqconformal.intervals import IntervalSeries
 from seqconformal.stats import _check_alpha
 
@@ -214,21 +215,34 @@ def covariance(q: BivariateGaussian) -> np.ndarray:
 
 def conditional_density(q: BivariateGaussian, x: float, y: float) -> float:
     """pdf of Y | X = x under q, evaluated at y."""
-    var = conditional_variance(q)
+    var = conditional_sd(q) ** 2
     mu = conditional_mean(q, x)
     return math.exp(-0.5 * (y - mu) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+
+
+def quadratic_form(q: BivariateGaussian, x, y):
+    """d^T Sigma^{-1} d for d = (x, y) - mean, from `covariance(q)` with its
+    cross term: the unwhitened form of u^2 + w^2."""
+    (sxx, sxy), (_, syy) = covariance(q)
+    dx, dy = x - q.mu_x, y - q.mu_y
+    return (syy * dx * dx - 2.0 * sxy * dx * dy + sxx * dy * dy) / (
+        sxx * syy - sxy * sxy)
+
+
+def whitened(q: BivariateGaussian, x: float, y: float) -> tuple[float, float]:
+    """(u, w) of one example under q, with w taken from `conditional_mean`."""
+    return ((x - q.mu_x) / q.sigma_x,
+            (y - conditional_mean(q, x)) / conditional_sd(q))
 
 
 def score_fold(measure, stream) -> list[float]:
     """The score of each example of a stream, one example at a time."""
     if isinstance(measure, PredictiveOracle):
-        q0 = measure.q0
-        r = q0.correlation
-        sd = q0.sigma_y * math.sqrt(1.0 - r * r)
-        ws = [(z.y - conditional_mean(q0, z.x)) / sd for z in stream]
+        ws = [whitened(measure.q0, z.x, z.y)[1] for z in stream]
         return [-0.5 * (w * w) for w in ws]
     if isinstance(measure, Mahalanobis):
-        return [-measure.q0.quad(z.x, z.y) for z in stream]
+        uws = [whitened(measure.q0, z.x, z.y) for z in stream]
+        return [-(u * u + w * w) for u, w in uws]
     if isinstance(measure, LikelihoodRatio):
         # half the log determinant ratio, one covariance factor at a time
         q0, q1 = measure.q0, measure.q1
@@ -236,15 +250,21 @@ def score_fold(measure, stream) -> list[float]:
         half_log_det = (math.log(q1.sigma_x / q0.sigma_x)
                         + math.log(q1.sigma_y / q0.sigma_y)
                         + 0.5 * math.log((1.0 - r1 * r1) / (1.0 - r0 * r0)))
-        return [0.5 * (q1.quad(z.x, z.y) - q0.quad(z.x, z.y)) + half_log_det
-                for z in stream]
+        scores = []
+        for z in stream:
+            u0, w0 = whitened(q0, z.x, z.y)
+            u1, w1 = whitened(q1, z.x, z.y)
+            scores.append(0.5 * ((u1 * u1 + w1 * w1) - (u0 * u0 + w0 * w0))
+                          + half_log_det)
+        return scores
     if isinstance(measure, OracleMahalanobisEnsemble):
-        # each component standardized by its mean and sd under q0
+        # the two standardized components, expanded into one sum of squares
         lam = measure.lam
-        oracle = score_fold(PredictiveOracle(measure.q0), stream)
-        mahalanobis = score_fold(Mahalanobis(measure.q0), stream)
-        return [lam * math.sqrt(2.0) * (o + 0.5) + (1.0 - lam) * (m + 2.0) / 2.0
-                for o, m in zip(oracle, mahalanobis)]
+        a = lam / math.sqrt(2.0) + (1.0 - lam) / 2.0
+        b = (1.0 - lam) / 2.0
+        c = lam / math.sqrt(2.0) + 1.0 - lam
+        uws = [whitened(measure.q0, z.x, z.y) for z in stream]
+        return [c - (a * w * w + b * u * u) for u, w in uws]
     raise TypeError(f"no reference score for {type(measure).__name__}")
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from scipy.stats import multivariate_normal
 
-from reference import (conditional_density, covariance, mean, score_fold,
-                       two_sample_ks)
+from reference import (conditional_density, covariance, mean,
+                       quadratic_form, score_fold, two_sample_ks)
 from seqconformal import (BivariateGaussian, Example, LikelihoodRatio,
                           Mahalanobis, OracleMahalanobisEnsemble,
                           PredictiveOracle, RandomStream, columns,
@@ -91,19 +91,21 @@ def random_model(rng: np.random.Generator) -> BivariateGaussian:
                              sigma_x=sx, sigma_y=sy, rho_cov=r * sx * sy)
 
 
+def random_points(q: BivariateGaussian, rng: np.random.Generator):
+    """40 points within 4 sds of q's mean in each coordinate."""
+    return (q.mu_x + q.sigma_x * rng.uniform(-4, 4, 40),
+            q.mu_y + q.sigma_y * rng.uniform(-4, 4, 40))
+
+
 class TestAgainstScipyLogpdf:
     # scipy's multivariate_normal inverts the covariance matrix and takes
     # its log determinant by an eigendecomposition, so it checks the
     # standardized formulas independently, on models with sigma != 1.
-    def points(self, q, rng):
-        return (q.mu_x + q.sigma_x * rng.uniform(-4, 4, 40),
-                q.mu_y + q.sigma_y * rng.uniform(-4, 4, 40))
-
     def test_mahalanobis_is_the_log_density_without_its_constant(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             q = random_model(rng)
-            xs, ys = self.points(q, rng)
+            xs, ys = random_points(q, rng)
             cov = covariance(q)
             logpdf = multivariate_normal(mean(q), cov).logpdf(
                 np.column_stack([xs, ys]))
@@ -116,12 +118,34 @@ class TestAgainstScipyLogpdf:
         rng = np.random.default_rng(18)
         for _ in range(50):
             q0, q1 = random_model(rng), random_model(rng)
-            xs, ys = self.points(q0, rng)
+            xs, ys = random_points(q0, rng)
             z = np.column_stack([xs, ys])
             want = (multivariate_normal(mean(q0), covariance(q0)).logpdf(z)
                     - multivariate_normal(mean(q1), covariance(q1)).logpdf(z))
             assert LikelihoodRatio(q0, q1).scores(xs, ys) == pytest.approx(
                 want, rel=1e-9, abs=1e-9)
+
+
+class TestUnwhitenedForms:
+    # The kernels are sums of squares of whitened coordinates. Here they
+    # meet the forms they replaced: Mahalanobis as the cross-term
+    # quadratic form of covariance(q), and the ensemble composed from the
+    # oracle and Mahalanobis measures. Within 4 sds and |r| <= 0.95 the
+    # cross term cancels by at most 1 / (1 - |r|) = 20, so both agree to
+    # 1e-12 relative to the size of the terms, 1 + u^2 + w^2.
+    def test_scores_match_the_unwhitened_forms(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            q = random_model(rng)
+            xs, ys = random_points(q, rng)
+            m = Mahalanobis(q).scores(xs, ys)
+            assert m == pytest.approx(-quadratic_form(q, xs, ys), rel=1e-12)
+            o = PredictiveOracle(q).scores(xs, ys)
+            for lam in (0.0, 0.3, 0.5, 1.0):
+                composed = (lam * math.sqrt(2.0) * (o + 0.5)
+                            + (1.0 - lam) * (m + 2.0) / 2.0)
+                got = OracleMahalanobisEnsemble(q, lam).scores(xs, ys)
+                assert (np.abs(got - composed) <= 1e-12 * (1.0 - m)).all()
 
 
 class TestOracleMahalanobisEnsemble:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from seqconformal import (BivariateGaussian, CrypticPair, cryptic_line,
+from seqconformal import (BivariateGaussian, CrypticPair, conditional_mean,
                           cryptic_shift, verify_conditions)
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
@@ -62,6 +62,24 @@ class TestCrypticShift:
                 assert (cryptic_shift(q0, delta).q1.mu_y
                         == math.ldexp(want.q1.mu_y, b))
 
+    def test_accepted_at_any_origin(self):
+        # cryptic_shift sets mu_y from the expression CrypticPair checks,
+        # so the residual is exactly 0 however far the origin is from 0. A
+        # check that recomputed the shift from the rounded means would
+        # refuse most shifts from origins past 1e6 sds.
+        rng = np.random.default_rng(1)
+        n = 20_000
+        sx, sy = rng.uniform(0.3, 3, (2, n))
+        r = rng.uniform(-0.9, 0.9, n)
+        sign = rng.choice([-1.0, 1.0], (2, n))
+        origin = sign * 10.0 ** rng.uniform(0, 15, (2, n))
+        delta = rng.uniform(-30, 30, n) * sx
+        for i in range(n):
+            q0 = BivariateGaussian(origin[0, i] * sx[i], origin[1, i] * sy[i],
+                                   sx[i], sy[i], r[i] * sx[i] * sy[i])
+            q1 = cryptic_shift(q0, delta[i]).q1
+            assert q1.mu_y == conditional_mean(q0, q1.mu_x)
+
 
 class TestCrypticPairValidation:
     def test_rejects_covariance_mismatch(self):
@@ -102,11 +120,11 @@ class TestVerifyConditions:
 class TestCrypticLine:
     def test_passes_through_pre_change_mean(self):
         q = BivariateGaussian(3.0, -2.0, 1.2, 0.7, 0.3)
-        assert cryptic_line(q, q.mu_x) == pytest.approx(q.mu_y)
+        assert conditional_mean(q, q.mu_x) == pytest.approx(q.mu_y)
 
     def test_paper_endpoint(self):
-        assert cryptic_line(Q0, 20.0) == pytest.approx(10.0)
+        assert conditional_mean(Q0, 20.0) == pytest.approx(10.0)
 
     def test_non_cryptic_mean_is_off_the_line(self):
-        assert cryptic_line(Q0, 2.0) == pytest.approx(1.0)
-        assert cryptic_line(Q0, 2.0) != 2.0
+        assert conditional_mean(Q0, 2.0) == pytest.approx(1.0)
+        assert conditional_mean(Q0, 2.0) != 2.0

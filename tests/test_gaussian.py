@@ -7,9 +7,8 @@ from scipy.stats import norm
 
 from reference import conditional_density, covariance, mean
 from seqconformal import (BivariateGaussian, Example, RandomStream, columns,
-                          conditional_mean, conditional_variance, residual,
-                          sample, sample_arrays)
-from seqconformal.gaussian import NonFiniteDraw
+                          conditional_mean, sample, sample_arrays)
+from seqconformal.gaussian import NonFiniteDraw, conditional_sd
 
 
 def random_model(rng: np.random.Generator) -> BivariateGaussian:
@@ -60,17 +59,16 @@ class TestConditionalMoments:
         assert conditional_mean(q, 2.0) == pytest.approx(1.0)
 
     def test_variance_values(self):
-        assert conditional_variance(BivariateGaussian(0, 0, 1, 1, 0.0)) == 1.0
-        assert conditional_variance(
-            BivariateGaussian(0, 0, 1, 1, 0.5)) == pytest.approx(0.75)
+        assert conditional_sd(BivariateGaussian(0, 0, 1, 1, 0.0)) == 1.0
+        assert conditional_sd(
+            BivariateGaussian(0, 0, 1, 1, 0.5)) ** 2 == pytest.approx(0.75)
         q = BivariateGaussian(0, 0, 1, 2, 0.8 * 2)  # correlation 0.8, sigma_y 2
-        assert conditional_variance(q) == pytest.approx(1.44)
+        assert conditional_sd(q) ** 2 == pytest.approx(1.44)
 
     def test_variance_does_not_depend_on_x(self):
         # the API makes this structural; spot-check density symmetry instead
         q = BivariateGaussian(1.0, -2.0, 1.5, 0.7, 0.4)
-        v = conditional_variance(q)
-        assert v > 0
+        assert conditional_sd(q) > 0
         for x in np.random.default_rng(0).uniform(-50, 50, 100):
             mu = conditional_mean(q, x)
             assert conditional_density(q, x, mu + 0.3) == pytest.approx(
@@ -96,7 +94,7 @@ class TestConditionalDensity:
             x = rng.uniform(-5, 5)
             y = rng.uniform(-5, 5)
             expected = norm.pdf(y, loc=conditional_mean(q, x),
-                                scale=math.sqrt(conditional_variance(q)))
+                                scale=conditional_sd(q))
             assert conditional_density(q, x, y) == pytest.approx(expected)
 
     def test_integrates_to_one(self):
@@ -105,7 +103,7 @@ class TestConditionalDensity:
             q = random_model(rng)
             x = rng.uniform(-3, 3)
             mu = conditional_mean(q, x)
-            sd = math.sqrt(conditional_variance(q))
+            sd = conditional_sd(q)
             total, _ = quad(lambda y: conditional_density(q, x, y),
                             mu - 8 * sd, mu + 8 * sd)
             assert total == pytest.approx(1.0, abs=1e-6)
@@ -177,11 +175,24 @@ class TestSampling:
         assert info.value.x == math.copysign(math.inf, unit[first])
         assert f"draw {first} " in str(info.value)
 
-    def test_residual_of_arrays_matches_floats(self):
+    def test_whiten_of_arrays_matches_floats(self):
         q = BivariateGaussian(1.0, -1.0, 1.5, 0.8, 0.6)
         xs, ys = sample_arrays(q, RandomStream(6), 50)
-        want = [residual(q, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
-        assert residual(q, xs, ys).tolist() == want
+        want = [q.whiten(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        us, ws = q.whiten(xs, ys)
+        assert list(zip(us.tolist(), ws.tolist())) == want
+
+    def test_whiten_returns_the_sampled_normals(self):
+        # sample_arrays maps normals 2i and 2i+1 to example i; whiten maps
+        # them back, up to the rounding of the two maps.
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            q = random_model(rng)
+            seed = int(rng.integers(1000))
+            z1, z2 = RandomStream(seed).normals(400).reshape(200, 2).T
+            us, ws = q.whiten(*sample_arrays(q, RandomStream(seed), 200))
+            assert us == pytest.approx(z1, rel=1e-9, abs=1e-9)
+            assert ws == pytest.approx(z2, rel=1e-9, abs=1e-9)
 
     def test_moments(self):
         q = BivariateGaussian(0, 0, 1, 1, 0.5)
@@ -213,8 +224,9 @@ class TestSampling:
             x, y = rng.uniform(-4, 4, 2)
             ref = multivariate_normal(mean=mean(q), cov=covariance(q))
             log_det = math.log(np.linalg.det(covariance(q)))
+            u, w = q.whiten(x, y)
             log_pdf = (-math.log(2 * math.pi) - 0.5 * log_det
-                       - 0.5 * q.quad(x, y))
+                       - 0.5 * (u * u + w * w))
             assert log_pdf == pytest.approx(ref.logpdf([x, y]))
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from reference import ScoreStore, predict_interval, store_of, two_heap_series
 from seqconformal import intervals
 from seqconformal import (BivariateGaussian, EfficiencyRecord, Example,
-                          RandomStream, columns, efficiency_series,
-                          interval_series, residual, sample)
+                          RandomStream, columns, conditional_mean,
+                          efficiency_series, interval_series, sample)
 from seqconformal.martingale import BLOCK_STEPS
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
@@ -117,7 +117,7 @@ def reference_records(stream, q0, epsilon):
                 step=step, center=interval.center, lower=interval.lower,
                 upper=interval.upper, width=interval.width,
                 covered=interval.contains(z.y)))
-        store.insert(abs(residual(q0, z.x, z.y)))
+        store.insert(abs(z.y - conditional_mean(q0, z.x)))
     return records
 
 

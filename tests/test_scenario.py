@@ -803,6 +803,21 @@ class TestCli:
                 "error: config field 'post.cryptic_delta_mu_x': ")
         assert not (tmp_path / "out").exists()
 
+    def test_cryptic_shift_far_from_the_origin_runs(self, tmp_path, capsys):
+        # A cryptic shift from an origin 1e5 sds from 0 is on the line: a
+        # check that recomputed the shift from the rounded means would find
+        # it off the line by 1.455e-12.
+        path = write_config(
+            tmp_path,
+            pre={"mu_x": 1.0e+5, "mu_y": 3.0, "sigma_x": 1.0,
+                 "sigma_y": 1.0, "rho_cov": 0.5},
+            post={"cryptic_delta_mu_x": 0.3})
+        assert cli_main(["verify", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["post_mu_y_offset_from_line"] == 0.0
+        assert_cli_runs(path, capsys)
+
     def test_verify_non_finite_residual_exit_code(self, tmp_path, capsys):
         # The probe grid mu_x +- 5 sigma_x overflows to -inf, where the
         # conditional mean is nan; JSON has no nan, so verify prints none.
