@@ -9,15 +9,14 @@ from .conformity import (LikelihoodRatio, Mahalanobis,
                          OracleMahalanobisEnsemble, PredictiveOracle)
 from .cryptic import (CrypticPair, InvarianceReport, cryptic_shift,
                       verify_conditions)
-from .gaussian import (BivariateGaussian, Example, columns, conditional_mean,
-                       sample, sample_arrays)
-from .intervals import (EfficiencyRecord, IntervalSeries, efficiency_series,
-                        interval_series)
-from .martingale import JumperConfig, log10_capital, run_ctm
+from .gaussian import BivariateGaussian, conditional_mean, sample_arrays
+from .intervals import IntervalSeries, interval_series
+from .martingale import JumperConfig, log10_capital
 from .rng import RandomStream
 from .scenario import (ConfigError, ScenarioConfig, ScenarioSummary,
-                       run_replications, run_scenario)
+                       efficiency_series, run_ctm, run_replications,
+                       run_scenario, run_transducer, sample)
 from .stats import KSReport, ks_uniform
-from .transducer import PValue, run_transducer, smoothed_pvalues
+from .transducer import smoothed_pvalues
 
 __version__ = "0.1.0"

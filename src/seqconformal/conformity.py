@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gaussian import BivariateGaussian, Example
+from .gaussian import BivariateGaussian
 
 
 class ConformityMeasure:
@@ -39,12 +39,12 @@ class ConformityMeasure:
         and ys may be floats or float64 arrays."""
         raise NotImplementedError
 
-    def score(self, z: Example) -> float:
+    def score(self, z) -> float:
         return float(self.scores(z.x, z.y))
 
     def reset(self) -> None:
-        """No-op: no measure holds per-stream state. Kept because
-        `perfbench/traced.py` still calls it."""
+        """No-op: no measure holds per-stream state. It and `score(z)` are
+        kept because `perfbench/traced.py` still calls them."""
 
 
 @dataclass

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -60,27 +59,21 @@ class BivariateGaussian:
         normals under this model; x and y may be floats or float64
         arrays."""
         u = (x - self.mu_x) / self.sigma_x
-        w = ((y - (self.mu_y + self.correlation * self.sigma_y * u))
-             / conditional_sd(self))
-        return u, w
+        return u, (y - _regression(self, u)) / conditional_sd(self)
 
 
-@dataclass(frozen=True)
-class Example:
-    """One observation z = (x, y) from the stream."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("example coordinates must be finite")
+def _regression(q: BivariateGaussian, u):
+    """mu_y + r sigma_y u at u = (x - mu_x) / sigma_x. A zero slope takes
+    tanh(u), finite and of u's sign, so a far x gives mu_y, not 0 * inf."""
+    slope = q.correlation * q.sigma_y
+    if slope == 0.0:
+        u = np.tanh(u) if isinstance(u, np.ndarray) else math.tanh(u)
+    return q.mu_y + slope * u
 
 
 def conditional_mean(q: BivariateGaussian, x):
     """E[Y | X = x] under q; x may be a float or a float64 array."""
-    r = q.correlation
-    return q.mu_y + r * q.sigma_y * ((x - q.mu_x) / q.sigma_x)
+    return _regression(q, (x - q.mu_x) / q.sigma_x)
 
 
 def conditional_sd(q: BivariateGaussian) -> float:
@@ -125,16 +118,3 @@ def sample_arrays(q: BivariateGaussian, rng: RandomStream,
         i = int(np.argmin(finite))
         raise NonFiniteDraw(i, float(xs[i]), float(ys[i]))
     return xs, ys
-
-
-def sample(q: BivariateGaussian, rng: RandomStream, n: int) -> list[Example]:
-    """`sample_arrays` as one `Example` per draw."""
-    xs, ys = sample_arrays(q, rng, n)
-    return [Example(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
-
-
-def columns(stream: Iterable[Example]) -> tuple[np.ndarray, np.ndarray]:
-    """The x and y coordinates of a stream of examples, as float64 arrays."""
-    stream = list(stream)
-    return (np.array([z.x for z in stream], dtype=np.float64),
-            np.array([z.y for z in stream], dtype=np.float64))

@@ -12,11 +12,10 @@ built from unsmoothed p-values and are therefore deterministic.
 
 `interval_series` runs a whole stream, given as x and y arrays, and
 tracks the threshold with a two-heap streaming order statistic, O(log n)
-per step; `efficiency_series` gives its result as one record per step.
-The loop reads one `tolist()` block of `BLOCK_STEPS` steps at a time into
-a float64 array. Only the growths of the rank still to come take |r| out
-of the heap of the smaller ones, each its largest, so that heap keeps just
-that many largest values: no other can reach an interval.
+per step. The loop reads one `tolist()` block of `BLOCK_STEPS` steps at a
+time into a float64 array. Only the growths of the rank still to come
+take |r| out of the heap of the smaller ones, each its largest, so that
+heap keeps just that many largest values: no other can reach an interval.
 
 Two tests keep most |r| away from the heaps. The top of the heap of the
 larger ones is kept in a local, and an |r| replaces it only when it is
@@ -35,22 +34,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .gaussian import BivariateGaussian, Example, columns, conditional_mean
+from .gaussian import BivariateGaussian, conditional_mean
 from .martingale import BLOCK_STEPS
-
-
-@dataclass(frozen=True)
-class EfficiencyRecord:
-    step: int
-    center: float
-    lower: float
-    upper: float
-    width: float
-    covered: bool
 
 
 @dataclass(frozen=True)
@@ -120,14 +108,3 @@ def interval_series(xs: np.ndarray, ys: np.ndarray, q0: BivariateGaussian,
     return IntervalSeries(center=center, lower=lower, upper=upper,
                           width=upper - lower,
                           covered=(lower <= ys) & (ys <= upper))
-
-
-def efficiency_series(stream: Sequence[Example], q0: BivariateGaussian,
-                      epsilon: float) -> list[EfficiencyRecord]:
-    """`interval_series` as one record per step, from step 2."""
-    s = interval_series(*columns(stream), q0, epsilon)
-    return [EfficiencyRecord(step, center, lower, upper, width, covered)
-            for step, center, lower, upper, width, covered in zip(
-                range(2, len(stream) + 1), s.center.tolist(),
-                s.lower.tolist(), s.upper.tolist(), s.width.tolist(),
-                s.covered.tolist())]

@@ -34,11 +34,9 @@ import math
 from dataclasses import dataclass
 from functools import cache, reduce
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .transducer import PValue
 
 # Steps per block of the per-step loops here and in `intervals`.
 BLOCK_STEPS = 4096
@@ -136,10 +134,3 @@ def log10_capital(cfg: JumperConfig, pvalues: Sequence[float]) -> np.ndarray:
         out += np.repeat([block_scale] + [s for _, s in rescales],
                          np.diff(edges))
     return trajectory
-
-
-def run_ctm(cfg: JumperConfig,
-            pvalues: Iterable[float | PValue]) -> list[tuple[int, float]]:
-    """`log10_capital` as (step, log10 S) float pairs, from (0, 0.0)."""
-    values = [p.value if isinstance(p, PValue) else p for p in pvalues]
-    return list(enumerate(log10_capital(cfg, values).tolist()))

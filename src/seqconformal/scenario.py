@@ -7,7 +7,8 @@ martingale (`log10_capital`) and the online prediction intervals
 (`interval_series`), tests the p-values for uniformity, and emits CSV
 artifacts plus a JSON summary. Runs are fully deterministic per seed: the
 data stream and the tie-breaking stream are independent substreams of
-the scenario seed.
+the scenario seed. The measure's scores are a stage of their own: the
+transducer takes the scores, not the measure.
 
 The CSV artifacts are written by one table writer, `_write_table`. Its
 rows go out in blocks of `BLOCK_ROWS`: each block is one rows x columns
@@ -23,7 +24,7 @@ import math
 import statistics
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 import yaml
@@ -343,7 +344,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
                 f"seed {cfg.seed}, step {lo + 1 + exc.index}: the draw "
                 f"(x, y) = ({exc.x!r}, {exc.y!r}) is not finite")) from exc
     measure = cfg.measure.build(cfg.pre, cfg.post)
-    pvalues = smoothed_pvalues(measure, xs, ys, tau_rng)
+    pvalues = smoothed_pvalues(measure.scores(xs, ys), tau_rng)
     trajectory = log10_capital(cfg.jumper, pvalues)  # index = step
     # KS runs before the interval arrays exist, to keep the peak memory low.
     ks_all, ks_pre, ks_post = (
@@ -433,3 +434,71 @@ def describe_change(cfg: ScenarioConfig) -> dict[str, Any]:
         "post_mu_y_offset_from_line": cfg.post.mu_y - on_line_y,
         "same_covariance": _same_covariance(cfg.pre, cfg.post),
     }
+
+
+# Per-example adapters over the array stages. Only `perfbench/traced.py`
+# needs them, and ROADMAP item 1 deletes them.
+
+
+@dataclass(frozen=True)
+class Example:
+    """One observation z = (x, y) from the stream."""
+
+    x: float
+    y: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError("example coordinates must be finite")
+
+
+def sample(q: BivariateGaussian, rng: RandomStream, n: int) -> list[Example]:
+    """`sample_arrays` as one `Example` per draw."""
+    xs, ys = sample_arrays(q, rng, n)
+    return [Example(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+def columns(stream: Iterable[Example]) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y coordinates of a stream of examples, as float64 arrays."""
+    stream = list(stream)
+    return (np.array([z.x for z in stream], dtype=np.float64),
+            np.array([z.y for z in stream], dtype=np.float64))
+
+
+@dataclass(frozen=True)
+class PValue:
+    value: float
+    step_index: int
+
+
+def run_transducer(measure: ConformityMeasure, stream: Iterable[Example],
+                   rng: RandomStream) -> list[PValue]:
+    """`smoothed_pvalues` as one `PValue` per example of a list."""
+    values = smoothed_pvalues(measure.scores(*columns(stream)), rng).tolist()
+    return [PValue(v, i) for i, v in enumerate(values, start=1)]
+
+
+def run_ctm(cfg: JumperConfig,
+            pvalues: Iterable[PValue]) -> list[tuple[int, float]]:
+    """`log10_capital` as (step, log10 S) float pairs, from (0, 0.0)."""
+    trajectory = log10_capital(cfg, [p.value for p in pvalues])
+    return list(enumerate(trajectory.tolist()))
+
+
+@dataclass(frozen=True)
+class EfficiencyRecord:
+    step: int
+    center: float
+    lower: float
+    upper: float
+    width: float
+    covered: bool
+
+
+def efficiency_series(stream: Sequence[Example], q0: BivariateGaussian,
+                      epsilon: float) -> list[EfficiencyRecord]:
+    """`interval_series` as one record per step, from step 2."""
+    s = interval_series(*columns(stream), q0, epsilon)
+    return [EfficiencyRecord(*row) for row in zip(
+        range(2, len(stream) + 1), s.center.tolist(), s.lower.tolist(),
+        s.upper.tolist(), s.width.tolist(), s.covered.tolist())]

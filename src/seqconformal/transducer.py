@@ -11,28 +11,18 @@ p-values are IID uniform on (0, 1], for any conformity measure that is a
 fixed function of the example and its bag; every measure in
 `conformity` is one.
 
-`smoothed_pvalues` computes every p-value of a stream, given as x and y
-arrays, in one array pass: both counts come from O(n log n) rank queries
-over rank-compressed scores, in int32 below 2^31 scores, and the taus are
-drawn as one block, which the formula then updates in place.
+`smoothed_pvalues` takes the scores of a stream, in stream order, and
+computes every p-value in one array pass: both counts come from
+O(n log n) rank queries over rank-compressed scores, in int32 below 2^31
+scores, and the taus are drawn as one block, which the formula then
+updates in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
-from .conformity import ConformityMeasure
-from .gaussian import Example, columns
 from .rng import RandomStream
-
-
-@dataclass(frozen=True)
-class PValue:
-    value: float
-    step_index: int
 
 
 def _earlier_counts(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,16 +59,16 @@ def _earlier_counts(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return less, end - start
 
 
-def smoothed_pvalues(measure: ConformityMeasure, xs: np.ndarray,
-                     ys: np.ndarray, rng: RandomStream) -> np.ndarray:
-    """The p-value of every example (xs[i], ys[i]), as a float64 array.
+def smoothed_pvalues(scores: np.ndarray, rng: RandomStream) -> np.ndarray:
+    """The p-value of each of a stream's scores, in stream order, as a
+    float64 array.
 
     One tie-breaking uniform is drawn per example, the same draws as one
     `rng.uniforms(1)` call per step. Equal bit for bit to inserting each
     score into a sorted bag and evaluating the formula above one step at a
     time.
     """
-    less, equal = _earlier_counts(measure.scores(xs, ys))
+    less, equal = _earlier_counts(scores)
     n = len(less)
     # int + float * int, then / int, as one step at a time, on the taus.
     pvalues = rng.uniforms(n)
@@ -86,11 +76,3 @@ def smoothed_pvalues(measure: ConformityMeasure, xs: np.ndarray,
     pvalues += less
     pvalues /= np.arange(1, n + 1)
     return pvalues
-
-
-def run_transducer(measure: ConformityMeasure,
-                   stream: Iterable[Example],
-                   rng: RandomStream) -> list[PValue]:
-    """`smoothed_pvalues` as one `PValue` per example of a list."""
-    values = smoothed_pvalues(measure, *columns(stream), rng).tolist()
-    return [PValue(v, i) for i, v in enumerate(values, start=1)]

@@ -20,7 +20,7 @@ import numpy as np
 
 from seqconformal import (BivariateGaussian, JumperConfig, KSReport,
                           LikelihoodRatio, Mahalanobis,
-                          OracleMahalanobisEnsemble, PredictiveOracle, PValue,
+                          OracleMahalanobisEnsemble, PredictiveOracle,
                           conditional_mean)
 from seqconformal.gaussian import conditional_sd
 from seqconformal.intervals import IntervalSeries
@@ -60,7 +60,7 @@ def store_of(scores) -> ScoreStore:
     return store
 
 
-def observe(store: ScoreStore, alpha_n: float, tau: float) -> PValue:
+def observe(store: ScoreStore, alpha_n: float, tau: float) -> float:
     """Smoothed p-value of alpha_n against the store.
 
     alpha_n must already have been inserted (the bag includes the new
@@ -70,8 +70,8 @@ def observe(store: ScoreStore, alpha_n: float, tau: float) -> PValue:
         raise ValueError("score store is empty")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    p = (store.count_less(alpha_n) + tau * store.count_equal(alpha_n)) / store.size
-    return PValue(p, store.size)
+    return (store.count_less(alpha_n)
+            + tau * store.count_equal(alpha_n)) / store.size
 
 
 @dataclass(frozen=True)
@@ -235,13 +235,13 @@ def whitened(q: BivariateGaussian, x: float, y: float) -> tuple[float, float]:
             (y - conditional_mean(q, x)) / conditional_sd(q))
 
 
-def score_fold(measure, stream) -> list[float]:
-    """The score of each example of a stream, one example at a time."""
+def score_fold(measure, points) -> list[float]:
+    """The score of each (x, y) of a stream, one example at a time."""
     if isinstance(measure, PredictiveOracle):
-        ws = [whitened(measure.q0, z.x, z.y)[1] for z in stream]
+        ws = [whitened(measure.q0, x, y)[1] for x, y in points]
         return [-0.5 * (w * w) for w in ws]
     if isinstance(measure, Mahalanobis):
-        uws = [whitened(measure.q0, z.x, z.y) for z in stream]
+        uws = [whitened(measure.q0, x, y) for x, y in points]
         return [-(u * u + w * w) for u, w in uws]
     if isinstance(measure, LikelihoodRatio):
         # half the log determinant ratio, one covariance factor at a time
@@ -251,9 +251,9 @@ def score_fold(measure, stream) -> list[float]:
                         + math.log(q1.sigma_y / q0.sigma_y)
                         + 0.5 * math.log((1.0 - r1 * r1) / (1.0 - r0 * r0)))
         scores = []
-        for z in stream:
-            u0, w0 = whitened(q0, z.x, z.y)
-            u1, w1 = whitened(q1, z.x, z.y)
+        for x, y in points:
+            u0, w0 = whitened(q0, x, y)
+            u1, w1 = whitened(q1, x, y)
             scores.append(0.5 * ((u1 * u1 + w1 * w1) - (u0 * u0 + w0 * w0))
                           + half_log_det)
         return scores
@@ -263,7 +263,7 @@ def score_fold(measure, stream) -> list[float]:
         a = lam / math.sqrt(2.0) + (1.0 - lam) / 2.0
         b = (1.0 - lam) / 2.0
         c = lam / math.sqrt(2.0) + 1.0 - lam
-        uws = [whitened(measure.q0, z.x, z.y) for z in stream]
+        uws = [whitened(measure.q0, x, y) for x, y in points]
         return [c - (a * w * w + b * u * u) for u, w in uws]
     raise TypeError(f"no reference score for {type(measure).__name__}")
 

@@ -122,9 +122,9 @@ def test_criterion_5_validity_and_fairness():
     rejections = 0
     for seed in range(200, 220):
         rng = sc.RandomStream(seed)
-        stream = sc.sample(q0, rng.substream(0), 10_000)
-        pvals = [p.value for p in sc.run_transducer(sc.PredictiveOracle(q0),
-                                                    stream, rng.substream(1))]
+        scores = sc.PredictiveOracle(q0).scores(
+            *sc.sample_arrays(q0, rng.substream(0), 10_000))
+        pvals = sc.smoothed_pvalues(scores, rng.substream(1))
         rejections += sc.ks_uniform(pvals, alpha=0.01).reject
     uniform_ok = 20 - rejections >= 18
 
@@ -144,7 +144,7 @@ def test_criterion_5_validity_and_fairness():
     exceed = 0
     for seed in range(200):
         p = np.random.default_rng(5000 + seed).random(1000)
-        if max(v for _, v in sc.run_ctm(cfg, p)) >= 1.0:  # log10 scale
+        if sc.log10_capital(cfg, p).max() >= 1.0:  # log10 scale
             exceed += 1
     ville_rate = exceed / 200
     ville_ok = ville_rate <= 0.16

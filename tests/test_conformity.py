@@ -9,11 +9,10 @@ from scipy.stats import multivariate_normal
 
 from reference import (conditional_density, covariance, mean,
                        quadratic_form, score_fold, two_sample_ks)
-from seqconformal import (BivariateGaussian, Example, LikelihoodRatio,
-                          Mahalanobis, OracleMahalanobisEnsemble,
-                          PredictiveOracle, RandomStream, columns,
-                          cryptic_shift, ks_uniform, sample, sample_arrays,
-                          smoothed_pvalues)
+from seqconformal import (BivariateGaussian, LikelihoodRatio, Mahalanobis,
+                          OracleMahalanobisEnsemble, PredictiveOracle,
+                          RandomStream, cryptic_shift, ks_uniform,
+                          sample_arrays, smoothed_pvalues)
 from seqconformal.scenario import DATA_SUBSTREAM, TAU_SUBSTREAM
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
@@ -22,64 +21,63 @@ Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
 class TestOracleScore:
     def test_peak(self):
         # at the conditional mean the log density minus its constant is 0
-        assert PredictiveOracle(Q0).score(Example(2.0, 1.0)) == 0.0
+        assert PredictiveOracle(Q0).scores(2.0, 1.0) == 0.0
 
     def test_log_density_without_constant(self):
         rng = np.random.default_rng(3)
         peak = 1.0 / math.sqrt(2 * math.pi * 0.75)
         for x, y in rng.uniform(-5, 5, (50, 2)):
-            assert PredictiveOracle(Q0).score(Example(x, y)) == pytest.approx(
+            assert PredictiveOracle(Q0).scores(x, y) == pytest.approx(
                 math.log(conditional_density(Q0, x, y) / peak))
 
     def test_symmetric_about_conditional_mean(self):
         oracle = PredictiveOracle(Q0)
-        assert oracle.score(Example(2.0, 1.0 + 0.4)) == pytest.approx(
-            oracle.score(Example(2.0, 1.0 - 0.4)))
+        assert oracle.scores(2.0, 1.0 + 0.4) == pytest.approx(
+            oracle.scores(2.0, 1.0 - 0.4))
 
     def test_independent_of_x_when_uncorrelated(self):
         q = BivariateGaussian(0, 0, 1, 1, 0.0)
-        assert PredictiveOracle(q).score(Example(0.0, 0.7)) == pytest.approx(
-            PredictiveOracle(q).score(Example(100.0, 0.7)))
+        assert PredictiveOracle(q).scores(0.0, 0.7) == pytest.approx(
+            PredictiveOracle(q).scores(100.0, 0.7))
 
 
 class TestMahalanobisScore:
     def test_zero_at_center(self):
-        assert Mahalanobis(Q0).score(Example(0.0, 0.0)) == 0.0
+        assert Mahalanobis(Q0).scores(0.0, 0.0) == 0.0
 
     def test_identity_covariance(self):
         q = BivariateGaussian(0, 0, 1, 1, 0.0)
-        assert Mahalanobis(q).score(Example(3.0, 4.0)) == pytest.approx(-25.0)
+        assert Mahalanobis(q).scores(3.0, 4.0) == pytest.approx(-25.0)
 
     def test_correlated_frozen_value(self):
         # hand-inverted 2x2: quad form of (1,1) under rho_cov=0.5 is 4/3
-        assert Mahalanobis(Q0).score(Example(1.0, 1.0)) == pytest.approx(-4.0 / 3.0)
+        assert Mahalanobis(Q0).scores(1.0, 1.0) == pytest.approx(-4.0 / 3.0)
 
     def test_nonpositive_everywhere(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            z = Example(*rng.uniform(-10, 10, 2))
-            assert Mahalanobis(Q0).score(z) <= 0.0
+            assert Mahalanobis(Q0).scores(*rng.uniform(-10, 10, 2)) <= 0.0
 
 
 class TestLikelihoodRatioScore:
     def test_identical_models_give_zero(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            z = Example(*rng.uniform(-5, 5, 2))
-            assert LikelihoodRatio(Q0, Q0).score(z) == pytest.approx(
+            xy = rng.uniform(-5, 5, 2)
+            assert LikelihoodRatio(Q0, Q0).scores(*xy) == pytest.approx(
                 0.0, abs=1e-12)
 
     def test_equidistant_point(self):
         q0 = BivariateGaussian(0, 0, 1, 1, 0.0)
         q1 = BivariateGaussian(2, 0, 1, 1, 0.0)
-        assert LikelihoodRatio(q0, q1).score(Example(1.0, 0.0)) == pytest.approx(
+        assert LikelihoodRatio(q0, q1).scores(1.0, 0.0) == pytest.approx(
             0.0, abs=1e-12)
 
     def test_monotone_in_raw_ratio(self):
         q0 = BivariateGaussian(0, 0, 1, 1, 0.0)
         q1 = BivariateGaussian(2, 0, 1, 1, 0.0)
         # moving toward q1's mean raises q1/q0, so the score must fall
-        scores = [LikelihoodRatio(q0, q1).score(Example(x, 0.0))
+        scores = [LikelihoodRatio(q0, q1).scores(x, 0.0)
                   for x in (-1.0, 0.0, 1.0, 2.0)]
         assert scores == sorted(scores, reverse=True)
 
@@ -178,10 +176,10 @@ class TestOracleMahalanobisEnsemble:
         # sds under Q0 away from its pre-change level
         pair = cryptic_shift(Q0, 20.0)
         rng = RandomStream(10)
-        stream = sample(Q0, rng.substream(0), 2000) + sample(
-            pair.q1, rng.substream(1), 2000)
+        pre = sample_arrays(Q0, rng.substream(0), 2000)
+        post = sample_arrays(pair.q1, rng.substream(1), 2000)
         standardized = OracleMahalanobisEnsemble(Q0, 0.0).scores(
-            *columns(stream))
+            *np.concatenate([pre, post], axis=1))
         assert abs(np.mean(standardized[:2000])) < 0.1
         assert np.mean(standardized[2000:]) < -5.0
 
@@ -215,7 +213,7 @@ class TestArrayScores:
     def test_fixed_residual_separates_pow_from_square(self):
         w = POW_NOT_SQUARE / math.sqrt(0.75)
         assert w ** 2 != w * w
-        score = PredictiveOracle(Q0).score(Example(0.0, POW_NOT_SQUARE))
+        score = PredictiveOracle(Q0).scores(0.0, POW_NOT_SQUARE)
         assert score == -0.5 * (w * w)
         assert score != -0.5 * (w ** 2)
 
@@ -226,11 +224,10 @@ class TestArrayScores:
     @settings(max_examples=200, deadline=None)
     def test_scores_equal_fold_of_score(self, points, at, kind):
         points.insert(at, (0.0, POW_NOT_SQUARE))
-        stream = [Example(x, y) for x, y in points]
         measure = MEASURES[kind]()
-        want = repr(score_fold(measure, stream))
-        assert repr([measure.score(z) for z in stream]) == want
-        got = measure.scores(*columns(stream))
+        want = repr(score_fold(measure, points))
+        assert repr([measure.scores(x, y) for x, y in points]) == want
+        got = measure.scores(*np.array(points).T)
         assert got.dtype == np.float64
         assert repr(got.tolist()) == want
 
@@ -263,7 +260,7 @@ def test_pvalues_uniform_under_exchangeability(kind):
     for seed in range(1000, 1100):
         rng = RandomStream(seed)
         xs, ys = sample_arrays(Q0, rng.substream(DATA_SUBSTREAM), 4000)
-        pvalues = smoothed_pvalues(SHIPPED[kind], xs, ys,
+        pvalues = smoothed_pvalues(SHIPPED[kind].scores(xs, ys),
                                    rng.substream(TAU_SUBSTREAM))
         rejections += ks_uniform(pvalues, alpha=0.01).reject
     assert rejections <= 5

@@ -7,17 +7,23 @@ CHANGES.md, so the export count is read here rather than counted by hand.
 import types
 
 import seqconformal
+from seqconformal import (conformity, gaussian, intervals, martingale,
+                          transducer)
 
 EXPORTS = [
-    "BivariateGaussian", "ConfigError", "CrypticPair", "EfficiencyRecord",
-    "Example", "IntervalSeries", "InvarianceReport", "JumperConfig",
-    "KSReport", "LikelihoodRatio", "Mahalanobis", "OracleMahalanobisEnsemble",
-    "PValue", "PredictiveOracle", "RandomStream", "ScenarioConfig",
-    "ScenarioSummary", "columns", "conditional_mean", "cryptic_shift",
-    "efficiency_series", "interval_series", "ks_uniform", "log10_capital",
-    "run_ctm", "run_replications", "run_scenario", "run_transducer", "sample",
-    "sample_arrays", "smoothed_pvalues", "verify_conditions",
+    "BivariateGaussian", "ConfigError", "CrypticPair", "IntervalSeries",
+    "InvarianceReport", "JumperConfig", "KSReport", "LikelihoodRatio",
+    "Mahalanobis", "OracleMahalanobisEnsemble", "PredictiveOracle",
+    "RandomStream", "ScenarioConfig", "ScenarioSummary", "conditional_mean",
+    "cryptic_shift", "efficiency_series", "interval_series", "ks_uniform",
+    "log10_capital", "run_ctm", "run_replications", "run_scenario",
+    "run_transducer", "sample", "sample_arrays", "smoothed_pvalues",
+    "verify_conditions",
 ]
+
+# The per-example adapters live in one block at the end of `scenario.py`.
+ADAPTERS = ("Example", "PValue", "EfficiencyRecord", "sample", "columns",
+            "run_transducer", "run_ctm", "efficiency_series")
 
 
 def test_public_names_are_pinned():
@@ -27,3 +33,16 @@ def test_public_names_are_pinned():
                     if not name.startswith("_")
                     and not isinstance(value, types.ModuleType))
     assert public == sorted(EXPORTS)
+
+
+def test_stage_modules_hold_no_adapter():
+    for module in (gaussian, conformity, transducer, martingale, intervals):
+        assert not set(ADAPTERS) & set(vars(module)), module.__name__
+
+
+def test_transducer_sees_only_scores():
+    # Neither module nor any name of conformity or gaussian is in transducer.
+    for value in vars(transducer).values():
+        assert value not in (conformity, gaussian)
+        assert getattr(value, "__module__", None) not in (
+            conformity.__name__, gaussian.__name__)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from reference import ScoreStore, predict_interval, store_of, two_heap_series
 from seqconformal import intervals
-from seqconformal import (BivariateGaussian, EfficiencyRecord, Example,
-                          RandomStream, columns, conditional_mean,
-                          efficiency_series, interval_series, sample)
+from seqconformal import (BivariateGaussian, RandomStream, conditional_mean,
+                          interval_series, sample_arrays)
+from seqconformal.intervals import IntervalSeries
 from seqconformal.martingale import BLOCK_STEPS
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
@@ -38,8 +38,8 @@ class TestPredictInterval:
         assert (interval.lower, interval.upper) == (1.0 - 18.0, 1.0 + 18.0)
 
     def test_contains_conditional_mean(self):
-        stream = sample(Q0, RandomStream(1), 500)
-        store = store_of([abs(z.y - 0.5 * z.x) for z in stream])
+        xs, ys = sample_arrays(Q0, RandomStream(1), 500)
+        store = store_of(np.abs(ys - 0.5 * xs).tolist())
         for x in (-2.0, 0.0, 3.0):
             interval = predict_interval(Q0, store, x, 0.05)
             assert interval.lower <= interval.center <= interval.upper
@@ -61,7 +61,7 @@ class TestPredictInterval:
             predict_interval(Q0, store, 0.0, 0.0)
 
 
-class TestEfficiencySeries:
+class TestIntervalSeries:
     def test_short_stream_gives_empty_arrays(self):
         # The arrays start at step 2, so there is nothing to predict.
         for n in (0, 1):
@@ -70,55 +70,54 @@ class TestEfficiencySeries:
                 assert getattr(series, name).shape == (0,), (n, name)
             assert series.covered.dtype == bool
 
-    def test_records_start_at_step_two(self):
-        stream = sample(Q0, RandomStream(2), 50)
-        records = efficiency_series(stream, Q0, 0.05)
-        assert [r.step for r in records] == list(range(2, 51))
+    def test_arrays_start_at_step_two(self):
+        series = interval_series(*sample_arrays(Q0, RandomStream(2), 50), Q0,
+                                 0.05)
+        assert len(series.width) == 49
 
     def test_constant_stream_degenerates(self):
-        stream = [Example(0.0, 0.0)] * 40
-        records = efficiency_series(stream, Q0, 0.05)
+        series = interval_series(np.zeros(40), np.zeros(40), Q0, 0.05)
         # all scores tie at the peak, so every interval is the point mass
-        assert all(r.width == 0.0 for r in records)
-        assert all(r.covered for r in records)
+        assert (series.width == 0.0).all()
+        assert series.covered.all()
 
     def test_coverage_at_nominal_level(self):
         rng = RandomStream(5)
-        stream = sample(Q0, rng, 5000)
-        records = efficiency_series(stream, Q0, 0.05)
-        coverage = np.mean([r.covered for r in records])
+        series = interval_series(*sample_arrays(Q0, rng, 5000), Q0, 0.05)
+        coverage = np.mean(series.covered)
         assert coverage == pytest.approx(0.95, abs=0.02)
 
     def test_miscoverage_bounded_under_exchangeability(self):
         eps = 0.05
         rng = RandomStream(6)
-        stream = sample(Q0, rng, 3000)
-        records = efficiency_series(stream, Q0, eps)
-        miss = np.mean([not r.covered for r in records])
-        se = math.sqrt(eps * (1 - eps) / len(records))
+        series = interval_series(*sample_arrays(Q0, rng, 3000), Q0, eps)
+        miss = np.mean(~series.covered)
+        se = math.sqrt(eps * (1 - eps) / series.covered.size)
         assert miss <= eps + 3 * se
 
-    def test_width_matches_record_bounds(self):
-        stream = sample(Q0, RandomStream(7), 100)
-        for r in efficiency_series(stream, Q0, 0.1):
-            assert r.width == pytest.approx(r.upper - r.lower)
-            assert r.lower <= r.center <= r.upper
+    def test_width_matches_bounds(self):
+        series = interval_series(*sample_arrays(Q0, RandomStream(7), 100),
+                                 Q0, 0.1)
+        assert series.width == pytest.approx(series.upper - series.lower)
+        assert ((series.lower <= series.center)
+                & (series.center <= series.upper)).all()
 
 
-def reference_records(stream, q0, epsilon):
+def reference_series(xs, ys, q0, epsilon):
     """predict_interval at every step against a store of the earlier |r|."""
     store = ScoreStore()
-    records = []
-    for step, z in enumerate(stream, start=1):
+    rows = []
+    for step, (x, y) in enumerate(zip(xs.tolist(), ys.tolist()), start=1):
         if step > 1:
-            interval = predict_interval(q0, store, z.x, epsilon,
+            interval = predict_interval(q0, store, x, epsilon,
                                         step_index=step)
-            records.append(EfficiencyRecord(
-                step=step, center=interval.center, lower=interval.lower,
-                upper=interval.upper, width=interval.width,
-                covered=interval.contains(z.y)))
-        store.insert(abs(z.y - conditional_mean(q0, z.x)))
-    return records
+            rows.append((interval.center, interval.lower, interval.upper,
+                         interval.width, interval.contains(y)))
+        store.insert(abs(y - conditional_mean(q0, x)))
+    center, lower, upper, width, covered = np.array(
+        rows, dtype=np.float64).reshape(-1, 5).T
+    return IntervalSeries(center=center, lower=lower, upper=upper,
+                          width=width, covered=covered == 1.0)
 
 
 class TestStreamingThreshold:
@@ -128,45 +127,41 @@ class TestStreamingThreshold:
            epsilon=st.sampled_from([0.01, 0.05, 0.2, 0.5, 0.9]))
     @settings(max_examples=200, deadline=None)
     def test_equals_predict_interval_bit_for_bit(self, points, epsilon):
-        stream = [Example(float(x), float(y)) for x, y in points]
-        got = efficiency_series(stream, Q0, epsilon)
-        assert repr(got) == repr(reference_records(stream, Q0, epsilon))
+        xs, ys = np.array(points, dtype=np.float64).reshape(-1, 2).T
+        assert_same_bits(interval_series(xs, ys, Q0, epsilon),
+                         reference_series(xs, ys, Q0, epsilon))
 
     @pytest.mark.parametrize("epsilon", [0.01, 0.5])
     def test_sampled_stream_bit_for_bit(self, epsilon):
         q1 = BivariateGaussian(1.0, 2.0, 1.0, 1.0, 0.5)
-        stream = (sample(Q0, RandomStream(9), 400)
-                  + sample(q1, RandomStream(10), 400))
-        got = efficiency_series(stream, Q0, epsilon)
-        assert repr(got) == repr(reference_records(stream, Q0, epsilon))
-
-    def test_arrays_match_records(self):
-        stream = sample(Q0, RandomStream(11), 200)
-        series = interval_series(*columns(stream), Q0, 0.05)
-        records = efficiency_series(stream, Q0, 0.05)
-        assert series.width.tolist() == [r.width for r in records]
-        assert series.covered.tolist() == [r.covered for r in records]
+        xs, ys = np.concatenate([sample_arrays(Q0, RandomStream(9), 400),
+                                 sample_arrays(q1, RandomStream(10), 400)],
+                                axis=1)
+        assert_same_bits(interval_series(xs, ys, Q0, epsilon),
+                         reference_series(xs, ys, Q0, epsilon))
 
     def test_all_equal_scores(self):
-        stream = [Example(1.0, 0.5 + 0.5 * math.sqrt(0.75))] * 30
-        assert (repr(efficiency_series(stream, Q0, 0.01))
-                == repr(reference_records(stream, Q0, 0.01)))
+        xs = np.full(30, 1.0)
+        ys = np.full(30, 0.5 + 0.5 * math.sqrt(0.75))
+        assert_same_bits(interval_series(xs, ys, Q0, 0.01),
+                         reference_series(xs, ys, Q0, 0.01))
 
     def test_far_residual_sets_the_interval(self):
         # As a density, the oracle score of y = 100 at x = 0 would underflow
         # to 0.0. Its |r| = 100 is the largest stored residual and the
         # half-width.
-        stream = [Example(0.0, 100.0), Example(0.0, 0.0), Example(0.0, 0.0)]
-        want = [EfficiencyRecord(step, 0.0, -100.0, 100.0, 200.0, True)
-                for step in (2, 3)]
-        assert efficiency_series(stream, Q0, 0.05) == want
-        assert reference_records(stream, Q0, 0.05) == want
+        xs, ys = np.zeros(3), np.array([100.0, 0.0, 0.0])
+        want = IntervalSeries(center=np.zeros(2), lower=np.full(2, -100.0),
+                              upper=np.full(2, 100.0), width=np.full(2, 200.0),
+                              covered=np.ones(2, dtype=bool))
+        assert_same_bits(interval_series(xs, ys, Q0, 0.05), want)
+        assert_same_bits(reference_series(xs, ys, Q0, 0.05), want)
 
     def test_bad_epsilon_rejected(self):
-        stream = sample(Q0, RandomStream(12), 10)
+        xs, ys = sample_arrays(Q0, RandomStream(12), 10)
         for epsilon in (0.0, 1.0):
             with pytest.raises(ValueError, match="epsilon"):
-                efficiency_series(stream, Q0, epsilon)
+                interval_series(xs, ys, Q0, epsilon)
 
 
 def assert_same_bits(got, want):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from reference import betting_function, initial_state, jumper_step
-from seqconformal import JumperConfig, PValue, log10_capital, run_ctm
+from seqconformal import JumperConfig, log10_capital
 from seqconformal.martingale import BLOCK_STEPS
 
 
@@ -93,14 +93,12 @@ class TestJumperStep:
             assert all(c > 0 for c in state.capitals)
 
 
-class TestRunCtm:
+class TestLog10Capital:
     def test_empty_input(self):
-        assert run_ctm(JumperConfig(), []) == [(0, 0.0)]
+        assert log10_capital(JumperConfig(), []).tolist() == [0.0]
 
-    def test_trajectory_length_and_steps(self):
-        traj = run_ctm(JumperConfig(), [0.5] * 10)
-        assert len(traj) == 11
-        assert [s for s, _ in traj] == list(range(11))
+    def test_trajectory_length(self):
+        assert len(log10_capital(JumperConfig(), [0.5] * 10)) == 11
 
     def test_fairness_small(self):
         # E[S_n] = 1 under uniform p-values
@@ -121,7 +119,7 @@ class TestRunCtm:
         exceed = {5.0: 0, 10.0: 0, 20.0: 0}
         for seed in range(n_runs):
             ps = np.random.default_rng(5000 + seed).random(length)
-            max_log10 = max(v for _, v in run_ctm(cfg, ps))
+            max_log10 = log10_capital(cfg, ps).max()
             for c in exceed:
                 if max_log10 >= math.log10(c):
                     exceed[c] += 1
@@ -130,20 +128,15 @@ class TestRunCtm:
             se = math.sqrt((1 / c) * (1 - 1 / c) / n_runs)
             assert rate <= 1 / c + 3 * se
 
-    def test_accepts_pvalue_objects(self):
-        as_floats = run_ctm(JumperConfig(), [0.2, 0.8])
-        as_objects = run_ctm(JumperConfig(),
-                             [PValue(0.2, 1), PValue(0.8, 2)])
-        assert as_floats == as_objects
-
 
 def folded_trajectory(cfg, pvalues):
-    """Fold jumper_step over the p-values from initial_state."""
+    """Fold jumper_step over the p-values from initial_state: log10 S by
+    step, from step 0."""
     state = initial_state(cfg)
-    traj = [(state.step, state.log10_total)]
+    traj = [state.log10_total]
     for p in pvalues:
         state = jumper_step(state, cfg, p)
-        traj.append((state.step, state.log10_total))
+        traj.append(state.log10_total)
     return traj
 
 
@@ -171,7 +164,8 @@ class TestInlineRecurrence:
                                                     run):
         cfg = JumperConfig(epsilons=epsilons, jump_rate=jump_rate)
         ps = PVALUE_RUNS[run]
-        assert repr(run_ctm(cfg, ps)) == repr(folded_trajectory(cfg, ps))
+        assert (repr(log10_capital(cfg, ps).tolist())
+                == repr(folded_trajectory(cfg, ps)))
 
     @pytest.mark.parametrize("p,direction", [(1.0, 1), (0.0, -1)])
     def test_runs_force_rescaling_both_ways(self, p, direction):
@@ -181,7 +175,7 @@ class TestInlineRecurrence:
         for _ in range(400):
             state = jumper_step(state, cfg, p)
         assert direction * state.log10_scale > 6
-        assert (repr(run_ctm(cfg, [p] * 400))
+        assert (repr(log10_capital(cfg, [p] * 400).tolist())
                 == repr(folded_trajectory(cfg, [p] * 400)))
 
     @pytest.mark.parametrize("run,direction", [("uniform", -1),
@@ -201,21 +195,19 @@ class TestInlineRecurrence:
         assert direction * state.log10_scale > 6
         assert repr(log10_capital(cfg, ps).tolist()) == repr(want)
 
-    def test_array_and_object_inputs(self):
+    def test_array_and_list_inputs(self):
         ps = PVALUE_RUNS["random"][:500]
         want = repr(folded_trajectory(JumperConfig(), ps))
-        assert repr(run_ctm(JumperConfig(), np.array(ps))) == want
-        assert repr(run_ctm(JumperConfig(), (PValue(p, i) for i, p in
-                                             enumerate(ps, start=1)))) == want
+        for pvalues in (np.array(ps), ps):
+            got = log10_capital(JumperConfig(), pvalues)
+            assert repr(got.tolist()) == want
 
     def test_log10_capital_is_the_trajectory_by_index(self):
         ps = PVALUE_RUNS["random"][:500]
         values = log10_capital(JumperConfig(), ps)
         assert values.dtype == np.float64
-        assert repr(list(enumerate(values.tolist()))) == repr(
+        assert repr(values.tolist()) == repr(
             folded_trajectory(JumperConfig(), ps))
-        # run_ctm gives the same values as Python floats
-        assert all(type(v) is float for _, v in run_ctm(JumperConfig(), ps))
 
 
 B = BLOCK_STEPS
@@ -271,8 +263,7 @@ class TestBlockBoundaries:
         assert len(ps) == n
         assert rescaled_steps(ONE_BET, ps) == steps
         got = log10_capital(ONE_BET, ps)
-        assert repr(list(enumerate(got.tolist()))) == repr(
-            folded_trajectory(ONE_BET, ps))
+        assert repr(got.tolist()) == repr(folded_trajectory(ONE_BET, ps))
 
     def test_two_bets_rescale_both_ways_within_and_at_block_edges(self):
         # Up and down four times inside block 0, on its last step, and on
@@ -283,15 +274,13 @@ class TestBlockBoundaries:
         ps = rescaling_run(TWO_BETS, n, rescales)
         assert rescaled_steps(TWO_BETS, ps) == [step for step, _ in rescales]
         got = log10_capital(TWO_BETS, ps)
-        assert repr(list(enumerate(got.tolist()))) == repr(
-            folded_trajectory(TWO_BETS, ps))
+        assert repr(got.tolist()) == repr(folded_trajectory(TWO_BETS, ps))
 
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
     def test_default_grid_across_blocks(self, n):
         ps = np.random.default_rng(n).beta(0.2, 1.0, size=n).tolist()
         got = log10_capital(JumperConfig(), ps).tolist()
-        assert (repr(list(enumerate(got)))
-                == repr(folded_trajectory(JumperConfig(), ps)))
+        assert repr(got) == repr(folded_trajectory(JumperConfig(), ps))
 
 
 U = 2.0**-53  # unit roundoff of float64

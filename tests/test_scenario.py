@@ -719,11 +719,12 @@ class TestCli:
 
     def test_non_finite_draw_exit_code(self, tmp_path, capsys):
         # The model is valid, but about 7 % of its x draws overflow to inf,
-        # and so does verify's +-5 sigma probe grid.
+        # and so does verify's +-5 sigma probe grid; with r = 0 the
+        # regression line is mu_y even there, so verify reports it.
         path = write_config(tmp_path, pre={
             "mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e+308, "sigma_y": 1.0,
             "rho_cov": 0.0})
-        assert cli_main(["verify", "--config", str(path)]) == 1
+        assert cli_main(["verify", "--config", str(path)]) == 0
         capsys.readouterr()
         assert cli_main(["run", "--config", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
@@ -820,9 +821,10 @@ class TestCli:
 
     def test_verify_non_finite_residual_exit_code(self, tmp_path, capsys):
         # The probe grid mu_x +- 5 sigma_x overflows to -inf, where the
-        # conditional mean is nan; JSON has no nan, so verify prints none.
+        # conditional mean (r = 0.5) is -inf under both models and the gap
+        # between them is nan; JSON has no nan, so verify prints none.
         model = {"mu_x": -1.7e+308, "mu_y": 0.0, "sigma_x": 1.0e+307,
-                 "sigma_y": 1.0, "rho_cov": 0.0}
+                 "sigma_y": 1.0, "rho_cov": 5.0e+306}
         path = write_config(tmp_path, pre=model, post=model)
         assert cli_main(["verify", "--config", str(path)]) == 1
         out, err = capsys.readouterr()
