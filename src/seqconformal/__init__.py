@@ -7,8 +7,7 @@ are invisible to the predictive-oracle conformity measure.
 
 from .conformity import (LikelihoodRatio, Mahalanobis,
                          OracleMahalanobisEnsemble, PredictiveOracle)
-from .cryptic import (CrypticPair, InvarianceReport, cryptic_shift,
-                      verify_conditions)
+from .cryptic import CrypticPair, cryptic_shift, oracle_law
 from .gaussian import BivariateGaussian, conditional_mean, sample_arrays
 from .intervals import IntervalSeries, interval_series
 from .martingale import JumperConfig, log10_capital

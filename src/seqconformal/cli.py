@@ -43,7 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help=f"shrink the stream to {QUICK_N}+{QUICK_N} examples")
 
     verify = sub.add_parser(
-        "verify", help="validate a config and print change-invariance residuals")
+        "verify", help="validate a config and print the mean and sd of the "
+        "oracle's whitened residual w under the post model (0 and 1 when "
+        "the change is cryptic to the oracle)")
     verify.add_argument("--config", required=True)
     return parser
 

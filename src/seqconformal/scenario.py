@@ -31,9 +31,8 @@ import yaml
 
 from .conformity import (ConformityMeasure, LikelihoodRatio, Mahalanobis,
                          OracleMahalanobisEnsemble, PredictiveOracle)
-from .cryptic import _same_covariance, cryptic_shift, verify_conditions
-from .gaussian import (BivariateGaussian, NonFiniteDraw, conditional_mean,
-                       sample_arrays)
+from .cryptic import cryptic_shift, oracle_law
+from .gaussian import BivariateGaussian, NonFiniteDraw, sample_arrays
 from .intervals import IntervalSeries, interval_series
 from .martingale import JumperConfig, log10_capital
 from .rng import RandomStream
@@ -424,16 +423,10 @@ def aggregate_summaries(summaries: list[ScenarioSummary]) -> dict[str, Any]:
 
 
 def describe_change(cfg: ScenarioConfig) -> dict[str, Any]:
-    """Invariance residuals of the configured pre/post pair, for `verify`."""
-    report = verify_conditions(cfg.pre, cfg.post)
-    on_line_y = conditional_mean(cfg.pre, cfg.post.mu_x)
-    return {
-        "cond1_max_residual": report.cond1_max_residual,
-        "cond2_residual": report.cond2_residual,
-        "cryptic_line_y_at_post_mu_x": on_line_y,
-        "post_mu_y_offset_from_line": cfg.post.mu_y - on_line_y,
-        "same_covariance": _same_covariance(cfg.pre, cfg.post),
-    }
+    """The law of the oracle's w under the post model, for `verify`: the
+    change is cryptic to the oracle when it is (0, 1)."""
+    mean, sd = oracle_law(cfg.pre, cfg.post)
+    return {"oracle_w_mean": mean, "oracle_w_sd": sd}
 
 
 # Per-example adapters over the array stages. Only `perfbench/traced.py`

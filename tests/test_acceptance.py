@@ -16,6 +16,7 @@ import pytest
 
 import seqconformal as sc
 from reference import initial_state, jumper_step, two_sample_ks
+from seqconformal.gaussian import conditional_sd
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 QUICK = {"n_pre": 2000, "n_post": 2000}
@@ -75,29 +76,31 @@ def test_criterion_2_cryptic_blindness(cryptic_full_20):
 
 def test_criterion_3_cryptic_line_exactness():
     rng = np.random.default_rng(2024)
-    worst_cond1 = worst_cond2 = 0.0
+    worst_mean = worst_sd = 0.0
     for _ in range(100):
         sx, sy = rng.uniform(0.3, 3, 2)
         r = rng.uniform(-0.9, 0.9)
         q0 = sc.BivariateGaussian(rng.uniform(-5, 5), rng.uniform(-5, 5),
                                   sx, sy, r * sx * sy)
         pair = sc.cryptic_shift(q0, rng.uniform(-30, 30))
-        rep = sc.verify_conditions(pair.q0, pair.q1)
-        worst_cond1 = max(worst_cond1, rep.cond1_max_residual)
-        worst_cond2 = max(worst_cond2, rep.cond2_residual)
-    # off-line perturbation by delta must show up as exactly delta
+        mean, sd = sc.oracle_law(pair.q0, pair.q1)
+        worst_mean = max(worst_mean, abs(mean))
+        worst_sd = max(worst_sd, abs(sd - 1.0))
+    # off-line perturbation by delta must show up as exactly delta in y,
+    # which is the mean of w times Q0's conditional sd
     q0 = sc.BivariateGaussian(0, 0, 1, 1, 0.5)
     base = sc.cryptic_shift(q0, 20.0).q1
     delta_errors = []
     for delta in (0.1, 1.0):
         perturbed = dataclasses.replace(base, mu_y=base.mu_y + delta)
-        rep = sc.verify_conditions(q0, perturbed)
-        delta_errors.append(abs(rep.cond1_max_residual - delta))
-    ok = worst_cond1 <= 1e-10 and worst_cond2 <= 1e-10 and max(delta_errors) <= 1e-10
-    report(3, ok, f"construction residuals <= {max(worst_cond1, worst_cond2):.1e} "
-                  f"(<= 1e-10), off-line delta error <= {max(delta_errors):.1e}")
-    assert worst_cond1 <= 1e-10
-    assert worst_cond2 <= 1e-10
+        mean, _ = sc.oracle_law(q0, perturbed)
+        delta_errors.append(abs(mean * conditional_sd(q0) - delta))
+    ok = worst_mean <= 1e-10 and worst_sd <= 1e-10 and max(delta_errors) <= 1e-10
+    report(3, ok, f"construction |mean|, |sd - 1| of w <= "
+                  f"{max(worst_mean, worst_sd):.1e} (<= 1e-10), "
+                  f"off-line delta error <= {max(delta_errors):.1e}")
+    assert worst_mean <= 1e-10
+    assert worst_sd <= 1e-10
     assert max(delta_errors) <= 1e-10
 
 

@@ -4,10 +4,26 @@ import math
 import numpy as np
 import pytest
 
-from seqconformal import (BivariateGaussian, CrypticPair, conditional_mean,
-                          cryptic_shift, verify_conditions)
+from reference import two_sample_ks
+from seqconformal import (BivariateGaussian, CrypticPair, PredictiveOracle,
+                          RandomStream, conditional_mean, cryptic_shift,
+                          oracle_law, sample_arrays)
+from seqconformal.gaussian import conditional_sd
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
+# Changes of Q0 that keep the oracle's w standard normal though the law of
+# Y given X moves: the slope falls from 0.5 to 0.25, or its sign flips.
+SLOPE_CHANGE = BivariateGaussian(3, 1.5, 2, math.sqrt(0.75), 1.0)
+SIGN_FLIP = BivariateGaussian(-4, -2, 1, 0.5, -0.25)
+# A pure covariance change (correlation 0.5 -> 0.81) that the oracle sees.
+COVARIANCE_CHANGE = BivariateGaussian(0, 0, 1.554, 0.956, 1.207)
+
+
+def random_model(rng):
+    sx, sy = rng.uniform(0.3, 3, 2)
+    r = rng.uniform(-0.9, 0.9)
+    return BivariateGaussian(rng.uniform(-5, 5), rng.uniform(-5, 5),
+                             sx, sy, r * sx * sy)
 
 
 class TestCrypticShift:
@@ -32,21 +48,17 @@ class TestCrypticShift:
         assert one.mu_x == pytest.approx(direct.mu_x)
         assert one.mu_y == pytest.approx(direct.mu_y)
 
-    def test_construction_satisfies_conditions(self):
+    def test_construction_keeps_the_law_of_w(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            sx, sy = rng.uniform(0.3, 3, 2)
-            r = rng.uniform(-0.9, 0.9)
-            q0 = BivariateGaussian(rng.uniform(-5, 5), rng.uniform(-5, 5),
-                                   sx, sy, r * sx * sy)
-            pair = cryptic_shift(q0, rng.uniform(-30, 30))
-            report = verify_conditions(pair.q0, pair.q1)
-            assert report.cond1_max_residual <= 1e-10
-            assert report.cond2_residual <= 1e-10
+            pair = cryptic_shift(random_model(rng), rng.uniform(-30, 30))
+            mean, sd = oracle_law(pair.q0, pair.q1)
+            assert abs(mean) <= 1e-10
+            assert abs(sd - 1.0) <= 1e-10
 
     def test_acceptance_does_not_depend_on_the_unit_of_y(self):
-        # The construction residual is checked in units of sigma_y, so a
-        # shift accepted at one unit of y is accepted at every other.
+        # The law of w has no unit, so a shift accepted at one unit of y is
+        # accepted at every other.
         rng = np.random.default_rng(0)
         for _ in range(200):
             sx, sy = rng.uniform(0.3, 3, 2)
@@ -63,8 +75,8 @@ class TestCrypticShift:
                         == math.ldexp(want.q1.mu_y, b))
 
     def test_accepted_at_any_origin(self):
-        # cryptic_shift sets mu_y from the expression CrypticPair checks,
-        # so the residual is exactly 0 however far the origin is from 0. A
+        # cryptic_shift sets mu_y from the expression `whiten` uses, so the
+        # law of w is exactly (0, 1) however far the origin is from 0. A
         # check that recomputed the shift from the rounded means would
         # refuse most shifts from origins past 1e6 sds.
         rng = np.random.default_rng(1)
@@ -79,10 +91,12 @@ class TestCrypticShift:
                                    sx[i], sy[i], r[i] * sx[i] * sy[i])
             q1 = cryptic_shift(q0, delta[i]).q1
             assert q1.mu_y == conditional_mean(q0, q1.mu_x)
+            assert oracle_law(q0, q1) == (0.0, 1.0)
 
 
 class TestCrypticPairValidation:
     def test_rejects_covariance_mismatch(self):
+        # sigma_y 1 -> 2 at the same covariance: w's sd becomes sqrt(5)
         q1 = dataclasses.replace(Q0, sigma_y=2.0)
         with pytest.raises(ValueError):
             CrypticPair(Q0, q1)
@@ -91,30 +105,84 @@ class TestCrypticPairValidation:
         q1 = dataclasses.replace(Q0, mu_y=1.0)
         with pytest.raises(ValueError):
             CrypticPair(Q0, q1)
-        # a non-finite shift leaves a nan residual, which must not pass
+        # a non-finite shift leaves a nan mean, which must not pass
         for delta in (math.nan, math.inf):
             with pytest.raises(ValueError, match="off the cryptic line"):
                 cryptic_shift(Q0, delta)
 
+    @pytest.mark.parametrize("q1", [SLOPE_CHANGE, SIGN_FLIP],
+                             ids=["slope_change", "sign_flip"])
+    def test_accepts_blind_covariance_changes(self, q1):
+        pair = CrypticPair(Q0, q1)
+        mean, sd = oracle_law(pair.q0, pair.q1)
+        assert abs(mean) <= 1e-15
+        assert abs(sd - 1.0) <= 1e-15
 
-class TestVerifyConditions:
-    def test_off_line_perturbation_residual_equals_delta(self):
+    def test_rejects_visible_covariance_change(self):
+        mean, sd = oracle_law(Q0, COVARIANCE_CHANGE)
+        assert mean == 0.0
+        assert sd == pytest.approx(0.6436, abs=5e-5)
+        with pytest.raises(ValueError, match="off the cryptic line"):
+            CrypticPair(Q0, COVARIANCE_CHANGE)
+
+
+class TestOracleLaw:
+    def test_off_line_perturbation_mean_equals_delta(self):
         for delta in (0.1, 1.0):
             base = cryptic_shift(Q0, 20.0).q1
             perturbed = dataclasses.replace(base, mu_y=base.mu_y + delta)
-            report = verify_conditions(Q0, perturbed)
-            assert report.cond1_max_residual == pytest.approx(delta, abs=1e-10)
-            assert report.cond2_residual == 0.0
+            mean, sd = oracle_law(Q0, perturbed)
+            assert mean * conditional_sd(Q0) == pytest.approx(delta,
+                                                              abs=1e-10)
+            assert sd == 1.0
 
     def test_variance_matched_covariance_change(self):
         # double sigma_y and pick the correlation that preserves the
-        # conditional variance: condition 2 holds, condition 1 breaks
+        # conditional variance: the slope still moves, so w's sd does
         r0 = Q0.correlation
         r1 = math.sqrt(1 - (1 - r0**2) / 4)
         q1 = BivariateGaussian(0, 0, 1, 2.0, r1 * 2.0)
-        report = verify_conditions(Q0, q1)
-        assert report.cond2_residual <= 1e-10
-        assert report.cond1_max_residual > 0.1
+        mean, sd = oracle_law(Q0, q1)
+        assert mean == 0.0
+        assert sd > 1.1
+
+    def test_zero_slope_at_opposite_scales(self):
+        # sigma_x1 / sigma_x0 overflows to inf, but with r0 = 0 the slope
+        # term is left out, not 0 * inf
+        q0 = BivariateGaussian(0.0, 0.0, 1.0e-200, 1.0, 0.0)
+        q1 = BivariateGaussian(0.0, 0.0, 1.0e+200, 1.0, 0.0)
+        assert oracle_law(q0, q1) == (0.0, 1.0)
+
+    def test_sampled_moments(self):
+        # w under q1 is normal, so its sample mean and sd over n draws are
+        # within z standard errors of the law: sd / sqrt(n) and
+        # sd / sqrt(2 (n - 1)). With 200 pairs x 2 moments, |z| <= 5 fails
+        # a correct law with probability about 400 * 5.7e-7 = 2.3e-4.
+        rng = np.random.default_rng(22)
+        n = 100_000
+        worst = 0.0
+        for seed in range(200):
+            q0, q1 = random_model(rng), random_model(rng)
+            mean, sd = oracle_law(q0, q1)
+            w = q0.whiten(*sample_arrays(q1, RandomStream(seed), n))[1]
+            z_mean = (w.mean() - mean) / (sd / math.sqrt(n))
+            z_sd = (w.std(ddof=1) - sd) / (sd / math.sqrt(2 * (n - 1)))
+            worst = max(worst, abs(z_mean), abs(z_sd))
+        assert worst <= 5.0
+
+    @pytest.mark.parametrize("q1", [SLOPE_CHANGE, SIGN_FLIP],
+                             ids=["slope_change", "sign_flip"])
+    def test_blind_changes_keep_the_score_law(self, q1):
+        # acceptance criterion 4's protocol and bound: at most 2 of 20
+        # two-sample KS tests at alpha 0.01 reject
+        oracle = PredictiveOracle(Q0)
+        rejections = 0
+        for seed in range(100, 120):
+            rng = RandomStream(seed)
+            a = oracle.scores(*sample_arrays(Q0, rng.substream(0), 10_000))
+            b = oracle.scores(*sample_arrays(q1, rng.substream(1), 10_000))
+            rejections += two_sample_ks(a, b, alpha=0.01).reject
+        assert 20 - rejections >= 18
 
 
 class TestCrypticLine:

@@ -12,13 +12,12 @@ from seqconformal import (conformity, gaussian, intervals, martingale,
 
 EXPORTS = [
     "BivariateGaussian", "ConfigError", "CrypticPair", "IntervalSeries",
-    "InvarianceReport", "JumperConfig", "KSReport", "LikelihoodRatio",
-    "Mahalanobis", "OracleMahalanobisEnsemble", "PredictiveOracle",
-    "RandomStream", "ScenarioConfig", "ScenarioSummary", "conditional_mean",
-    "cryptic_shift", "efficiency_series", "interval_series", "ks_uniform",
-    "log10_capital", "run_ctm", "run_replications", "run_scenario",
+    "JumperConfig", "KSReport", "LikelihoodRatio", "Mahalanobis",
+    "OracleMahalanobisEnsemble", "PredictiveOracle", "RandomStream",
+    "ScenarioConfig", "ScenarioSummary", "conditional_mean", "cryptic_shift",
+    "efficiency_series", "interval_series", "ks_uniform", "log10_capital",
+    "oracle_law", "run_ctm", "run_replications", "run_scenario",
     "run_transducer", "sample", "sample_arrays", "smoothed_pvalues",
-    "verify_conditions",
 ]
 
 # The per-example adapters live in one block at the end of `scenario.py`.

@@ -636,11 +636,9 @@ class TestReplications:
 
 
 class TestDescribeChange:
-    def test_cryptic_config_reports_zero_residuals(self, tmp_path):
+    def test_cryptic_config_reports_the_standard_law(self, tmp_path):
         info = describe_change(make_config(tmp_path))
-        assert info["cond1_max_residual"] <= 1e-10
-        assert info["cond2_residual"] == 0.0
-        assert info["same_covariance"]
+        assert info == {"oracle_w_mean": 0.0, "oracle_w_sd": 1.0}
 
     def test_off_line_config_reports_offset(self, tmp_path):
         cfg = make_config(
@@ -648,8 +646,9 @@ class TestDescribeChange:
             post={"mu_x": 2.0, "mu_y": 2.0, "sigma_x": 1.0, "sigma_y": 1.0,
                   "rho_cov": 0.5})
         info = describe_change(cfg)
-        assert info["post_mu_y_offset_from_line"] == pytest.approx(1.0)
-        assert info["cond1_max_residual"] == pytest.approx(1.0)
+        # 1.0 above the line, in units of the conditional sd sqrt(0.75)
+        assert info["oracle_w_mean"] == pytest.approx(1.0 / math.sqrt(0.75))
+        assert info["oracle_w_sd"] == 1.0
 
 
 class TestCli:
@@ -658,7 +657,7 @@ class TestCli:
         assert cli_main(["run", "--config", str(path)]) == 0
         assert (tmp_path / "out" / "pvalues.csv").exists()
         assert cli_main(["verify", "--config", str(path)]) == 0
-        assert "cond1_max_residual" in capsys.readouterr().out
+        assert "oracle_w_mean" in capsys.readouterr().out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -718,9 +717,8 @@ class TestCli:
         assert "'seed'" in capsys.readouterr().err
 
     def test_non_finite_draw_exit_code(self, tmp_path, capsys):
-        # The model is valid, but about 7 % of its x draws overflow to inf,
-        # and so does verify's +-5 sigma probe grid; with r = 0 the
-        # regression line is mu_y even there, so verify reports it.
+        # The model is valid, but about 7 % of its x draws overflow to inf;
+        # verify takes the law of w from the model alone, so it reports it.
         path = write_config(tmp_path, pre={
             "mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e+308, "sigma_y": 1.0,
             "rho_cov": 0.0})
@@ -738,14 +736,14 @@ class TestCli:
                                                     kind):
         # sigma_y**2 would overflow past about 1.34e154, but no scale is
         # squared: the run succeeds under every measure, and verify takes
-        # its variance residual from the conditional sds.
+        # the sd of w from the conditional sds.
         path = write_config(tmp_path, measure={"kind": kind}, pre={
             "mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0, "sigma_y": 1.0e+200,
             "rho_cov": 0.0})
         assert cli_main(["verify", "--config", str(path)]) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        assert json.loads(out)["cond2_residual"] == 0.0
+        assert json.loads(out)["oracle_w_sd"] == 1.0
         assert_cli_runs(path, capsys)
 
     @pytest.mark.parametrize("kind", MEASURE_KINDS)
@@ -790,7 +788,7 @@ class TestCli:
     def test_cryptic_shift_out_of_range_names_the_field(self, tmp_path,
                                                         capsys):
         # mu_x + delta overflows to inf, so the shifted mean is off the
-        # cryptic line by an infinite residual.
+        # cryptic line: the mean of w is nan.
         path = write_config(
             tmp_path,
             pre={"mu_x": 1.0e+308, "mu_y": 0.0, "sigma_x": 1.0,
@@ -816,16 +814,27 @@ class TestCli:
         assert cli_main(["verify", "--config", str(path)]) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        assert json.loads(out)["post_mu_y_offset_from_line"] == 0.0
+        assert json.loads(out) == {"oracle_w_mean": 0.0, "oracle_w_sd": 1.0}
         assert_cli_runs(path, capsys)
 
-    def test_verify_non_finite_residual_exit_code(self, tmp_path, capsys):
-        # The probe grid mu_x +- 5 sigma_x overflows to -inf, where the
-        # conditional mean (r = 0.5) is -inf under both models and the gap
-        # between them is nan; JSON has no nan, so verify prints none.
+    def test_verify_at_the_edge_of_the_float_range(self, tmp_path, capsys):
+        # pre == post near the edge of the float range: w is standard
+        # normal, and verify reports it from the models alone.
         model = {"mu_x": -1.7e+308, "mu_y": 0.0, "sigma_x": 1.0e+307,
                  "sigma_y": 1.0, "rho_cov": 5.0e+306}
         path = write_config(tmp_path, pre=model, post=model)
+        assert cli_main(["verify", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out) == {"oracle_w_mean": 0.0, "oracle_w_sd": 1.0}
+
+    def test_verify_non_finite_residual_exit_code(self, tmp_path, capsys):
+        # The post mean is 3e308 from the pre mean in x, so its distance
+        # from the pre regression line (r = 0.5), the mean of w, is inf;
+        # JSON has no infinity, so verify prints none.
+        pre = {"mu_x": 1.5e+308, "mu_y": 0.0, "sigma_x": 1.0, "sigma_y": 1.0,
+               "rho_cov": 0.5}
+        path = write_config(tmp_path, pre=pre, post={**pre, "mu_x": -1.5e+308})
         assert cli_main(["verify", "--config", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
