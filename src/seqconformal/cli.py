@@ -15,8 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from .scenario import (ConfigError, ScenarioConfig, describe_change,
-                       run_replications)
+from .cryptic import oracle_law
+from .scenario import ConfigError, ScenarioConfig, run_replications
 
 QUICK_N = 2000
 
@@ -78,7 +78,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
     if args.command == "verify":
-        info = describe_change(cfg)
+        mean, sd = oracle_law(cfg.pre, cfg.post)
+        info = {"oracle_w_mean": mean, "oracle_w_sd": sd}
         try:  # JSON has no nan or infinity; dumps raises before any output
             print(json.dumps(info, indent=2, sort_keys=True, allow_nan=False))
         except ValueError:

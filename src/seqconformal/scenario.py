@@ -22,16 +22,17 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass, replace)
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence, get_type_hints
 
 import numpy as np
 import yaml
 
 from .conformity import (ConformityMeasure, LikelihoodRatio, Mahalanobis,
                          OracleMahalanobisEnsemble, PredictiveOracle)
-from .cryptic import cryptic_shift, oracle_law
+from .cryptic import cryptic_shift
 from .gaussian import BivariateGaussian, NonFiniteDraw, sample_arrays
 from .intervals import IntervalSeries, interval_series
 from .martingale import JumperConfig, log10_capital
@@ -72,7 +73,8 @@ _MEASURES = {
 @dataclass(frozen=True)
 class MeasureSpec:
     kind: str  # a key of _MEASURES
-    lam: float = OracleMahalanobisEnsemble.lam
+    lam: float = field(default=OracleMahalanobisEnsemble.lam,
+                       metadata={"key": "lambda"})
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -90,8 +92,8 @@ class MeasureSpec:
 class ScenarioConfig:
     """A scenario. Construction checks every value rule, so a parsed file,
     a CLI override and a `dataclasses.replace` copy are checked alike; the
-    parser checks only types and shapes. The defaults here are those of a
-    config file that omits the key."""
+    parser checks only the types of its annotations. The defaults here are
+    those of a config file that omits the key."""
 
     pre: BivariateGaussian
     post: BivariateGaussian
@@ -133,22 +135,9 @@ class ScenarioConfig:
         return _parse_config(raw, path.parent)
 
 
-def _require(raw: dict, key: str, prefix: str = "") -> Any:
-    if key not in raw:
-        raise ConfigError(prefix + key, "missing")
-    return raw[key]
-
-
-def _mapping(raw: Any, known: tuple[str, ...], name: str) -> dict:
-    """raw, which must be a mapping with no key outside known. At the top
-    level (name "") an unknown key is itself the field."""
+def _mapping(raw: Any, name: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(name or "<file>", f"expected a mapping, got {raw!r}")
-    unknown = sorted(set(raw) - set(known), key=str)
-    if unknown and not name:
-        raise ConfigError(unknown[0], "unknown top-level key")
-    if unknown:
-        raise ConfigError(name, f"unknown keys {unknown}")
     return raw
 
 
@@ -164,78 +153,79 @@ def _as_number(value: Any, name: str) -> float:
     return number
 
 
-def _as_int(value: Any, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(name, f"expected an integer, got {value!r}")
+def _typed(value: Any, kind: type, expected: str, name: str) -> Any:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(name, f"expected {expected}, got {value!r}")
     return value
 
 
-def _parse_model(raw: Any, name: str) -> BivariateGaussian:
-    params = ("mu_x", "mu_y", "sigma_x", "sigma_y", "rho_cov")
-    raw = _mapping(raw, params, name)
-    values = {f: _as_number(_require(raw, f, f"{name}."), f"{name}.{f}")
-              for f in params}
+# How `_parse` reads (value, field name, base_dir) into each annotation.
+_CONVERTERS = {
+    float: lambda v, name, base: _as_number(v, name),
+    int: lambda v, name, base: _typed(v, int, "an integer", name),
+    str: lambda v, name, base: _typed(v, str, "a string", name),
+    Path: lambda v, name, base: base / _typed(v, str, "a path", name),
+    tuple[float, ...]: lambda v, name, base: tuple(
+        _as_number(e, name)
+        for e in _typed(v, (list, tuple), "a list of numbers", name)),
+}
+
+
+def _converter(hint: Any):
+    """How `_parse` reads a field annotated hint; TypeError if it cannot."""
+    if is_dataclass(hint):
+        return lambda v, name, base: _parse(hint, v, name, base)
+    if hint not in _CONVERTERS:
+        raise TypeError(f"no config value converts to {hint!r}")
+    return _CONVERTERS[hint]
+
+
+def _parse(cls: type, raw: Any, name: str, base_dir: Path) -> Any:
+    """The dataclass cls from the mapping raw, whose section is name ("" at
+    the top level). Each field is read from the key of its name, or of its
+    metadata's "key", and converted by its annotation; an absent key keeps
+    the field's default. A relative path is taken from base_dir."""
+    keys = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    raw = _mapping(raw, name)
+    unknown = sorted(set(raw) - set(keys), key=str)
+    if unknown and not name:
+        raise ConfigError(str(unknown[0]), "unknown top-level key")
+    if unknown:
+        raise ConfigError(f"{name}.{unknown[0]}", "unknown key")
+    hints = get_type_hints(cls)
+    values = {}
+    for key, f in keys.items():
+        field_name = f"{name}.{key}" if name else key
+        convert = _converter(hints[f.name])
+        if key in raw:
+            values[f.name] = convert(raw[key], field_name, base_dir)
+        elif f.default is MISSING:
+            raise ConfigError(field_name, "missing")
     try:
-        return BivariateGaussian(**values)
+        return cls(**values)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(name, str(exc)) from exc
 
 
 def _parse_config(raw: Any, base_dir: Path) -> ScenarioConfig:
-    raw = _mapping(raw, tuple(f.name for f in fields(ScenarioConfig)), "")
-    pre = _parse_model(_require(raw, "pre"), "pre")
-
-    post_raw = _require(raw, "post")
-    if isinstance(post_raw, dict) and set(post_raw) == {"cryptic_delta_mu_x"}:
-        delta = _as_number(post_raw["cryptic_delta_mu_x"],
-                           "post.cryptic_delta_mu_x")
-        try:
-            post = cryptic_shift(pre, delta).q1
-        except ValueError as exc:
-            raise ConfigError("post.cryptic_delta_mu_x", str(exc)) from exc
-    else:
-        post = _parse_model(post_raw, "post")
-
-    measure = ScenarioConfig.measure
-    if "measure" in raw:
-        measure_raw = _mapping(raw["measure"], ("kind", "lambda"), "measure")
-        if "kind" not in measure_raw:
-            raise ConfigError("measure", "missing 'kind'")
-        measure = MeasureSpec(
-            kind=str(measure_raw["kind"]),
-            lam=_as_number(measure_raw.get("lambda", MeasureSpec.lam),
-                           "measure.lambda"))
-
-    jumper_raw = _mapping(raw.get("jumper", {}), ("epsilons", "jump_rate"),
-                          "jumper")
-    epsilons = jumper_raw.get("epsilons", JumperConfig.epsilons)
-    if not isinstance(epsilons, (list, tuple)):
-        raise ConfigError("jumper.epsilons",
-                          f"expected a list of numbers, got {epsilons!r}")
-    epsilons = tuple(_as_number(e, "jumper.epsilons") for e in epsilons)
-    jump_rate = _as_number(jumper_raw.get("jump_rate", JumperConfig.jump_rate),
-                           "jumper.jump_rate")
+    """`_parse` of a ScenarioConfig, but an absent output_dir is `out` next
+    to the config file, and `post: {cryptic_delta_mu_x: d}` is `pre`
+    shifted by d in x along its regression line."""
+    raw = {"output_dir": str(ScenarioConfig.output_dir), **_mapping(raw, "")}
+    post = raw.get("post")
+    if not (isinstance(post, dict) and set(post) == {"cryptic_delta_mu_x"}):
+        return _parse(ScenarioConfig, raw, "", base_dir)
+    # Walked with post = pre, then shifted.
+    cfg = _parse(ScenarioConfig, {**raw, "post": raw.get("pre")}, "",
+                 base_dir)
+    delta = _as_number(post["cryptic_delta_mu_x"], "post.cryptic_delta_mu_x")
     try:
-        jumper = JumperConfig(epsilons=epsilons, jump_rate=jump_rate)
+        shifted = cryptic_shift(cfg.pre, delta).q1
     except ValueError as exc:
-        raise ConfigError("jumper", str(exc)) from exc
-
-    output_dir = raw.get("output_dir", str(ScenarioConfig.output_dir))
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir", f"expected a path, got {output_dir!r}")
-
-    return ScenarioConfig(
-        pre=pre, post=post,
-        n_pre=_as_int(_require(raw, "n_pre"), "n_pre"),
-        n_post=_as_int(_require(raw, "n_post"), "n_post"),
-        seed=_as_int(_require(raw, "seed"), "seed"),
-        measure=measure, jumper=jumper,
-        epsilon=_as_number(raw.get("epsilon", ScenarioConfig.epsilon),
-                           "epsilon"),
-        replications=_as_int(
-            raw.get("replications", ScenarioConfig.replications),
-            "replications"),
-        output_dir=base_dir / output_dir)
+        raise ConfigError("post.cryptic_delta_mu_x", str(exc)) from exc
+    return replace(cfg, post=shifted)
 
 
 @dataclass(frozen=True)
@@ -420,13 +410,6 @@ def aggregate_summaries(summaries: list[ScenarioSummary]) -> dict[str, Any]:
             agg[f"median_{f.name}"] = (statistics.median(values) if values
                                        else None)
     return agg
-
-
-def describe_change(cfg: ScenarioConfig) -> dict[str, Any]:
-    """The law of the oracle's w under the post model, for `verify`: the
-    change is cryptic to the oracle when it is (0, 1)."""
-    mean, sd = oracle_law(cfg.pre, cfg.post)
-    return {"oracle_w_mean": mean, "oracle_w_sd": sd}
 
 
 # Per-example adapters over the array stages. Only `perfbench/traced.py`

@@ -7,20 +7,23 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import left_sum
 import seqconformal
-from seqconformal import (BivariateGaussian, ConfigError,
+from seqconformal import (BivariateGaussian, ConfigError, JumperConfig,
                           OracleMahalanobisEnsemble, ScenarioConfig,
                           ScenarioSummary, run_replications, run_scenario)
 from seqconformal.cli import main as cli_main
 from seqconformal.intervals import IntervalSeries
-from seqconformal.scenario import (MeasureSpec, _phase_means,
-                                   aggregate_summaries, describe_change)
+from seqconformal.scenario import (MeasureSpec, _converter, _phase_means,
+                                   aggregate_summaries)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ARTIFACTS = ("stream.csv", "pvalues.csv", "martingale.csv", "intervals.csv",
@@ -183,6 +186,43 @@ def assert_cli_runs(path, capsys):
                                   skiprows=1, usecols=1)).all()
 
 
+def verify_output(path, capsys):
+    """What `seqconformal verify` prints for the config file at path, read
+    as JSON; the command must exit 0 with nothing on stderr."""
+    assert cli_main(["verify", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return json.loads(out)
+
+
+# Valid models and configs, for the YAML round trip of ScenarioConfig.
+models = st.builds(
+    lambda mu_x, mu_y, sigma_x, sigma_y, r: BivariateGaussian(
+        mu_x, mu_y, sigma_x, sigma_y, r * sigma_x * sigma_y),
+    st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3), st.floats(-0.99, 0.99))
+
+
+@st.composite
+def scenario_configs(draw):
+    replications = draw(st.integers(1, 5))
+    n_pre = draw(st.integers(0, 10**6))
+    return ScenarioConfig(
+        pre=draw(models), post=draw(models), n_pre=n_pre,
+        n_post=draw(st.integers(0 if n_pre else 1, 10**6)),
+        seed=draw(st.integers(0, 2**64 - replications)),
+        measure=MeasureSpec(draw(st.sampled_from(MEASURE_KINDS)),
+                            draw(st.floats(0.0, 1.0))),
+        jumper=JumperConfig(
+            tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=1,
+                                max_size=5))),
+            draw(st.floats(0.0, 1.0, exclude_max=True))),
+        epsilon=draw(st.floats(0.0, 1.0, exclude_min=True,
+                               exclude_max=True)),
+        replications=replications,
+        output_dir=Path(draw(st.sampled_from(["out", "runs/a b", "x/y"]))))
+
+
 def artifact_digests(cfg, out):
     run_scenario(cfg, output_dir=out)
     return {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
@@ -292,6 +332,57 @@ class TestConfigParsing:
         cfg = ScenarioConfig.from_file(path)
         assert cfg.n_pre == 300
         assert cfg.seed == 7
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"pre": {**BASE["pre"], "z": 1}}, "pre.z"),
+        ({"post": {**BASE["pre"], "z": 1}}, "post.z"),
+        ({"measure": {"kind": "oracle", "x": 1}}, "measure.x"),
+        ({"jumper": {"epsilons": [-1, 0, 1], "bogus": 1}}, "jumper.bogus"),
+        ({"bogus": 1}, "bogus"),
+        ({"measure": {}}, "measure.kind"),
+        ({"pre": {k: v for k, v in BASE["pre"].items() if k != "mu_x"}},
+         "pre.mu_x"),
+        # One wrong-typed value for each annotation the parser converts.
+        ({"n_pre": 1.5}, "n_pre"),
+        ({"seed": True}, "seed"),
+        ({"epsilon": "x"}, "epsilon"),
+        ({"output_dir": 3}, "output_dir"),
+        ({"jumper": {"epsilons": 0.5}}, "jumper.epsilons"),
+        ({"measure": {"kind": 3}}, "measure.kind"),
+    ])
+    def test_error_names_the_key(self, tmp_path, overrides, field):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict({**BASE, **overrides}, base_dir=tmp_path)
+        assert err.value.field_name == field
+
+    def test_every_config_field_converts(self):
+        # A field whose annotation the parser cannot read fails here, not
+        # in a user's run.
+        seen, todo = set(), [ScenarioConfig]
+        while todo:
+            cls = todo.pop()
+            seen.add(cls)
+            for hint in get_type_hints(cls).values():
+                _converter(hint)
+                if dataclasses.is_dataclass(hint):
+                    todo.append(hint)
+        assert seen == {ScenarioConfig, BivariateGaussian, MeasureSpec,
+                        JumperConfig}
+        with pytest.raises(TypeError):
+            _converter(list[float])
+
+    # 100 examples take about 1 s on a 2-vCPU x86-64 host.
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=scenario_configs())
+    def test_yaml_round_trip(self, tmp_path_factory, cfg):
+        raw = dataclasses.asdict(cfg)
+        raw["measure"] = {"kind": cfg.measure.kind, "lambda": cfg.measure.lam}
+        raw["jumper"]["epsilons"] = list(cfg.jumper.epsilons)
+        raw["output_dir"] = cfg.output_dir.as_posix()  # relative to the file
+        path = tmp_path_factory.mktemp("round_trip") / "scenario.cfg"
+        path.write_text(yaml.safe_dump(raw))
+        assert ScenarioConfig.from_file(path) == dataclasses.replace(
+            cfg, output_dir=path.parent / cfg.output_dir)
 
 
 class TestRunScenario:
@@ -635,17 +726,17 @@ class TestReplications:
             (cfg_b.output_dir / "aggregate.json").read_bytes()
 
 
-class TestDescribeChange:
-    def test_cryptic_config_reports_the_standard_law(self, tmp_path):
-        info = describe_change(make_config(tmp_path))
+class TestVerify:
+    def test_cryptic_config_reports_the_standard_law(self, tmp_path, capsys):
+        info = verify_output(write_config(tmp_path), capsys)
         assert info == {"oracle_w_mean": 0.0, "oracle_w_sd": 1.0}
 
-    def test_off_line_config_reports_offset(self, tmp_path):
-        cfg = make_config(
+    def test_off_line_config_reports_offset(self, tmp_path, capsys):
+        path = write_config(
             tmp_path,
             post={"mu_x": 2.0, "mu_y": 2.0, "sigma_x": 1.0, "sigma_y": 1.0,
                   "rho_cov": 0.5})
-        info = describe_change(cfg)
+        info = verify_output(path, capsys)
         # 1.0 above the line, in units of the conditional sd sqrt(0.75)
         assert info["oracle_w_mean"] == pytest.approx(1.0 / math.sqrt(0.75))
         assert info["oracle_w_sd"] == 1.0
