@@ -7,19 +7,17 @@ and its law is fixed by two numbers: its mean and sd under Q1
 (`oracle_law`). A change Q0 -> Q1 is cryptic to the oracle exactly when
 they are 0 and 1, for then w, the scores and the p-value stream have the
 same law before and after. That holds for every mean shift along Q0's
-regression line (`cryptic_shift`, the paper's construction), and also
-for covariance changes that keep the law of w, slope changes up to a
-sign flip among them.
+regression line (`cryptic_shift`, the paper's construction, whose law is
+exactly (0, 1) at any origin), and also for covariance changes that keep
+the law of w, slope changes up to a sign flip among them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .gaussian import BivariateGaussian, conditional_mean, conditional_sd
-
-_CONSTRUCTION_TOL = 1e-12
 
 
 def oracle_law(q0: BivariateGaussian,
@@ -37,27 +35,13 @@ def oracle_law(q0: BivariateGaussian,
     return q0.whiten(q1.mu_x, q1.mu_y)[1], sd / conditional_sd(q0)
 
 
-@dataclass(frozen=True)
-class CrypticPair:
-    """Pre/post models under which the oracle's w has the same law."""
-
-    q0: BivariateGaussian
-    q1: BivariateGaussian
-
-    def __post_init__(self):
-        # `cryptic_shift` sets mu_y by the expression `whiten` uses, so its
-        # pairs give exactly (0, 1) at any origin. The tolerance, in units
-        # of w, serves pairs built by hand; a nan fails it.
-        mean, sd = oracle_law(self.q0, self.q1)
-        if not (abs(mean) <= _CONSTRUCTION_TOL
-                and abs(sd - 1.0) <= _CONSTRUCTION_TOL):
-            raise ValueError(
-                f"change is off the cryptic line: under the post model the "
-                f"oracle's w has mean {mean:.3e} and sd {sd:.3e}, not 0 and 1")
-
-
-def cryptic_shift(q0: BivariateGaussian, delta_mu_x: float) -> CrypticPair:
-    """Shift the mean along Q0's regression line by delta_mu_x in x."""
+def cryptic_shift(q0: BivariateGaussian,
+                  delta_mu_x: float) -> BivariateGaussian:
+    """Q0 with its mean shifted along its regression line by delta_mu_x in
+    x. mu_y is set by the expression `whiten` uses, so `oracle_law` of the
+    pair is exactly (0, 1); ValueError if the shifted mean is not finite."""
     mu_x = q0.mu_x + delta_mu_x
-    q1 = replace(q0, mu_x=mu_x, mu_y=conditional_mean(q0, mu_x))
-    return CrypticPair(q0=q0, q1=q1)
+    mu_y = conditional_mean(q0, mu_x)
+    if not (math.isfinite(mu_x) and math.isfinite(mu_y)):
+        raise ValueError(f"the shifted mean ({mu_x!r}, {mu_y!r}) is not finite")
+    return replace(q0, mu_x=mu_x, mu_y=mu_y)

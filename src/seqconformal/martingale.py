@@ -18,11 +18,9 @@ no config value is written into the source. Each step evaluates, per bet
 and in grid order, the expressions a loop over the grid would:
 `centred = p - 0.5`, `mixed = share * total`, then
 `c_i = (keep * c_i + mixed) * (1.0 + e_i * centred)`, and the total is
-`0.0 + c0 + ... + c{k-1}`; so the bits are those of that loop. The loop
-collects each step's linear total; after the block, `math.log10` maps
-over them, and the decimal scale, recorded with its index in the block at
-each rescale, is added in numpy, where float64 addition rounds as
-Python's does.
+`0.0 + c0 + ... + c{k-1}`; so the bits are those of that loop. Each step
+appends `log10(total) + scale`, its log10 capital, to a list that the
+block slice-assigns into the trajectory.
 
 Defaults (eps grid {-1, 0, 1}, J = 0.01) follow the standard Simple
 Jumper parameterization; both are configurable.
@@ -59,14 +57,13 @@ class JumperConfig:
 # One block of Jumper steps for a grid of k bets, unrolled into k local
 # capitals and k local epsilons; `_step_loop` fills in the names and
 # expressions for one k. It returns the capitals, total and scale after the
-# block, appends each step's total to `totals`, and appends (index in the
-# block, new scale) to `rescales` at each rescale.
+# block, and appends each step's log10 capital to `logs`.
 _STEP_TEMPLATE = """\
 def steps(ps, capitals, epsilons, keep, share, bound, low, total, scale,
-          totals, rescales):
+          logs):
     {c}, = capitals
     {e}, = epsilons
-    append = totals.append
+    append = logs.append
     for p in ps:
         centred = p - 0.5
         mixed = share * total
@@ -77,9 +74,8 @@ def steps(ps, capitals, epsilons, keep, share, bound, low, total, scale,
             factor = 10.0**m
 {rescale}
             scale += m
-            rescales.append((len(totals), scale))
             total = {total}
-        append(total)
+        append(log10(total) + scale)
     return ({c},), total, scale
 """
 
@@ -122,15 +118,10 @@ def log10_capital(cfg: JumperConfig, pvalues: Sequence[float]) -> np.ndarray:
     trajectory = np.empty(len(pvalues) + 1)
     trajectory[0] = math.log10(total) + scale
     for start in range(0, len(pvalues), BLOCK_STEPS):
-        block_scale, totals, rescales = scale, [], []
+        logs = []
         capitals, total, scale = steps(
             pvalues[start:start + BLOCK_STEPS].tolist(), capitals,
             cfg.epsilons, keep, share, bound, 1.0 / bound, total, scale,
-            totals, rescales)
-        out = trajectory[start + 1:start + 1 + len(totals)]
-        out[:] = np.fromiter(map(math.log10, totals), np.float64, len(totals))
-        # The scale of each step: the block's first, then each rescale's.
-        edges = [0] + [i for i, _ in rescales] + [len(totals)]
-        out += np.repeat([block_scale] + [s for _, s in rescales],
-                         np.diff(edges))
+            logs)
+        trajectory[start + 1:start + 1 + len(logs)] = logs
     return trajectory

@@ -19,6 +19,7 @@ float and of `%d` for the steps and `covered`, built in numpy.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import statistics
@@ -171,6 +172,10 @@ _CONVERTERS = {
 }
 
 
+# Each class's annotations, evaluated once (they are strings here).
+_hints = functools.cache(get_type_hints)
+
+
 def _converter(hint: Any):
     """How `_parse` reads a field annotated hint; TypeError if it cannot."""
     if is_dataclass(hint):
@@ -192,7 +197,7 @@ def _parse(cls: type, raw: Any, name: str, base_dir: Path) -> Any:
         raise ConfigError(str(unknown[0]), "unknown top-level key")
     if unknown:
         raise ConfigError(f"{name}.{unknown[0]}", "unknown key")
-    hints = get_type_hints(cls)
+    hints = _hints(cls)
     values = {}
     for key, f in keys.items():
         field_name = f"{name}.{key}" if name else key
@@ -212,17 +217,21 @@ def _parse(cls: type, raw: Any, name: str, base_dir: Path) -> Any:
 def _parse_config(raw: Any, base_dir: Path) -> ScenarioConfig:
     """`_parse` of a ScenarioConfig, but an absent output_dir is `out` next
     to the config file, and `post: {cryptic_delta_mu_x: d}` is `pre`
-    shifted by d in x along its regression line."""
+    shifted by d in x along its regression line; such a `post` holds no
+    other key."""
     raw = {"output_dir": str(ScenarioConfig.output_dir), **_mapping(raw, "")}
     post = raw.get("post")
-    if not (isinstance(post, dict) and set(post) == {"cryptic_delta_mu_x"}):
+    if not (isinstance(post, dict) and "cryptic_delta_mu_x" in post):
         return _parse(ScenarioConfig, raw, "", base_dir)
     # Walked with post = pre, then shifted.
     cfg = _parse(ScenarioConfig, {**raw, "post": raw.get("pre")}, "",
                  base_dir)
+    stray = sorted(set(post) - {"cryptic_delta_mu_x"}, key=str)
+    if stray:
+        raise ConfigError(f"post.{stray[0]}", "unknown key")
     delta = _as_number(post["cryptic_delta_mu_x"], "post.cryptic_delta_mu_x")
     try:
-        shifted = cryptic_shift(cfg.pre, delta).q1
+        shifted = cryptic_shift(cfg.pre, delta)
     except ValueError as exc:
         raise ConfigError("post.cryptic_delta_mu_x", str(exc)) from exc
     return replace(cfg, post=shifted)

@@ -82,14 +82,14 @@ def test_criterion_3_cryptic_line_exactness():
         r = rng.uniform(-0.9, 0.9)
         q0 = sc.BivariateGaussian(rng.uniform(-5, 5), rng.uniform(-5, 5),
                                   sx, sy, r * sx * sy)
-        pair = sc.cryptic_shift(q0, rng.uniform(-30, 30))
-        mean, sd = sc.oracle_law(pair.q0, pair.q1)
+        q1 = sc.cryptic_shift(q0, rng.uniform(-30, 30))
+        mean, sd = sc.oracle_law(q0, q1)
         worst_mean = max(worst_mean, abs(mean))
         worst_sd = max(worst_sd, abs(sd - 1.0))
     # off-line perturbation by delta must show up as exactly delta in y,
     # which is the mean of w times Q0's conditional sd
     q0 = sc.BivariateGaussian(0, 0, 1, 1, 0.5)
-    base = sc.cryptic_shift(q0, 20.0).q1
+    base = sc.cryptic_shift(q0, 20.0)
     delta_errors = []
     for delta in (0.1, 1.0):
         perturbed = dataclasses.replace(base, mu_y=base.mu_y + delta)
@@ -106,13 +106,13 @@ def test_criterion_3_cryptic_line_exactness():
 
 def test_criterion_4_score_distribution_invariance():
     q0 = sc.BivariateGaussian(0, 0, 1, 1, 0.5)
-    pair = sc.cryptic_shift(q0, 20.0)
+    q1 = sc.cryptic_shift(q0, 20.0)
     oracle = sc.PredictiveOracle(q0)
     rejections = 0
     for seed in range(100, 120):
         rng = sc.RandomStream(seed)
         a = oracle.scores(*sc.sample_arrays(q0, rng.substream(0), 10_000))
-        b = oracle.scores(*sc.sample_arrays(pair.q1, rng.substream(1), 10_000))
+        b = oracle.scores(*sc.sample_arrays(q1, rng.substream(1), 10_000))
         rejections += two_sample_ks(a, b, alpha=0.01).reject
     ok = 20 - rejections >= 18
     report(4, ok, f"two-sample KS non-rejections: {20 - rejections}/20 (>= 18)")

@@ -174,10 +174,10 @@ class TestOracleMahalanobisEnsemble:
     def test_mahalanobis_component_collapses_after_cryptic_shift(self):
         # the cryptic mean shift moves the Mahalanobis component many
         # sds under Q0 away from its pre-change level
-        pair = cryptic_shift(Q0, 20.0)
+        q1 = cryptic_shift(Q0, 20.0)
         rng = RandomStream(10)
         pre = sample_arrays(Q0, rng.substream(0), 2000)
-        post = sample_arrays(pair.q1, rng.substream(1), 2000)
+        post = sample_arrays(q1, rng.substream(1), 2000)
         standardized = OracleMahalanobisEnsemble(Q0, 0.0).scores(
             *np.concatenate([pre, post], axis=1))
         assert abs(np.mean(standardized[:2000])) < 0.1
@@ -186,11 +186,11 @@ class TestOracleMahalanobisEnsemble:
 
 class TestScoreDistributionInvariance:
     def test_oracle_scores_identically_distributed_across_cryptic_shift(self):
-        pair = cryptic_shift(Q0, 20.0)
+        q1 = cryptic_shift(Q0, 20.0)
         rng = RandomStream(12)
         oracle = PredictiveOracle(Q0)
         a = oracle.scores(*sample_arrays(Q0, rng.substream(0), 10_000))
-        b = oracle.scores(*sample_arrays(pair.q1, rng.substream(1), 10_000))
+        b = oracle.scores(*sample_arrays(q1, rng.substream(1), 10_000))
         assert not two_sample_ks(a, b, alpha=0.01).reject
 
 

@@ -11,8 +11,8 @@ from seqconformal import (conformity, gaussian, intervals, martingale,
                           transducer)
 
 EXPORTS = [
-    "BivariateGaussian", "ConfigError", "CrypticPair", "IntervalSeries",
-    "JumperConfig", "KSReport", "LikelihoodRatio", "Mahalanobis",
+    "BivariateGaussian", "ConfigError", "IntervalSeries", "JumperConfig",
+    "KSReport", "LikelihoodRatio", "Mahalanobis",
     "OracleMahalanobisEnsemble", "PredictiveOracle", "RandomStream",
     "ScenarioConfig", "ScenarioSummary", "conditional_mean", "cryptic_shift",
     "efficiency_series", "interval_series", "ks_uniform", "log10_capital",

@@ -249,10 +249,10 @@ def rescaled_steps(cfg, ps):
 
 
 class TestBlockBoundaries:
-    """log10_capital reads BLOCK_STEPS p-values per block and adds, after
-    the block, the decimal scale recorded at each rescale with its index
-    in the block; a rescale on the last step of a block or the first of
-    the next must carry over."""
+    """log10_capital reads BLOCK_STEPS p-values per block, and each step
+    adds the decimal scale it ends at to its log10 total; the scale of a
+    rescale on the last step of a block or the first of the next must
+    carry over."""
 
     # Steps 1..B make block 0, B+1..2B block 1, and so on.
     @pytest.mark.parametrize("n,steps", [(B - 1, [B - 1]), (B, [B]),

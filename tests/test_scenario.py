@@ -336,6 +336,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("overrides,field", [
         ({"pre": {**BASE["pre"], "z": 1}}, "pre.z"),
         ({"post": {**BASE["pre"], "z": 1}}, "post.z"),
+        ({"post": {"cryptic_delta_mu_x": 1.0, "z": 2}}, "post.z"),
         ({"measure": {"kind": "oracle", "x": 1}}, "measure.x"),
         ({"jumper": {"epsilons": [-1, 0, 1], "bogus": 1}}, "jumper.bogus"),
         ({"bogus": 1}, "bogus"),
@@ -878,8 +879,8 @@ class TestCli:
 
     def test_cryptic_shift_out_of_range_names_the_field(self, tmp_path,
                                                         capsys):
-        # mu_x + delta overflows to inf, so the shifted mean is off the
-        # cryptic line: the mean of w is nan.
+        # mu_x + delta overflows to inf, so the shifted mean is not
+        # finite.
         path = write_config(
             tmp_path,
             pre={"mu_x": 1.0e+308, "mu_y": 0.0, "sigma_x": 1.0,
