@@ -14,7 +14,9 @@ squares is never NaN: far enough out it is inf, and the score -inf.
 - The predictive oracle scores -w^2 / 2: the log conditional density of Y
   given X under the reference model, without its constant.
 - Mahalanobis scores -(u^2 + w^2); the likelihood ratio is half the
-  difference of two such sums plus a constant. Both target marginal shifts.
+  difference of two such sums plus a constant: NaN (inf - inf) past about
+  1e154 sds from both models, where no run draws, for each draw lies near
+  its own model. Both target marginal shifts.
 - The oracle-Mahalanobis ensemble adds the oracle and Mahalanobis scores,
   each standardized by its closed-form moments under the reference model.
 
@@ -118,5 +120,5 @@ class OracleMahalanobisEnsemble(ConformityMeasure):
         b = (1.0 - lam) / 2.0
         c = lam / math.sqrt(2.0) + 1.0 - lam
         u, w = self.q0.whiten(xs, ys)
-        # Left to right, (b * u) * u is 0 when b is 0, even for a far u.
-        return c - (a * w * w + b * u * u)
+        # At lam = 1 the u term goes, for 0 * u * u is NaN at an infinite u.
+        return c - a * w * w if b == 0.0 else c - (a * w * w + b * u * u)

@@ -8,8 +8,9 @@ and its law is fixed by two numbers: its mean and sd under Q1
 they are 0 and 1, for then w, the scores and the p-value stream have the
 same law before and after. That holds for every mean shift along Q0's
 regression line (`cryptic_shift`, the paper's construction, whose law is
-exactly (0, 1) at any origin), and also for covariance changes that keep
-the law of w, slope changes up to a sign flip among them.
+exactly (0, 1) at any origin; `BivariateGaussian` refuses a shifted mean
+that is not finite), and also for covariance changes that keep the law
+of w, slope changes up to a sign flip among them.
 """
 
 from __future__ import annotations
@@ -41,7 +42,4 @@ def cryptic_shift(q0: BivariateGaussian,
     x. mu_y is set by the expression `whiten` uses, so `oracle_law` of the
     pair is exactly (0, 1); ValueError if the shifted mean is not finite."""
     mu_x = q0.mu_x + delta_mu_x
-    mu_y = conditional_mean(q0, mu_x)
-    if not (math.isfinite(mu_x) and math.isfinite(mu_y)):
-        raise ValueError(f"the shifted mean ({mu_x!r}, {mu_y!r}) is not finite")
-    return replace(q0, mu_x=mu_x, mu_y=mu_y)
+    return replace(q0, mu_x=mu_x, mu_y=conditional_mean(q0, mu_x))

@@ -34,7 +34,7 @@ import yaml
 from .conformity import (ConformityMeasure, LikelihoodRatio, Mahalanobis,
                          OracleMahalanobisEnsemble, PredictiveOracle)
 from .cryptic import cryptic_shift
-from .gaussian import BivariateGaussian, NonFiniteDraw, sample_arrays
+from .gaussian import BivariateGaussian, sample_arrays
 from .intervals import IntervalSeries, interval_series
 from .martingale import JumperConfig, log10_capital
 from .rng import RandomStream
@@ -335,12 +335,13 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     xs, ys = np.empty(n), np.empty(n)
     for phase, model, lo, hi in (("pre", cfg.pre, 0, cfg.n_pre),
                                  ("post", cfg.post, cfg.n_pre, n)):
-        try:
-            xs[lo:hi], ys[lo:hi] = sample_arrays(model, data_rng, hi - lo)
-        except NonFiniteDraw as exc:
+        xs[lo:hi], ys[lo:hi] = sample_arrays(model, data_rng, hi - lo)
+        finite = np.isfinite(xs[lo:hi]) & np.isfinite(ys[lo:hi])
+        if not finite.all():
+            i = lo + int(np.argmin(finite))
             raise ConfigError(phase, (
-                f"seed {cfg.seed}, step {lo + 1 + exc.index}: the draw "
-                f"(x, y) = ({exc.x!r}, {exc.y!r}) is not finite")) from exc
+                f"seed {cfg.seed}, step {i + 1}: the draw (x, y) = "
+                f"({float(xs[i])!r}, {float(ys[i])!r}) is not finite"))
     measure = cfg.measure.build(cfg.pre, cfg.post)
     pvalues = smoothed_pvalues(measure.scores(xs, ys), tau_rng)
     trajectory = log10_capital(cfg.jumper, pvalues)  # index = step

@@ -1,21 +1,28 @@
 """Far examples never score NaN.
 
 Every measure scores an example through its whitened coordinates (u, w)
-under the reference model, as a constant minus a weighted sum of their
-squares. A sum of squares of finite u and w is never NaN: for an example
-past about 1e154 sds, u * u or w * w overflows to inf and the score to
--inf (the likelihood ratio's pre-change examples: +inf). So a run whose
-post-change mean lies up to 1e250 sds away finishes with numpy's invalid
-operations raising, and its p-values are valid. Overflow stays allowed:
-examples that far out tie at -inf, and numpy warns of the overflow.
+under the reference model. The oracle, Mahalanobis and the ensemble
+score a constant minus a weighted sum of their squares. A sum of squares
+of finite u and w is never NaN: for an example past about 1e154 sds,
+u * u or w * w overflows to inf and the score to -inf. The likelihood
+ratio scores half the difference of two such sums, one under each model,
+so it is inf - inf = NaN for an example past about 1e154 sds from both
+models. No run draws one: each draw lies near its own phase's model, so
+at most one of the sums is inf, and the score is -inf (a post-change
+example) or +inf (a pre-change one). So a run whose post-change mean
+lies up to 1e250 sds away finishes with numpy's invalid operations
+raising, and its p-values are valid. Overflow stays allowed: examples
+that far out tie at -inf, and numpy warns of the overflow.
 
 At the edge of the float range x - mu_x itself overflows, so u is
 infinite. With r = 0 the regression line is flat, and it stays mu_y
-there: it is never 0 * inf.
+there: it is never 0 * inf. The ensemble at lam = 1 leaves its u term
+out, for 0 * u * u would be NaN there.
 
 The property test adds about 1.3 s to tier-1 on a 2-vCPU host.
 """
 
+import io
 import json
 import math
 import tempfile
@@ -105,20 +112,23 @@ def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.parametrize("kind", ["oracle", "mahalanobis", "likelihood_ratio",
-                                  "ensemble"])
-def test_edge_of_float_range_gives_no_nan(kind):
-    # Each phase's examples lie 3e308, past the largest float, from the
-    # other phase's mean, so u is infinite under the other model. With
-    # r = 0 the line mu_y + 0 * u used to be NaN there: NaN scores, which
-    # rank as the most conforming (a median post-change p-value of 0.866
-    # under Mahalanobis), NaN interval centres and widths, and a
-    # summary.json holding NaN, which is not JSON.
+EDGE_MEASURES = {"oracle": {"kind": "oracle"},
+                 "mahalanobis": {"kind": "mahalanobis"},
+                 "likelihood_ratio": {"kind": "likelihood_ratio"},
+                 "ensemble": {"kind": "ensemble"},
+                 "ensemble_lambda_1": {"kind": "ensemble", "lambda": 1.0}}
+
+
+def edge_run(measure):
+    """Run the edge config under measure: each phase's examples lie 3e308,
+    past the largest float, from the other phase's mean, so u is infinite
+    under the other model. Return the run's scores, recomputed from
+    stream.csv, and its other artifacts' bytes by file name."""
     raw = {"pre": {"mu_x": 1.5e+308, "mu_y": 0.0, "sigma_x": 1.0,
                    "sigma_y": 1.0, "rho_cov": 0.0},
            "post": {"mu_x": -1.5e+308, "mu_y": 0.0, "sigma_x": 1.0,
                     "sigma_y": 1.0, "rho_cov": 0.0},
-           "n_pre": 300, "n_post": 300, "seed": 7, "measure": {"kind": kind}}
+           "n_pre": 300, "n_post": 300, "seed": 7, "measure": measure}
     with tempfile.TemporaryDirectory() as tmp:
         cfg = ScenarioConfig.from_dict(raw, base_dir=Path(tmp))
         # The subtraction x - mu_x overflows; that is allowed.
@@ -127,14 +137,36 @@ def test_edge_of_float_range_gives_no_nan(kind):
             xs, ys = np.loadtxt(cfg.output_dir / "stream.csv", delimiter=",",
                                 skiprows=1, usecols=(1, 2), unpack=True)
             scores = cfg.measure.build(cfg.pre, cfg.post).scores(xs, ys)
-        pvalues = np.loadtxt(cfg.output_dir / "pvalues.csv", delimiter=",",
-                             skiprows=1, usecols=1)
-        center, width = np.loadtxt(cfg.output_dir / "intervals.csv",
-                                   delimiter=",", skiprows=1, usecols=(1, 4),
-                                   unpack=True)
-        summary = (cfg.output_dir / "summary.json").read_text()
+        artifacts = {name: (cfg.output_dir / name).read_bytes()
+                     for name in ("pvalues.csv", "intervals.csv",
+                                  "summary.json")}
+    return scores, artifacts
+
+
+def column(csv, index):
+    return np.loadtxt(io.BytesIO(csv), delimiter=",", skiprows=1,
+                      usecols=index)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MEASURES))
+def test_edge_of_float_range_gives_no_nan(name):
+    # With r = 0 the line mu_y + 0 * u used to be NaN where u is infinite:
+    # NaN scores, which rank as the most conforming (a median post-change
+    # p-value of 0.866 under Mahalanobis), NaN interval centres and
+    # widths, and a summary.json holding NaN, which is not JSON. The
+    # ensemble at lam = 1 scored 0 * u * u = NaN there too: a median
+    # post-change p-value of 0.866 and a final log10 S of 37.8, a false
+    # detection of a change its oracle part is blind to.
+    scores, artifacts = edge_run(EDGE_MEASURES[name])
+    pvalues = column(artifacts["pvalues.csv"], 1)
+    center = column(artifacts["intervals.csv"], 1)
+    width = column(artifacts["intervals.csv"], 4)
     assert not np.isnan(scores).any()
     assert not np.isnan(center).any() and not np.isnan(width).any()
-    json.loads(summary, parse_constant=reject_constant)
-    if kind != "oracle":  # the oracle is blind to this shift
+    json.loads(artifacts["summary.json"], parse_constant=reject_constant)
+    if name == "ensemble_lambda_1":
+        # c - a w^2 ranks the examples as the oracle's -w^2 / 2 does
+        oracle = edge_run(EDGE_MEASURES["oracle"])[1]
+        assert artifacts["pvalues.csv"] == oracle["pvalues.csv"]
+    elif name != "oracle":  # the oracle is blind to this shift
         assert np.median(pvalues[300:]) < 0.5

@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 from reference import left_sum
 import seqconformal
 from seqconformal import (BivariateGaussian, ConfigError, JumperConfig,
-                          OracleMahalanobisEnsemble, ScenarioConfig,
-                          ScenarioSummary, run_replications, run_scenario)
+                          OracleMahalanobisEnsemble, RandomStream,
+                          ScenarioConfig, ScenarioSummary, run_replications,
+                          run_scenario, sample_arrays)
 from seqconformal.cli import main as cli_main
 from seqconformal.intervals import IntervalSeries
-from seqconformal.scenario import (MeasureSpec, _converter, _phase_means,
-                                   aggregate_summaries)
+from seqconformal.scenario import (DATA_SUBSTREAM, MeasureSpec, _converter,
+                                   _phase_means, aggregate_summaries)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ARTIFACTS = ("stream.csv", "pvalues.csv", "martingale.csv", "intervals.csv",
@@ -487,7 +488,12 @@ class TestRunScenario:
         assert info.value.field_name == phase
         assert first <= step < first + 300
         # the step is that of the first overflow in the phase's draws
-        assert step - first == info.value.__cause__.index
+        data_rng = RandomStream(cfg.seed).substream(DATA_SUBSTREAM)
+        xs, ys = sample_arrays(cfg.pre, data_rng, cfg.n_pre)
+        if phase == "post":
+            xs, ys = sample_arrays(cfg.post, data_rng, cfg.n_post)
+        finite = np.isfinite(xs) & np.isfinite(ys)
+        assert step - first == int(np.argmin(finite))
         assert "inf" in info.value.reason
         assert not cfg.output_dir.exists()
 
