@@ -130,7 +130,7 @@ class ScenarioConfig:
     def from_file(path: str | Path) -> "ScenarioConfig":
         path = Path(path)
         try:
-            raw = yaml.safe_load(path.read_text())
+            raw = yaml.safe_load(path.read_bytes())
         except yaml.YAMLError as exc:
             raise ConfigError("<file>", f"not parseable: {exc}") from exc
         return _parse_config(raw, path.parent)
@@ -423,7 +423,7 @@ def aggregate_summaries(summaries: list[ScenarioSummary]) -> dict[str, Any]:
 
 
 # Per-example adapters over the array stages. Only `perfbench/traced.py`
-# needs them, and ROADMAP item 1 deletes them.
+# needs them, and ROADMAP item 2 deletes them.
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,17 @@ BASE = {
 }
 
 
+# The correlation flips sign (0.5 -> -0.5), and with it the slope of the
+# regression line; the post mean lies on the pre line, so the oracle's w
+# stays standard normal.
+SLOPE_FLIP = {
+    "pre": {"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0, "sigma_y": 1.0,
+            "rho_cov": 0.5},
+    "post": {"mu_x": -4.0, "mu_y": -2.0, "sigma_x": 1.0, "sigma_y": 0.5,
+             "rho_cov": -0.25},
+}
+
+
 def make_config(tmp_path, **overrides):
     raw = {**BASE, **overrides, "output_dir": str(tmp_path / "out")}
     return ScenarioConfig.from_dict(raw, base_dir=tmp_path)
@@ -516,6 +527,9 @@ class TestRunScenario:
         # `run --quick` cuts the stream to the 2000 + 2000 steps of
         # GOLDEN_2K. Only the child process has the reduced dispatch; numpy
         # warns (ImportWarning) when the CPU lacks a feature named there.
+        # The child runs from tmp_path with only the package's parent on
+        # PYTHONPATH, so a package module that came to import
+        # tests/reference.py fails here with ModuleNotFoundError.
         env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": REDUCED_DISPATCH,
                "PYTHONPATH": str(Path(seqconformal.__file__).parents[1])}
         subprocess.run(
@@ -523,7 +537,7 @@ class TestRunScenario:
              "seqconformal.cli", "run", "--config",
              str(SCENARIOS / f"{name}.cfg"), "--quick",
              "--output-dir", str(tmp_path)],
-            env=env, check=True)
+            env=env, cwd=tmp_path, check=True)
         assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                 for f in ARTIFACTS} == GOLDEN_2K[name]
 
@@ -748,6 +762,26 @@ class TestVerify:
         assert info["oracle_w_mean"] == pytest.approx(1.0 / math.sqrt(0.75))
         assert info["oracle_w_sd"] == 1.0
 
+    @pytest.mark.parametrize("config,law", [
+        ("cryptic", (0.0, 1.0)),
+        ("ensemble_cryptic", (0.0, 1.0)),
+        ("non_cryptic", (1.1547005383792517, 1.0)),
+        # Each phase's mean lies 3e308, past the largest float, from the
+        # other's; with r = 0 both lie on the flat line y = 0.
+        ({"pre": {"mu_x": 1.5e+308, "mu_y": 0.0, "sigma_x": 1.0,
+                  "sigma_y": 1.0, "rho_cov": 0.0},
+          "post": {"mu_x": -1.5e+308, "mu_y": 0.0, "sigma_x": 1.0,
+                   "sigma_y": 1.0, "rho_cov": 0.0}}, (0.0, 1.0)),
+        (SLOPE_FLIP, (0.0, 1.0)),
+    ], ids=["cryptic", "ensemble_cryptic", "non_cryptic", "edge",
+            "slope_flip"])
+    def test_reports_the_exact_law(self, tmp_path, capsys, config, law):
+        # A shipped config by name, or the models of a written one.
+        path = (SCENARIOS / f"{config}.cfg" if isinstance(config, str)
+                else write_config(tmp_path, **config))
+        assert verify_output(path, capsys) == {"oracle_w_mean": law[0],
+                                               "oracle_w_sd": law[1]}
+
 
 class TestCli:
     def test_run_and_verify_exit_zero(self, tmp_path, capsys):
@@ -786,6 +820,8 @@ class TestCli:
         ({"measure": {"kind": "ensemble", "lamda": 0.9}}, "lamda"),
         ({"jumper": {"jump_rat": 0.5}}, "jump_rat"),
         ({"output_dir": 5}, "'output_dir'"),
+        ({"jumper": {"epsilons": [-1, 0, 1], "bogus": 1}}, "jumper.bogus"),
+        ({"post": {"cryptic_delta_mu_x": 2, "z": 1}}, "post.z"),
     ])
     def test_bad_config_key_exit_code(self, tmp_path, capsys, command,
                                       overrides, message):
@@ -938,6 +974,27 @@ class TestCli:
         assert out == ""
         assert err.splitlines() == [
             "error: verify: a reported value is not finite for this config"]
+
+    def test_undecodable_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"pre: {mu_x: 0\xff}\n")  # not UTF-8
+        assert cli_main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(
+            "error: config field '<file>': not parseable: ")
+
+    def test_slope_sign_flip_runs(self, tmp_path, capsys):
+        assert_cli_runs(write_config(tmp_path, **SLOPE_FLIP), capsys)
+
+    def test_replications_write_one_directory_per_seed(self, tmp_path,
+                                                       capsys):
+        path = write_config(tmp_path)
+        assert cli_main(["run", "--config", str(path), "--quick",
+                         "--replications", "2"]) == 0
+        out = tmp_path / "out"
+        for name in ("seed_7/pvalues.csv", "seed_8/intervals.csv",
+                     "aggregate.json"):
+            assert (out / name).is_file(), name
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
