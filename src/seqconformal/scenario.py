@@ -89,6 +89,27 @@ class MeasureSpec:
         return _MEASURES[self.kind](self, q0, q1)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that refuses a key given twice in one mapping, where
+    SafeLoader keeps the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        # The explicit keys, before SafeLoader moves any merged (`<<`) keys
+        # into node.value; an explicit key may override a merged one.
+        key_nodes = [k for k, _ in node.value
+                     if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)
+        seen = set()
+        for key_node in key_nodes:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A scenario. Construction checks every value rule, so a parsed file,
@@ -130,7 +151,7 @@ class ScenarioConfig:
     def from_file(path: str | Path) -> "ScenarioConfig":
         path = Path(path)
         try:
-            raw = yaml.safe_load(path.read_bytes())
+            raw = yaml.load(path.read_bytes(), Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise ConfigError("<file>", f"not parseable: {exc}") from exc
         return _parse_config(raw, path.parent)
@@ -332,7 +353,11 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     tau_rng = root.substream(TAU_SUBSTREAM)
 
     n = cfg.n_pre + cfg.n_post
-    xs, ys = np.empty(n), np.empty(n)
+    try:
+        xs, ys = np.empty(n), np.empty(n)
+    except (ValueError, MemoryError) as exc:  # too long to index or to hold
+        raise ConfigError("n_pre/n_post", f"a stream of {n} steps cannot be "
+                          f"allocated: {exc}") from None
     for phase, model, lo, hi in (("pre", cfg.pre, 0, cfg.n_pre),
                                  ("post", cfg.post, cfg.n_pre, n)):
         xs[lo:hi], ys[lo:hi] = sample_arrays(model, data_rng, hi - lo)

@@ -1,0 +1,101 @@
+"""The runs behind the golden digests, in a process of their own.
+
+`test_scenario.py::test_golden_digests_at_each_dispatch` runs this source
+as `python -c <source> <spec>` (as a script, it would put `tests/` on
+sys.path) from an empty working directory, with only the package's parent
+directory on PYTHONPATH and numpy's SIMD dispatch set by
+NPY_DISABLE_CPU_FEATURES, so no module of `tests/` is importable. spec is
+JSON: the scenarios directory, the shipped config names of each golden
+table, and explicit `csv_rows` cases as the hex of their float64 bytes.
+
+Each table's runs are written under the working directory:
+- "2k": `seqconformal run --quick` (2000 + 2000 steps), through `cli.main`;
+- "full": `run_scenario` at the config's own stream length;
+- "replications": `run_replications` at 500 + 500 steps and 3 seeds.
+
+`csv_rows` also formats the explicit cases and 2 x 10^5 seeded doubles of
+random sign and exponent on its exact path (2**-13 <= |v| < 2**53). The
+child prints one JSON object: per table and config, the SHA-256 of each of
+ARTIFACTS ("2k", "full") or of every file written ("replications"), and
+under "csv_mismatches" the repr of each value whose text is not
+b"%.17g" % v.
+"""
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from seqconformal import ScenarioConfig, run_replications, run_scenario
+from seqconformal._csvtext import csv_rows
+from seqconformal.cli import main as cli_main
+
+ARTIFACTS = ("stream.csv", "pvalues.csv", "martingale.csv", "intervals.csv",
+             "summary.json")
+BATTERY_SEED = 2027
+BATTERY_SIZE = 200_000
+
+
+def digests(root, files):
+    return {f: hashlib.sha256((root / f).read_bytes()).hexdigest()
+            for f in files}
+
+
+def write_2k(config, out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["run", "--config", str(config), "--quick",
+                         "--output-dir", str(out)])
+    if code != 0:
+        sys.exit(f"seqconformal run --quick exited {code} on {config}")
+    return digests(out, ARTIFACTS)
+
+
+def write_full(config, out):
+    run_scenario(ScenarioConfig.from_file(config), output_dir=out)
+    return digests(out, ARTIFACTS)
+
+
+def write_replications(config, out):
+    run_replications(dataclasses.replace(
+        ScenarioConfig.from_file(config), n_pre=500, n_post=500,
+        replications=3, output_dir=out))
+    return digests(out, sorted(f.relative_to(out).as_posix()
+                               for f in out.rglob("*") if f.is_file()))
+
+
+def csv_mismatches(cases):
+    rng = np.random.default_rng(BATTERY_SEED)
+    magnitudes = np.ldexp(1.0 + rng.random(BATTERY_SIZE),
+                          rng.integers(-13, 53, BATTERY_SIZE))
+    values = np.concatenate((cases, np.where(rng.random(BATTERY_SIZE) < 0.5,
+                                             -magnitudes, magnitudes)))
+    newline = np.frombuffer(b"\n", np.uint8)[None, :]
+    rows = csv_rows(values[:, None], newline).tobytes().split(b"\n")[:-1]
+    if len(rows) != len(values):
+        return [f"{len(rows)} rows for {len(values)} values"]
+    return [repr(v) for v, row in zip(values.tolist(), rows)
+            if row != b"%.17g" % v]
+
+
+WRITERS = {"2k": write_2k, "full": write_full,
+           "replications": write_replications}
+
+
+def main(spec):
+    scenarios = Path(spec["scenarios"])
+    result = {table: {name: write(scenarios / f"{name}.cfg",
+                                  Path(table) / name)
+                      for name in spec[table]}
+              for table, write in WRITERS.items()}
+    result["csv_mismatches"] = csv_mismatches(
+        np.frombuffer(bytes.fromhex(spec["csv_cases"])))
+    return result
+
+
+if __name__ == "__main__":
+    print(json.dumps(main(json.loads(sys.argv[1]))))

@@ -4,19 +4,38 @@
 peak it reports for one run does not depend on the allocator or the
 machine. The test takes about 4.5 s on a 2-vCPU host with Python 3.11:
 tracing every allocation makes the run about 11 times slower than the
-0.27 s it takes untraced.
+0.27 s it takes untraced. The 10^6-step run is measured untraced, by the
+peak RSS of a process of its own.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
+import seqconformal
 from seqconformal import ScenarioConfig, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Bytes per step that a run may hold at its peak; see the test docstring.
 BUDGET_PER_STEP = 96
+
+# The 10^6-step run, without artifacts: it prints its peak RSS in MiB
+# (ru_maxrss is in KiB on Linux) and the repr of its summary.
+LONG_RUN = """
+import dataclasses, resource, sys
+from seqconformal import ScenarioConfig, run_scenario
+cfg = dataclasses.replace(ScenarioConfig.from_file(sys.argv[1]),
+                          n_pre=500000, n_post=500000)
+summary = run_scenario(cfg, write_artifacts=False)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+print(repr(summary))
+"""
 
 
 def test_run_peak_memory_per_step():
@@ -56,3 +75,39 @@ def test_run_peak_memory_per_step():
     finally:
         tracemalloc.stop()
     assert peak / steps <= BUDGET_PER_STEP, f"{peak / steps:.1f} B/step"
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="ru_maxrss is in KiB on Linux")
+def test_million_step_run_peak_rss_and_summary(tmp_path):
+    """The north star's longest stream: one 10^6-step cryptic run without
+    artifacts, in a fresh process with only src/ on the path, run from
+    tmp_path. Its peak RSS stays within 160 MiB; before the runs kept O(1)
+    Python objects per block of steps, this run peaked at 267 MiB. Its
+    summary equals, in every bit (the repr of every float), the one recorded
+    before the generated Jumper step and the interval floor, which must not
+    change a result."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(seqconformal.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", LONG_RUN, str(SCENARIOS / "cryptic.cfg")],
+        env=env, cwd=tmp_path, stdout=subprocess.PIPE, text=True,
+        check=True)
+    peak, summary = child.stdout.splitlines()
+    assert float(peak) <= 160, f"peak RSS {float(peak):.1f} MiB"
+    want = (
+        "ScenarioSummary(final_log10_capital=-1715.4173969378621, "
+        "max_log10_capital=1.8871243032021612, "
+        "ks_all=KSReport(statistic=0.0006463274442146671, n=1000000, "
+        "threshold_at_alpha=0.0016279999999999999, alpha=0.01, "
+        "reject=False), "
+        "ks_pre=KSReport(statistic=0.0005632734214833235, n=500000, "
+        "threshold_at_alpha=0.0023023396795433986, alpha=0.01, "
+        "reject=False), "
+        "ks_post=KSReport(statistic=0.0009775714513389766, n=500000, "
+        "threshold_at_alpha=0.0023023396795433986, alpha=0.01, "
+        "reject=False), "
+        "coverage_pre=0.9502199004398009, coverage_post=0.949252, "
+        "mean_width_pre=3.389037105341517, "
+        "mean_width_post=3.3892779298813576, seed=7)")
+    assert summary == want

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -16,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import left_sum
+from test_csvtext import EDGES, POWERS_OF_TEN, TIES
 import seqconformal
 from seqconformal import (BivariateGaussian, ConfigError, JumperConfig,
                           OracleMahalanobisEnsemble, RandomStream,
@@ -27,21 +27,16 @@ from seqconformal.scenario import (DATA_SUBSTREAM, MeasureSpec, _converter,
                                    _phase_means, aggregate_summaries)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-ARTIFACTS = ("stream.csv", "pvalues.csv", "martingale.csv", "intervals.csv",
-             "summary.json")
+GOLDEN_CHILD = Path(__file__).with_name("golden_child.py")
 MEASURE_KINDS = ("oracle", "mahalanobis", "likelihood_ratio", "ensemble")
-# numpy's AVX-512 and AVX2 kernels switched off: the dispatch of a CPU
-# without them, on one that has them.
-REDUCED_DISPATCH = "X86_V4 AVX512_ICL AVX512_SPR X86_V3"
 
 # SHA-256 of every artifact of the shipped configs cut to 2000 + 2000 steps,
 # taken with Python 3.11.7 and numpy 2.4.6. The digests pin the bytes across
 # refactors of the pipeline; a numpy whose PCG64, ziggurat normals or float
 # formatting differ may legitimately change them. All three golden tables
 # were retaken when the data stream moved from a Box-Muller transform of
-# uniforms to numpy's `standard_normal`; the same bytes came out at numpy's
-# default SIMD dispatch and with AVX-512 and AVX2 switched off
-# (test_golden_digests_do_not_depend_on_simd_dispatch checks the latter).
+# uniforms to numpy's `standard_normal`. test_golden_digests_at_each_dispatch
+# holds all three tables at each of DISPATCH_LEVELS.
 GOLDEN_2K = {
     "cryptic": {
         "intervals.csv": "c358e0aeec75909fdf6952e082e597e470e19805b1d3169c21720aec9a859276",
@@ -138,6 +133,55 @@ GOLDEN_REPLICATIONS = {
     },
 }
 
+# The CPU features that numpy's SIMD dispatch leaves out at each level: the
+# dispatch of a CPU without them, on one that has them. numpy warns
+# (ImportWarning) when the CPU lacks a feature named here.
+DISPATCH_LEVELS = {
+    "default": "",
+    "avx2": "X86_V4 AVX512_ICL AVX512_SPR",
+    "baseline": "X86_V4 AVX512_ICL AVX512_SPR X86_V3",
+}
+
+# test_csvtext.py's explicit cases, and its integer example as floats.
+CSV_CASES = [*TIES, *(-x for x in TIES), *POWERS_OF_TEN,
+             *(-x for x in POWERS_OF_TEN), *EDGES,
+             *map(float, [0, 1, 9, 10, 10**15 - 1, 10**15, 2**53 - 1])]
+
+
+GOLDEN_TABLES = {"2k": GOLDEN_2K, "full": GOLDEN_FULL,
+                 "replications": GOLDEN_REPLICATIONS}
+
+
+@pytest.fixture(scope="module", params=list(DISPATCH_LEVELS))
+def golden_child(request, tmp_path_factory):
+    """Every run of the three golden tables, and csv_rows against
+    b"%.17g" % v, at one SIMD dispatch level, in a fresh process that
+    golden_child.py describes: one child per level, whose output each
+    case of test_golden_digests_at_each_dispatch checks in part. The
+    child runs from an empty directory with only the package's parent on
+    PYTHONPATH, so a package module that came to import
+    tests/reference.py fails here with ModuleNotFoundError."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(Path(seqconformal.__file__).parents[1])
+    if DISPATCH_LEVELS[request.param]:
+        env["NPY_DISABLE_CPU_FEATURES"] = DISPATCH_LEVELS[request.param]
+    spec = {table: sorted(golden) for table, golden in GOLDEN_TABLES.items()}
+    spec["scenarios"] = str(SCENARIOS)
+    spec["csv_cases"] = np.array(CSV_CASES).tobytes().hex()
+    child = subprocess.run(
+        [sys.executable, "-W", "ignore::ImportWarning", "-c",
+         GOLDEN_CHILD.read_text(), json.dumps(spec)],
+        env=env, cwd=tmp_path_factory.mktemp(f"golden_{request.param}"),
+        stdout=subprocess.PIPE, check=True)
+    return json.loads(child.stdout)
+
+
+@pytest.mark.parametrize("table", [*GOLDEN_TABLES, "csv_mismatches"])
+def test_golden_digests_at_each_dispatch(golden_child, table):
+    assert golden_child[table] == GOLDEN_TABLES.get(table, [])
+
+
 BASE = {
     "pre": {"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0, "sigma_y": 1.0,
             "rho_cov": 0.5},
@@ -153,6 +197,7 @@ BASE = {
 }
 
 
+# Named model pairs of written configs, as overrides of BASE.
 # The correlation flips sign (0.5 -> -0.5), and with it the slope of the
 # regression line; the post mean lies on the pre line, so the oracle's w
 # stays standard normal.
@@ -161,6 +206,50 @@ SLOPE_FLIP = {
             "rho_cov": 0.5},
     "post": {"mu_x": -4.0, "mu_y": -2.0, "sigma_x": 1.0, "sigma_y": 0.5,
              "rho_cov": -0.25},
+}
+# sigma_y**2 would overflow past about 1.34e154, but no scale is squared:
+# verify takes the sd of w from the conditional sds.
+SIGMA_Y_1E200 = {"pre": {"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0,
+                         "sigma_y": 1.0e+200, "rho_cov": 0.0}}
+# A cryptic shift from an origin 1e5 sds from 0 is on the line: a check that
+# recomputed the shift from the rounded means would find it off the line by
+# 1.455e-12.
+FAR_ORIGIN = {"pre": {"mu_x": 1.0e+5, "mu_y": 3.0, "sigma_x": 1.0,
+                      "sigma_y": 1.0, "rho_cov": 0.5},
+              "post": {"cryptic_delta_mu_x": 0.3}}
+
+# Model pairs that `seqconformal run` takes cleanly under each measure
+# named (see TestCli.test_runs_clean).
+RUNS_CLEAN = {
+    "sigma_y_1e200": (SIGMA_Y_1E200, MEASURE_KINDS),
+    # sigma_x**2 would overflow past about 1.34e154, and the draws stay
+    # finite; the quadratic form is taken in standardized coordinates.
+    "sigma_x_1e200": ({"pre": {"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e+200,
+                               "sigma_y": 1.0, "rho_cov": 0.0}},
+                      MEASURE_KINDS),
+    # A covariance change at scales past the square range; the likelihood
+    # ratio scores with the post model too.
+    "post_scale_1e200": (
+        {"pre": {"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e+200,
+                 "sigma_y": 1.0, "rho_cov": 0.0},
+         "post": {"mu_x": 2.0e+200, "mu_y": 1.0, "sigma_x": 3.0e+200,
+                  "sigma_y": 1.0, "rho_cov": 1.0e+200}},
+        MEASURE_KINDS),
+    # Both squares are finite, but their product is not.
+    "far_scales_1e100": (
+        {"pre": {"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e+100,
+                 "sigma_y": 1.0e+100, "rho_cov": 0.0},
+         "post": {"cryptic_delta_mu_x": 20.0}},
+        MEASURE_KINDS),
+    # The product sigma_x * sigma_y underflows to 0; the shift is 20 sds of
+    # x, as in BASE.
+    "far_scales_1e-200": (
+        {"pre": {"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e-200,
+                 "sigma_y": 1.0e-200, "rho_cov": 0.0},
+         "post": {"cryptic_delta_mu_x": 2.0e-199}},
+        MEASURE_KINDS),
+    "slope_flip": (SLOPE_FLIP, ("oracle",)),
+    "far_origin": (FAR_ORIGIN, ("oracle",)),
 }
 
 
@@ -174,37 +263,6 @@ def write_config(tmp_path, name="scenario.cfg", **overrides):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(raw))
     return path
-
-
-def tree_digests(root):
-    return {f.relative_to(root).as_posix():
-            hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in sorted(root.rglob("*")) if f.is_file()}
-
-
-def assert_cli_runs(path, capsys):
-    """`seqconformal run` on the config file at path exits 0 with no
-    warning and nothing on stderr, and writes p-values in (0, 1] and a
-    finite martingale."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli_main(["run", "--config", str(path)]) == 0
-    assert capsys.readouterr().err == ""
-    out = path.parent / "out"
-    pvalues = np.loadtxt(out / "pvalues.csv", delimiter=",", skiprows=1,
-                         usecols=1)
-    assert ((0.0 < pvalues) & (pvalues <= 1.0)).all()
-    assert np.isfinite(np.loadtxt(out / "martingale.csv", delimiter=",",
-                                  skiprows=1, usecols=1)).all()
-
-
-def verify_output(path, capsys):
-    """What `seqconformal verify` prints for the config file at path, read
-    as JSON; the command must exit 0 with nothing on stderr."""
-    assert cli_main(["verify", "--config", str(path)]) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    return json.loads(out)
 
 
 # Valid models and configs, for the YAML round trip of ScenarioConfig.
@@ -233,12 +291,6 @@ def scenario_configs(draw):
                                exclude_max=True)),
         replications=replications,
         output_dir=Path(draw(st.sampled_from(["out", "runs/a b", "x/y"]))))
-
-
-def artifact_digests(cfg, out):
-    run_scenario(cfg, output_dir=out)
-    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
-            for f in ARTIFACTS}
 
 
 class TestConfigParsing:
@@ -508,39 +560,6 @@ class TestRunScenario:
         assert "inf" in info.value.reason
         assert not cfg.output_dir.exists()
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_2K))
-    def test_shipped_config_artifacts_match_golden_digests(self, tmp_path,
-                                                           name):
-        cfg = dataclasses.replace(
-            ScenarioConfig.from_file(SCENARIOS / f"{name}.cfg"),
-            n_pre=2000, n_post=2000)
-        assert artifact_digests(cfg, tmp_path) == GOLDEN_2K[name]
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN_FULL))
-    def test_full_size_artifacts_match_golden_digests(self, tmp_path, name):
-        cfg = ScenarioConfig.from_file(SCENARIOS / f"{name}.cfg")
-        assert artifact_digests(cfg, tmp_path) == GOLDEN_FULL[name]
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN_2K))
-    def test_golden_digests_do_not_depend_on_simd_dispatch(self, tmp_path,
-                                                           name):
-        # `run --quick` cuts the stream to the 2000 + 2000 steps of
-        # GOLDEN_2K. Only the child process has the reduced dispatch; numpy
-        # warns (ImportWarning) when the CPU lacks a feature named there.
-        # The child runs from tmp_path with only the package's parent on
-        # PYTHONPATH, so a package module that came to import
-        # tests/reference.py fails here with ModuleNotFoundError.
-        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": REDUCED_DISPATCH,
-               "PYTHONPATH": str(Path(seqconformal.__file__).parents[1])}
-        subprocess.run(
-            [sys.executable, "-W", "ignore::ImportWarning", "-m",
-             "seqconformal.cli", "run", "--config",
-             str(SCENARIOS / f"{name}.cfg"), "--quick",
-             "--output-dir", str(tmp_path)],
-            env=env, cwd=tmp_path, check=True)
-        assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                for f in ARTIFACTS} == GOLDEN_2K[name]
-
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_seed_override_range(self, tmp_path, seed):
         cfg = make_config(tmp_path, n_pre=50, n_post=50)
@@ -697,15 +716,6 @@ class TestReplications:
         summaries = run_replications(cfg, write_artifacts=False)
         assert [s.seed for s in summaries] == [7, 8, 9]
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_REPLICATIONS))
-    def test_artifacts_match_golden_digests(self, tmp_path, name):
-        cfg = dataclasses.replace(
-            ScenarioConfig.from_file(SCENARIOS / f"{name}.cfg"),
-            n_pre=500, n_post=500, replications=3,
-            output_dir=tmp_path / "out")
-        run_replications(cfg)
-        assert tree_digests(cfg.output_dir) == GOLDEN_REPLICATIONS[name]
-
     def test_last_seeds_of_the_range_run(self, tmp_path):
         # run_scenario checks each seed override as the seed of one run
         cfg = make_config(tmp_path, seed=2**64 - 2, replications=2,
@@ -748,23 +758,10 @@ class TestReplications:
 
 
 class TestVerify:
-    def test_cryptic_config_reports_the_standard_law(self, tmp_path, capsys):
-        info = verify_output(write_config(tmp_path), capsys)
-        assert info == {"oracle_w_mean": 0.0, "oracle_w_sd": 1.0}
-
-    def test_off_line_config_reports_offset(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path,
-            post={"mu_x": 2.0, "mu_y": 2.0, "sigma_x": 1.0, "sigma_y": 1.0,
-                  "rho_cov": 0.5})
-        info = verify_output(path, capsys)
-        # 1.0 above the line, in units of the conditional sd sqrt(0.75)
-        assert info["oracle_w_mean"] == pytest.approx(1.0 / math.sqrt(0.75))
-        assert info["oracle_w_sd"] == 1.0
-
     @pytest.mark.parametrize("config,law", [
         ("cryptic", (0.0, 1.0)),
         ("ensemble_cryptic", (0.0, 1.0)),
+        # 1.0 above the line, in units of the conditional sd sqrt(0.75)
         ("non_cryptic", (1.1547005383792517, 1.0)),
         # Each phase's mean lies 3e308, past the largest float, from the
         # other's; with r = 0 both lie on the flat line y = 0.
@@ -772,15 +769,27 @@ class TestVerify:
                   "sigma_y": 1.0, "rho_cov": 0.0},
           "post": {"mu_x": -1.5e+308, "mu_y": 0.0, "sigma_x": 1.0,
                    "sigma_y": 1.0, "rho_cov": 0.0}}, (0.0, 1.0)),
+        # pre == post near the edge of the float range
+        ({"pre": {"mu_x": -1.7e+308, "mu_y": 0.0, "sigma_x": 1.0e+307,
+                  "sigma_y": 1.0, "rho_cov": 5.0e+306},
+          "post": {"mu_x": -1.7e+308, "mu_y": 0.0, "sigma_x": 1.0e+307,
+                   "sigma_y": 1.0, "rho_cov": 5.0e+306}}, (0.0, 1.0)),
         (SLOPE_FLIP, (0.0, 1.0)),
+        (SIGMA_Y_1E200, (0.0, 1.0)),
+        (FAR_ORIGIN, (0.0, 1.0)),
     ], ids=["cryptic", "ensemble_cryptic", "non_cryptic", "edge",
-            "slope_flip"])
+            "edge_same_model", "slope_flip", "sigma_y_1e200", "far_origin"])
     def test_reports_the_exact_law(self, tmp_path, capsys, config, law):
-        # A shipped config by name, or the models of a written one.
+        """`seqconformal verify` on a shipped config by name, or on the
+        models of a written one, exits 0 and prints the exact law of w from
+        the models alone."""
         path = (SCENARIOS / f"{config}.cfg" if isinstance(config, str)
                 else write_config(tmp_path, **config))
-        assert verify_output(path, capsys) == {"oracle_w_mean": law[0],
-                                               "oracle_w_sd": law[1]}
+        assert cli_main(["verify", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out) == {"oracle_w_mean": law[0],
+                                   "oracle_w_sd": law[1]}
 
 
 class TestCli:
@@ -865,59 +874,25 @@ class TestCli:
         assert "is not finite" in err[0]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("kind", MEASURE_KINDS)
-    def test_sigma_y_past_square_overflow_exit_code(self, tmp_path, capsys,
-                                                    kind):
-        # sigma_y**2 would overflow past about 1.34e154, but no scale is
-        # squared: the run succeeds under every measure, and verify takes
-        # the sd of w from the conditional sds.
-        path = write_config(tmp_path, measure={"kind": kind}, pre={
-            "mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0, "sigma_y": 1.0e+200,
-            "rho_cov": 0.0})
-        assert cli_main(["verify", "--config", str(path)]) == 0
-        out, err = capsys.readouterr()
-        assert err == ""
-        assert json.loads(out)["oracle_w_sd"] == 1.0
-        assert_cli_runs(path, capsys)
-
-    @pytest.mark.parametrize("kind", MEASURE_KINDS)
-    def test_sigma_x_past_square_overflow_exit_code(self, tmp_path, capsys,
-                                                    kind):
-        # sigma_x**2 would overflow past about 1.34e154, and the draws stay
-        # finite; the quadratic form is taken in standardized coordinates.
-        path = write_config(tmp_path, measure={"kind": kind}, pre={
-            "mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e+200, "sigma_y": 1.0,
-            "rho_cov": 0.0})
-        assert_cli_runs(path, capsys)
-
-    @pytest.mark.parametrize("kind", MEASURE_KINDS)
-    def test_post_scale_past_square_overflow_runs(self, tmp_path, capsys,
-                                                  kind):
-        # A covariance change at scales past the square range; the
-        # likelihood ratio scores with the post model too.
-        path = write_config(
-            tmp_path, measure={"kind": kind},
-            pre={"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e+200,
-                 "sigma_y": 1.0, "rho_cov": 0.0},
-            post={"mu_x": 2.0e+200, "mu_y": 1.0, "sigma_x": 3.0e+200,
-                  "sigma_y": 1.0, "rho_cov": 1.0e+200})
-        assert_cli_runs(path, capsys)
-
-    @pytest.mark.parametrize("kind", MEASURE_KINDS)
-    @pytest.mark.parametrize("sigma,delta", [
-        # Both squares are finite, but their product is not.
-        (1.0e+100, 20.0),
-        # The product sigma_x * sigma_y underflows to 0; the shift is 20
-        # sds of x, as in BASE.
-        (1.0e-200, 2.0e-199),
-    ])
-    def test_far_scales_run(self, tmp_path, capsys, sigma, delta, kind):
-        path = write_config(
-            tmp_path, measure={"kind": kind},
-            pre={"mu_x": 0.0, "mu_y": 0.0, "sigma_x": sigma,
-                 "sigma_y": sigma, "rho_cov": 0.0},
-            post={"cryptic_delta_mu_x": delta})
-        assert_cli_runs(path, capsys)
+    @pytest.mark.parametrize("name,kind", [
+        (name, kind) for name, (_, kinds) in RUNS_CLEAN.items()
+        for kind in kinds])
+    def test_runs_clean(self, tmp_path, capsys, name, kind):
+        """`seqconformal run` on a model pair of RUNS_CLEAN exits 0 with no
+        warning and nothing on stderr, and writes p-values in (0, 1] and a
+        finite martingale."""
+        models, _ = RUNS_CLEAN[name]
+        path = write_config(tmp_path, measure={"kind": kind}, **models)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["run", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        out = tmp_path / "out"
+        pvalues = np.loadtxt(out / "pvalues.csv", delimiter=",", skiprows=1,
+                             usecols=1)
+        assert ((0.0 < pvalues) & (pvalues <= 1.0)).all()
+        assert np.isfinite(np.loadtxt(out / "martingale.csv", delimiter=",",
+                                      skiprows=1, usecols=1)).all()
 
     def test_cryptic_shift_out_of_range_names_the_field(self, tmp_path,
                                                         capsys):
@@ -935,32 +910,6 @@ class TestCli:
             assert err[0].startswith(
                 "error: config field 'post.cryptic_delta_mu_x': ")
         assert not (tmp_path / "out").exists()
-
-    def test_cryptic_shift_far_from_the_origin_runs(self, tmp_path, capsys):
-        # A cryptic shift from an origin 1e5 sds from 0 is on the line: a
-        # check that recomputed the shift from the rounded means would find
-        # it off the line by 1.455e-12.
-        path = write_config(
-            tmp_path,
-            pre={"mu_x": 1.0e+5, "mu_y": 3.0, "sigma_x": 1.0,
-                 "sigma_y": 1.0, "rho_cov": 0.5},
-            post={"cryptic_delta_mu_x": 0.3})
-        assert cli_main(["verify", "--config", str(path)]) == 0
-        out, err = capsys.readouterr()
-        assert err == ""
-        assert json.loads(out) == {"oracle_w_mean": 0.0, "oracle_w_sd": 1.0}
-        assert_cli_runs(path, capsys)
-
-    def test_verify_at_the_edge_of_the_float_range(self, tmp_path, capsys):
-        # pre == post near the edge of the float range: w is standard
-        # normal, and verify reports it from the models alone.
-        model = {"mu_x": -1.7e+308, "mu_y": 0.0, "sigma_x": 1.0e+307,
-                 "sigma_y": 1.0, "rho_cov": 5.0e+306}
-        path = write_config(tmp_path, pre=model, post=model)
-        assert cli_main(["verify", "--config", str(path)]) == 0
-        out, err = capsys.readouterr()
-        assert err == ""
-        assert json.loads(out) == {"oracle_w_mean": 0.0, "oracle_w_sd": 1.0}
 
     def test_verify_non_finite_residual_exit_code(self, tmp_path, capsys):
         # The post mean is 3e308 from the pre mean in x, so its distance
@@ -983,8 +932,32 @@ class TestCli:
         assert err[0].startswith(
             "error: config field '<file>': not parseable: ")
 
-    def test_slope_sign_flip_runs(self, tmp_path, capsys):
-        assert_cli_runs(write_config(tmp_path, **SLOPE_FLIP), capsys)
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("before,after,key", [
+        ("seed: 7\n", "seed: 7\nseed: 9\n", "seed"),
+        ("pre:\n", "pre:\n  mu_x: 5.0\n", "mu_x"),
+    ], ids=["top_level", "in_pre"])
+    def test_repeated_key_exit_code(self, tmp_path, capsys, command, before,
+                                    after, key):
+        # YAML's SafeLoader would keep the last value silently.
+        path = tmp_path / "bad.cfg"
+        path.write_text(yaml.safe_dump(BASE).replace(before, after))
+        assert cli_main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field '<file>': not parseable: ")
+        assert f"found duplicate key '{key}'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_stream_too_long_to_index_exit_code(self, tmp_path, capsys):
+        # numpy refuses 10**30 steps before it allocates anything.
+        path = write_config(tmp_path, n_pre=10**30)
+        assert cli_main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"error: config field 'n_pre/n_post': a stream of {10**30 + 300} "
+            "steps cannot be allocated: ")
+        assert not (tmp_path / "out").exists()
 
     def test_replications_write_one_directory_per_seed(self, tmp_path,
                                                        capsys):
