@@ -4,7 +4,9 @@
                      [--seed N] [--replications N] [--quick]
     seqconformal verify --config scenarios/cryptic.cfg
 
-Exit codes: 0 success, 1 config error, 2 I/O error.
+Exit codes: 0 success, 1 config error, 2 I/O error. An error prints only
+one `error:` line, naming the config field or the path; a config error
+comes before its replication writes a file. Usage errors print usage, exit 2.
 """
 
 from __future__ import annotations
@@ -66,31 +68,26 @@ def _load_config(args) -> ScenarioConfig:
         cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
+def _verify(cfg: ScenarioConfig) -> int:
+    mean, sd = oracle_law(cfg.pre, cfg.post)
+    info = {"oracle_w_mean": mean, "oracle_w_sd": sd}
+    try:  # JSON has no nan or infinity; dumps raises before any output
+        print(json.dumps(info, indent=2, sort_keys=True, allow_nan=False))
+    except ValueError:
+        print("error: verify: a reported value is not finite for this "
+              "config", file=sys.stderr)
+        return EXIT_CONFIG
+    return EXIT_OK
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    if args.command == "verify":
-        mean, sd = oracle_law(cfg.pre, cfg.post)
-        info = {"oracle_w_mean": mean, "oracle_w_sd": sd}
-        try:  # JSON has no nan or infinity; dumps raises before any output
-            print(json.dumps(info, indent=2, sort_keys=True, allow_nan=False))
-        except ValueError:
-            print("error: verify: a reported value is not finite for this "
-                  "config", file=sys.stderr)
-            return EXIT_CONFIG
-        return EXIT_OK
-
-    try:
+        if args.command == "verify":
+            return _verify(cfg)
         summaries = run_replications(cfg)
-    except ConfigError as exc:  # a draw overflowed
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -152,8 +152,12 @@ class ScenarioConfig:
         path = Path(path)
         try:
             raw = yaml.load(path.read_bytes(), Loader=_UniqueKeyLoader)
-        except yaml.YAMLError as exc:
-            raise ConfigError("<file>", f"not parseable: {exc}") from exc
+        except yaml.YAMLError as exc:  # one line, not PyYAML's excerpt
+            mark = getattr(exc, "problem_mark", None)
+            reason = (str(exc).partition("\n")[0] if mark is None else
+                      f"{exc.problem} (line {mark.line + 1}, "
+                      f"column {mark.column + 1})")
+            raise ConfigError("<file>", f"not parseable: {reason}") from exc
         return _parse_config(raw, path.parent)
 
 
@@ -416,9 +420,8 @@ def run_replications(cfg: ScenarioConfig,
                else cfg.output_dir / f"seed_{seed}")
         summaries.append(run_scenario(cfg, seed=seed, output_dir=sub,
                                       write_artifacts=write_artifacts))
-    if write_artifacts:
-        try:
-            cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    if write_artifacts and cfg.replications > 1:
+        try:  # output_dir holds the seed directories
             _write_json(cfg.output_dir / "aggregate.json",
                         aggregate_summaries(summaries))
         except OSError as exc:

@@ -15,10 +15,9 @@ Each table's runs are written under the working directory:
 
 `csv_rows` also formats the explicit cases and 2 x 10^5 seeded doubles of
 random sign and exponent on its exact path (2**-13 <= |v| < 2**53). The
-child prints one JSON object: per table and config, the SHA-256 of each of
-ARTIFACTS ("2k", "full") or of every file written ("replications"), and
-under "csv_mismatches" the repr of each value whose text is not
-b"%.17g" % v.
+child prints one JSON object: per table and config, the SHA-256 of every
+file written, and under "csv_mismatches" the repr of each value whose text
+is not b"%.17g" % v.
 """
 
 import contextlib
@@ -35,15 +34,15 @@ from seqconformal import ScenarioConfig, run_replications, run_scenario
 from seqconformal._csvtext import csv_rows
 from seqconformal.cli import main as cli_main
 
-ARTIFACTS = ("stream.csv", "pvalues.csv", "martingale.csv", "intervals.csv",
-             "summary.json")
 BATTERY_SEED = 2027
 BATTERY_SIZE = 200_000
 
 
-def digests(root, files):
-    return {f: hashlib.sha256((root / f).read_bytes()).hexdigest()
-            for f in files}
+def digests(root):
+    """The SHA-256 of every file under root, keyed by its path from root."""
+    return {f.relative_to(root).as_posix():
+            hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(root.rglob("*")) if f.is_file()}
 
 
 def write_2k(config, out):
@@ -52,20 +51,19 @@ def write_2k(config, out):
                          "--output-dir", str(out)])
     if code != 0:
         sys.exit(f"seqconformal run --quick exited {code} on {config}")
-    return digests(out, ARTIFACTS)
+    return digests(out)
 
 
 def write_full(config, out):
     run_scenario(ScenarioConfig.from_file(config), output_dir=out)
-    return digests(out, ARTIFACTS)
+    return digests(out)
 
 
 def write_replications(config, out):
     run_replications(dataclasses.replace(
         ScenarioConfig.from_file(config), n_pre=500, n_post=500,
         replications=3, output_dir=out))
-    return digests(out, sorted(f.relative_to(out).as_posix()
-                               for f in out.rglob("*") if f.is_file()))
+    return digests(out)
 
 
 def csv_mismatches(cases):

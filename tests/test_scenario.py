@@ -6,7 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 import pytest
@@ -30,8 +30,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_CHILD = Path(__file__).with_name("golden_child.py")
 MEASURE_KINDS = ("oracle", "mahalanobis", "likelihood_ratio", "ensemble")
 
-# SHA-256 of every artifact of the shipped configs cut to 2000 + 2000 steps,
-# taken with Python 3.11.7 and numpy 2.4.6. The digests pin the bytes across
+# SHA-256 of every file that `seqconformal run --quick` (2000 + 2000 steps)
+# writes for the shipped configs, taken with Python 3.11.7 and numpy 2.4.6:
+# the five artifacts, and no other file. The digests pin the bytes across
 # refactors of the pipeline; a numpy whose PCG64, ziggurat normals or float
 # formatting differ may legitimately change them. All three golden tables
 # were retaken when the data stream moved from a Box-Muller transform of
@@ -61,9 +62,9 @@ GOLDEN_2K = {
     },
 }
 
-# SHA-256 of every artifact of the shipped configs at their full 10000 +
-# 10000 steps, taken with Python 3.11.7 and numpy 2.4.6; the writer that
-# formats each value with its own format(x, ".17g") call,
+# SHA-256 of every file that run_scenario writes for the shipped configs at
+# their full 10000 + 10000 steps, taken with Python 3.11.7 and numpy 2.4.6;
+# the writer that formats each value with its own format(x, ".17g") call,
 # `reference.write_csvs`, gives the same bytes. Unlike GOLDEN_2K, each CSV
 # here spans several blocks of the writer.
 GOLDEN_FULL = {
@@ -250,6 +251,200 @@ RUNS_CLEAN = {
         MEASURE_KINDS),
     "slope_flip": (SLOPE_FLIP, ("oracle",)),
     "far_origin": (FAR_ORIGIN, ("oracle",)),
+    # At a post mean of (0, 40) the oracle density of every post-change
+    # example, and the joint density that a likelihood ratio of densities
+    # would take the log of, underflow to 0.0; the scores are log densities,
+    # so none is computed.
+    "post_mean_40": ({"post": {**BASE["pre"], "mu_y": 40.0}}, MEASURE_KINDS),
+}
+
+
+class Refusal(NamedTuple):
+    """A config that `seqconformal` refuses (see TestCli.test_refused).
+
+    config is a dict of overrides of BASE (DROP deletes a key of BASE), the
+    bytes of the file, ABSENT (no file) or DIRECTORY (a directory at its
+    path). Each of commands runs with flags and must exit with code, print
+    nothing to stdout and one stderr line that starts with error, and write
+    no output directory. error and flags may name {config}, the config's
+    path; an error that ends in a newline is the whole line."""
+
+    config: dict | bytes | str
+    error: str
+    commands: tuple[str, ...] = ("run", "verify")
+    flags: tuple[str, ...] = ()
+    code: int = 1
+
+
+DROP, ABSENT, DIRECTORY = "<drop>", "<absent>", "<directory>"
+RUN = ("run",)
+FIELD = "error: config field "
+UNPARSEABLE = FIELD + "'<file>': not parseable: "
+PRE_MU_X_1E308 = {"mu_x": 1.0e+308, "mu_y": 0.0, "sigma_x": 1.0,
+                  "sigma_y": 1.0, "rho_cov": 0.5}
+REFUSED = {
+    # A field the dataclasses declare without a default.
+    "missing_pre": Refusal({"pre": DROP}, FIELD + "'pre': missing\n"),
+    "missing_n_pre": Refusal({"n_pre": DROP}, FIELD + "'n_pre': missing\n"),
+    "missing_pre_mu_x": Refusal(
+        {"pre": {k: v for k, v in BASE["pre"].items() if k != "mu_x"}},
+        FIELD + "'pre.mu_x': missing\n"),
+    "missing_measure_kind": Refusal(
+        {"measure": {}}, FIELD + "'measure.kind': missing\n"),
+    # A key no dataclass declares, in each section.
+    "unknown_key": Refusal(
+        {"bogus": 1}, FIELD + "'bogus': unknown top-level key\n"),
+    "unknown_pre_key": Refusal(
+        {"pre": {**BASE["pre"], "z": 1}}, FIELD + "'pre.z': unknown key\n"),
+    "unknown_post_key": Refusal(
+        {"post": {**BASE["pre"], "z": 1}}, FIELD + "'post.z': unknown key\n"),
+    "key_beside_shift": Refusal(
+        {"post": {"cryptic_delta_mu_x": 2, "z": 1}},
+        FIELD + "'post.z': unknown key\n"),
+    "measure_typo": Refusal(
+        {"measure": {"kind": "ensemble", "lamda": 0.9}},
+        FIELD + "'measure.lamda': unknown key\n"),
+    "jumper_typo": Refusal(
+        {"jumper": {"jump_rat": 0.5}},
+        FIELD + "'jumper.jump_rat': unknown key\n"),
+    # One wrong-typed value for each annotation the parser converts.
+    "n_pre_float": Refusal(
+        {"n_pre": 1.5}, FIELD + "'n_pre': expected an integer, got 1.5\n"),
+    "seed_bool": Refusal(
+        {"seed": True}, FIELD + "'seed': expected an integer, got True\n"),
+    "epsilon_string": Refusal(
+        {"epsilon": "x"}, FIELD + "'epsilon': expected a number, got 'x'\n"),
+    "output_dir_int": Refusal(
+        {"output_dir": 5}, FIELD + "'output_dir': expected a path, got 5\n"),
+    "epsilons_scalar": Refusal(
+        {"jumper": {"epsilons": 0.5}},
+        FIELD + "'jumper.epsilons': expected a list of numbers, got 0.5\n"),
+    "epsilons_string": Refusal(
+        {"jumper": {"epsilons": ["a", 0.0]}},
+        FIELD + "'jumper.epsilons': expected a number, got 'a'\n"),
+    "epsilons_bool": Refusal(
+        {"jumper": {"epsilons": [True, 0.0]}},
+        FIELD + "'jumper.epsilons': expected a number, got True\n"),
+    "kind_int": Refusal(
+        {"measure": {"kind": 3}},
+        FIELD + "'measure.kind': expected a string, got 3\n"),
+    # Numbers that are not finite floats.
+    "epsilons_nan": Refusal(
+        {"jumper": {"epsilons": [math.nan, 0.0]}},
+        FIELD + "'jumper.epsilons': expected a finite number, got nan\n"),
+    "jump_rate_nan": Refusal(
+        {"jumper": {"jump_rate": math.nan}},
+        FIELD + "'jumper.jump_rate': expected a finite number, got nan\n"),
+    "mu_x_inf": Refusal(
+        {"pre": {**BASE["pre"], "mu_x": math.inf}},
+        FIELD + "'pre.mu_x': expected a finite number, got inf\n"),
+    "mu_y_10e400": Refusal(
+        {"pre": {**BASE["pre"], "mu_y": 10**400}},
+        FIELD + "'pre.mu_y': too large for a float\n"),
+    "shift_minus_inf": Refusal(
+        {"post": {"cryptic_delta_mu_x": -math.inf}},
+        FIELD + "'post.cryptic_delta_mu_x': expected a finite number, "
+        "got -inf\n"),
+    # The value rules of the config dataclasses.
+    "negative_sigma": Refusal(
+        {"pre": {**BASE["pre"], "sigma_x": -1.0}},
+        FIELD + "'pre': standard deviations must be strictly positive\n"),
+    "unknown_kind": Refusal(
+        {"measure": {"kind": "psychic"}},
+        FIELD + "'measure.kind': unknown measure kind 'psychic'\n"),
+    "lambda_2": Refusal(
+        {"measure": {"kind": "ensemble", "lambda": 2}},
+        FIELD + "'measure.lambda': must lie in [0, 1]\n"),
+    "empty_stream": Refusal(
+        {"n_pre": 0, "n_post": 0},
+        FIELD + "'n_pre/n_post': stream must be nonempty\n"),
+    "epsilon_1": Refusal(
+        {"epsilon": 1.0}, FIELD + "'epsilon': must lie in (0, 1)\n"),
+    "seed_negative": Refusal(
+        {"seed": -1},
+        FIELD + "'seed': replication seeds -1 .. -1 must fit in 64 bits\n"),
+    "seed_2_64": Refusal(
+        {"seed": 2**64},
+        FIELD + f"'seed': replication seeds {2**64} .. {2**64} must fit in "
+        "64 bits\n"),
+    "seed_range_of_replications": Refusal(
+        {"seed": 2**64 - 1, "replications": 2},
+        FIELD + f"'seed': replication seeds {2**64 - 1} .. {2**64} must fit "
+        "in 64 bits\n"),
+    # mu_x + delta overflows to inf, so the shifted mean is not finite.
+    "shift_out_of_range": Refusal(
+        {"pre": PRE_MU_X_1E308, "post": {"cryptic_delta_mu_x": 1.0e+308}},
+        FIELD + "'post.cryptic_delta_mu_x': mu_x = inf is not finite\n"),
+    # The run overrides are checked like file values, and the error names
+    # the field of the first flag.
+    "seed_flag_negative": Refusal(
+        {}, FIELD + "'seed': replication seeds -1 .. -1 must fit in "
+        "64 bits\n", RUN, ("--seed", "-1")),
+    "seed_flag_2_64": Refusal(
+        {}, FIELD + f"'seed': replication seeds {2**64} .. {2**64} must fit "
+        "in 64 bits\n", RUN, ("--seed", str(2**64))),
+    "seed_flag_range_of_replications": Refusal(
+        {}, FIELD + f"'seed': replication seeds {2**64 - 1} .. {2**64} must "
+        "fit in 64 bits\n", RUN,
+        ("--seed", str(2**64 - 1), "--replications", "2")),
+    "replications_flag_0": Refusal(
+        {}, FIELD + "'replications': must be >= 1\n", RUN,
+        ("--replications", "0")),
+    "replications_flag_past_seed_range": Refusal(
+        {"seed": 2**64 - 1},
+        FIELD + f"'seed': replication seeds {2**64 - 1} .. {2**64} must fit "
+        "in 64 bits\n", RUN, ("--replications", "2")),
+    # Files that YAML's safe loader reads, or would read with a key given
+    # twice keeping its last value, and that the config loader refuses.
+    "repeated_seed": Refusal(
+        b"seed: 7\nseed: 9\n",
+        UNPARSEABLE + "found duplicate key 'seed' (line 2, column 1)\n"),
+    "repeated_pre_key": Refusal(
+        b"pre:\n  mu_x: 0.0\n  mu_x: 5.0\n",
+        UNPARSEABLE + "found duplicate key 'mu_x' (line 3, column 3)\n"),
+    "undecodable_byte": Refusal(
+        b"pre: {mu_x: 0\xff}\n",  # not UTF-8
+        UNPARSEABLE + "unacceptable character #x00ff: invalid start "
+        "byte\n"),
+    "unclosed_sequence": Refusal(
+        b"pre: [1, 2\n",
+        UNPARSEABLE + "expected ',' or ']', but got '<stream end>' (line 2, "
+        "column 1)\n"),
+    "python_tag": Refusal(
+        b"seed: !!python/object:os.system ls\n",
+        UNPARSEABLE + "could not determine a constructor for the tag "
+        "'tag:yaml.org,2002:python/object:os.system' (line 1, "
+        "column 7)\n"),
+    # Valid models whose run cannot be made. About 7 % of the x draws
+    # overflow to inf; verify takes the law of w from the models alone
+    # (TestVerify's draws_overflow).
+    "draws_overflow": Refusal(
+        {"pre": {**BASE["pre"], "sigma_x": 1.0e+308, "rho_cov": 0.0}},
+        FIELD + "'pre': seed 7, step 21: the draw (x, y) = "
+        "(-inf, 0.6846167834446987) is not finite\n", RUN),
+    # numpy refuses 10**30 steps before it allocates anything.
+    "stream_too_long_to_index": Refusal(
+        {"n_pre": 10**30},
+        FIELD + f"'n_pre/n_post': a stream of {10**30 + 300} steps cannot be "
+        "allocated: ", RUN),
+    # The post mean is 3e308 from the pre mean in x, so its distance from
+    # the pre regression line (r = 0.5), the mean of w, is inf; JSON has no
+    # infinity, so verify prints none.
+    "w_not_finite": Refusal(
+        {"pre": {**PRE_MU_X_1E308, "mu_x": 1.5e+308},
+         "post": {**PRE_MU_X_1E308, "mu_x": -1.5e+308}},
+        "error: verify: a reported value is not finite for this config\n",
+        ("verify",)),
+    # A file that cannot be read or written is named by its path.
+    "no_file": Refusal(
+        ABSENT, "error: [Errno 2] No such file or directory: '{config}'\n",
+        code=2),
+    "config_is_directory": Refusal(
+        DIRECTORY, "error: [Errno 21] Is a directory: '{config}'\n", code=2),
+    "output_dir_under_file": Refusal(
+        {}, "error: while writing artifacts under {config}/out: [Errno 20] "
+        "Not a directory: '{config}/out'\n", RUN,
+        ("--output-dir", "{config}/out"), code=2),
 }
 
 
@@ -299,62 +494,9 @@ class TestConfigParsing:
         assert cfg.post.mu_x == pytest.approx(20.0)
         assert cfg.post.mu_y == pytest.approx(10.0)
 
-    def test_missing_field_names_the_field(self, tmp_path):
-        raw = {**BASE}
-        del raw["n_pre"]
-        with pytest.raises(ConfigError) as err:
-            ScenarioConfig.from_dict(raw, base_dir=tmp_path)
-        assert err.value.field_name == "n_pre"
-
-    def test_bad_model_parameter(self, tmp_path):
-        with pytest.raises(ConfigError):
-            make_config(tmp_path, pre={**BASE["pre"], "sigma_x": -1.0})
-
-    def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            make_config(tmp_path, bogus=1)
-
-    def test_unknown_measure_kind(self, tmp_path):
-        with pytest.raises(ConfigError):
-            make_config(tmp_path, measure={"kind": "psychic"})
-
-    def test_empty_stream_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            make_config(tmp_path, n_pre=0, n_post=0)
-
-    def test_epsilon_range(self, tmp_path):
-        with pytest.raises(ConfigError):
-            make_config(tmp_path, epsilon=1.0)
-
-    @pytest.mark.parametrize("epsilons", [0.5, ["a", 0.0], [True, 0.0]])
-    def test_jumper_epsilons_must_be_numbers(self, tmp_path, epsilons):
-        with pytest.raises(ConfigError) as err:
-            make_config(tmp_path, jumper={"epsilons": epsilons})
-        assert err.value.field_name == "jumper.epsilons"
-
-    @pytest.mark.parametrize("overrides,field", [
-        ({"jumper": {"epsilons": [math.nan, 0.0]}}, "jumper.epsilons"),
-        ({"jumper": {"jump_rate": math.nan}}, "jumper.jump_rate"),
-        ({"pre": {**BASE["pre"], "mu_x": math.inf}}, "pre.mu_x"),
-        ({"pre": {**BASE["pre"], "mu_y": 10**400}}, "pre.mu_y"),
-        ({"post": {"cryptic_delta_mu_x": -math.inf}},
-         "post.cryptic_delta_mu_x"),
-    ])
-    def test_non_finite_numbers_rejected(self, tmp_path, overrides, field):
-        with pytest.raises(ConfigError) as err:
-            make_config(tmp_path, **overrides)
-        assert err.value.field_name == field
-
     def test_jumper_epsilons_accept_integers(self, tmp_path):
         cfg = make_config(tmp_path, jumper={"epsilons": [-1, 0, 1]})
         assert cfg.jumper.epsilons == (-1.0, 0.0, 1.0)
-
-    @pytest.mark.parametrize("seed,replications",
-                             [(-1, 1), (2**64, 1), (2**64 - 1, 2)])
-    def test_seed_range(self, tmp_path, seed, replications):
-        with pytest.raises(ConfigError) as err:
-            make_config(tmp_path, seed=seed, replications=replications)
-        assert err.value.field_name == "seed"
 
     def test_largest_seed_accepted(self, tmp_path):
         assert make_config(tmp_path, seed=2**64 - 2,
@@ -375,11 +517,6 @@ class TestConfigParsing:
             dataclasses.replace(cfg, **changes)
         assert err.value.field_name == field
 
-    def test_measure_spec_checks_kind(self):
-        with pytest.raises(ConfigError) as err:
-            MeasureSpec("psychic")
-        assert err.value.field_name == "measure.kind"
-
     def test_omitted_keys_take_dataclass_defaults(self, tmp_path):
         post = {**BASE["pre"], "mu_x": 2.0}
         required = {"pre": BASE["pre"], "post": post, "n_pre": 30,
@@ -390,35 +527,6 @@ class TestConfigParsing:
             30, 40, 3, output_dir=tmp_path / "out")
         ensemble = make_config(tmp_path, measure={"kind": "ensemble"})
         assert ensemble.measure.lam == OracleMahalanobisEnsemble.lam
-
-    def test_from_file_round_trips(self, tmp_path):
-        path = write_config(tmp_path)
-        cfg = ScenarioConfig.from_file(path)
-        assert cfg.n_pre == 300
-        assert cfg.seed == 7
-
-    @pytest.mark.parametrize("overrides,field", [
-        ({"pre": {**BASE["pre"], "z": 1}}, "pre.z"),
-        ({"post": {**BASE["pre"], "z": 1}}, "post.z"),
-        ({"post": {"cryptic_delta_mu_x": 1.0, "z": 2}}, "post.z"),
-        ({"measure": {"kind": "oracle", "x": 1}}, "measure.x"),
-        ({"jumper": {"epsilons": [-1, 0, 1], "bogus": 1}}, "jumper.bogus"),
-        ({"bogus": 1}, "bogus"),
-        ({"measure": {}}, "measure.kind"),
-        ({"pre": {k: v for k, v in BASE["pre"].items() if k != "mu_x"}},
-         "pre.mu_x"),
-        # One wrong-typed value for each annotation the parser converts.
-        ({"n_pre": 1.5}, "n_pre"),
-        ({"seed": True}, "seed"),
-        ({"epsilon": "x"}, "epsilon"),
-        ({"output_dir": 3}, "output_dir"),
-        ({"jumper": {"epsilons": 0.5}}, "jumper.epsilons"),
-        ({"measure": {"kind": 3}}, "measure.kind"),
-    ])
-    def test_error_names_the_key(self, tmp_path, overrides, field):
-        with pytest.raises(ConfigError) as err:
-            ScenarioConfig.from_dict({**BASE, **overrides}, base_dir=tmp_path)
-        assert err.value.field_name == field
 
     def test_every_config_field_converts(self):
         # A field whose annotation the parser cannot read fails here, not
@@ -474,16 +582,6 @@ class TestRunScenario:
         assert stored["max_log10_capital"] == max(mart)
         assert stored["seed"] == summary.seed
 
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg_a = make_config(tmp_path / "a")
-        cfg_b = make_config(tmp_path / "b")
-        run_scenario(cfg_a)
-        run_scenario(cfg_b)
-        for name in ("stream.csv", "pvalues.csv", "martingale.csv",
-                     "intervals.csv", "summary.json"):
-            assert (cfg_a.output_dir / name).read_bytes() == \
-                (cfg_b.output_dir / name).read_bytes()
-
     def test_literal_post_mean_equivalent_to_delta(self, tmp_path):
         delta_cfg = make_config(tmp_path / "a")
         literal_cfg = make_config(
@@ -503,42 +601,6 @@ class TestRunScenario:
         summary = run_scenario(cfg, write_artifacts=False)
         assert summary.ks_post is None
         assert not summary.ks_all.reject
-
-    def test_measure_kinds_all_run(self, tmp_path):
-        for kind in ("oracle", "mahalanobis", "likelihood_ratio", "ensemble"):
-            cfg = make_config(tmp_path / kind, measure={"kind": kind},
-                              n_pre=100, n_post=100)
-            summary = run_scenario(cfg, write_artifacts=False)
-            assert summary.ks_all.n == 200
-
-    @pytest.mark.parametrize("kind", MEASURE_KINDS)
-    def test_far_post_mean_runs(self, tmp_path, kind):
-        # At a post mean of (0, 40) the oracle density of every post-change
-        # example, and the joint density that a likelihood ratio of
-        # densities would take the log of, underflow to 0.0; the scores are
-        # log densities, so none is computed.
-        post = {**BASE["pre"], "mu_y": 40.0}
-        cfg = make_config(tmp_path, measure={"kind": kind}, post=post,
-                          n_pre=500, n_post=500)
-        summary = run_scenario(cfg)
-        out = cfg.output_dir
-
-        def column(name, field):
-            lines = (out / name).read_text().strip().split("\n")
-            i = lines[0].split(",").index(field)
-            return [float(line.split(",")[i]) for line in lines[1:]]
-
-        pvalues = column("pvalues.csv", "pvalue")
-        assert len(pvalues) == 1000
-        assert all(0.0 < p <= 1.0 for p in pvalues)
-        trajectory = column("martingale.csv", "log10_capital")
-        assert len(trajectory) == 1001
-        assert all(math.isfinite(c) for c in trajectory)
-        widths = column("intervals.csv", "width")
-        assert len(widths) == 999
-        assert all(math.isfinite(w) and w >= 0.0 for w in widths)
-        assert math.isfinite(summary.final_log10_capital)
-        assert math.isfinite(summary.mean_width_post)
 
     @pytest.mark.parametrize("phase", ["pre", "post"])
     def test_non_finite_draw_names_phase_and_step(self, tmp_path, phase):
@@ -777,8 +839,10 @@ class TestVerify:
         (SLOPE_FLIP, (0.0, 1.0)),
         (SIGMA_Y_1E200, (0.0, 1.0)),
         (FAR_ORIGIN, (0.0, 1.0)),
+        (REFUSED["draws_overflow"].config, (0.0, 1.0)),
     ], ids=["cryptic", "ensemble_cryptic", "non_cryptic", "edge",
-            "edge_same_model", "slope_flip", "sigma_y_1e200", "far_origin"])
+            "edge_same_model", "slope_flip", "sigma_y_1e200", "far_origin",
+            "draws_overflow"])
     def test_reports_the_exact_law(self, tmp_path, capsys, config, law):
         """`seqconformal verify` on a shipped config by name, or on the
         models of a written one, exits 0 and prints the exact law of w from
@@ -800,87 +864,14 @@ class TestCli:
         assert cli_main(["verify", "--config", str(path)]) == 0
         assert "oracle_w_mean" in capsys.readouterr().out
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        raw = {**BASE}
-        del raw["pre"]
-        path.write_text(yaml.safe_dump(raw))
-        assert cli_main(["run", "--config", str(path)]) == 1
-
-    @pytest.mark.parametrize("epsilons", [0.5, ["a", 0.0], [True, 0.0]])
-    def test_bad_jumper_epsilons_exit_code(self, tmp_path, capsys, epsilons):
-        path = write_config(tmp_path, jumper={"epsilons": epsilons})
-        assert cli_main(["run", "--config", str(path)]) == 1
-        assert "jumper.epsilons" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("overrides,field", [
-        ({"jumper": {"epsilons": [math.nan, 0.0]}}, "jumper.epsilons"),
-        ({"pre": {**BASE["pre"], "mu_x": math.inf}}, "pre.mu_x"),
-    ])
-    def test_non_finite_number_exit_code(self, tmp_path, capsys, overrides,
-                                         field):
-        path = write_config(tmp_path, **overrides)
-        assert cli_main(["run", "--config", str(path)]) == 1
-        assert f"'{field}'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command", ["run", "verify"])
-    @pytest.mark.parametrize("overrides,message", [
-        ({"measure": {"kind": "ensemble", "lamda": 0.9}}, "lamda"),
-        ({"jumper": {"jump_rat": 0.5}}, "jump_rat"),
-        ({"output_dir": 5}, "'output_dir'"),
-        ({"jumper": {"epsilons": [-1, 0, 1], "bogus": 1}}, "jumper.bogus"),
-        ({"post": {"cryptic_delta_mu_x": 2, "z": 1}}, "post.z"),
-    ])
-    def test_bad_config_key_exit_code(self, tmp_path, capsys, command,
-                                      overrides, message):
-        path = tmp_path / "bad.cfg"
-        path.write_text(yaml.safe_dump({**BASE, **overrides}))
-        assert cli_main([command, "--config", str(path)]) == 1
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("args", [
-        ["--seed", "-1"],
-        ["--seed", str(2**64)],
-        ["--seed", str(2**64 - 1), "--replications", "2"],
-        ["--replications", "0"],
-    ])
-    def test_seed_override_range(self, tmp_path, capsys, args):
-        path = write_config(tmp_path)
-        assert cli_main(["run", "--config", str(path), *args]) == 1
-        # the error names the field of the first flag
-        assert f"'{args[0][2:]}'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_replications_override_checks_seed_range(self, tmp_path, capsys):
-        path = write_config(tmp_path, seed=2**64 - 1)
-        assert cli_main(["run", "--config", str(path),
-                         "--replications", "2"]) == 1
-        assert "'seed'" in capsys.readouterr().err
-
-    def test_non_finite_draw_exit_code(self, tmp_path, capsys):
-        # The model is valid, but about 7 % of its x draws overflow to inf;
-        # verify takes the law of w from the model alone, so it reports it.
-        path = write_config(tmp_path, pre={
-            "mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0e+308, "sigma_y": 1.0,
-            "rho_cov": 0.0})
-        assert cli_main(["verify", "--config", str(path)]) == 0
-        capsys.readouterr()
-        assert cli_main(["run", "--config", str(path)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: config field 'pre': seed 7, step ")
-        assert "is not finite" in err[0]
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("name,kind", [
         (name, kind) for name, (_, kinds) in RUNS_CLEAN.items()
         for kind in kinds])
     def test_runs_clean(self, tmp_path, capsys, name, kind):
         """`seqconformal run` on a model pair of RUNS_CLEAN exits 0 with no
-        warning and nothing on stderr, and writes p-values in (0, 1] and a
-        finite martingale."""
+        warning and nothing on stderr, and writes p-values in (0, 1], a
+        finite martingale, finite intervals of width >= 0 and a summary
+        with no NaN or Infinity."""
         models, _ = RUNS_CLEAN[name]
         path = write_config(tmp_path, measure={"kind": kind}, **models)
         with warnings.catch_warnings():
@@ -893,70 +884,37 @@ class TestCli:
         assert ((0.0 < pvalues) & (pvalues <= 1.0)).all()
         assert np.isfinite(np.loadtxt(out / "martingale.csv", delimiter=",",
                                       skiprows=1, usecols=1)).all()
+        intervals = np.loadtxt(out / "intervals.csv", delimiter=",",
+                               skiprows=1, usecols=(1, 2, 3, 4))
+        assert np.isfinite(intervals).all()
+        assert (intervals[:, 3] >= 0.0).all()  # the width column
+        json.loads((out / "summary.json").read_text(),
+                   parse_constant=lambda name: pytest.fail(name))
 
-    def test_cryptic_shift_out_of_range_names_the_field(self, tmp_path,
-                                                        capsys):
-        # mu_x + delta overflows to inf, so the shifted mean is not
-        # finite.
-        path = write_config(
-            tmp_path,
-            pre={"mu_x": 1.0e+308, "mu_y": 0.0, "sigma_x": 1.0,
-                 "sigma_y": 1.0, "rho_cov": 0.5},
-            post={"cryptic_delta_mu_x": 1.0e+308})
-        for command in ("run", "verify"):
-            assert cli_main([command, "--config", str(path)]) == 1
-            err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1
-            assert err[0].startswith(
-                "error: config field 'post.cryptic_delta_mu_x': ")
-        assert not (tmp_path / "out").exists()
-
-    def test_verify_non_finite_residual_exit_code(self, tmp_path, capsys):
-        # The post mean is 3e308 from the pre mean in x, so its distance
-        # from the pre regression line (r = 0.5), the mean of w, is inf;
-        # JSON has no infinity, so verify prints none.
-        pre = {"mu_x": 1.5e+308, "mu_y": 0.0, "sigma_x": 1.0, "sigma_y": 1.0,
-               "rho_cov": 0.5}
-        path = write_config(tmp_path, pre=pre, post={**pre, "mu_x": -1.5e+308})
-        assert cli_main(["verify", "--config", str(path)]) == 1
+    @pytest.mark.parametrize("name,command", [
+        (name, command) for name, refusal in REFUSED.items()
+        for command in refusal.commands])
+    def test_refused(self, tmp_path, capsys, name, command):
+        """The contract of a refused config: its exit code, nothing on
+        stdout, one `error:` line on stderr and no output directory."""
+        refusal = REFUSED[name]
+        path = tmp_path / "scenario.cfg"
+        if isinstance(refusal.config, bytes):
+            path.write_bytes(refusal.config)
+        elif refusal.config == DIRECTORY:
+            path.mkdir()
+        elif refusal.config != ABSENT:
+            raw = {**BASE, **refusal.config}  # output_dir: out, beside path
+            path.write_text(yaml.safe_dump(
+                {k: v for k, v in raw.items() if v != DROP}))
+        flags = [flag.format(config=path) for flag in refusal.flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main([command, "--config", str(path), *flags])
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [
-            "error: verify: a reported value is not finite for this config"]
-
-    def test_undecodable_config_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_bytes(b"pre: {mu_x: 0\xff}\n")  # not UTF-8
-        assert cli_main(["run", "--config", str(path)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err[0].startswith(
-            "error: config field '<file>': not parseable: ")
-
-    @pytest.mark.parametrize("command", ["run", "verify"])
-    @pytest.mark.parametrize("before,after,key", [
-        ("seed: 7\n", "seed: 7\nseed: 9\n", "seed"),
-        ("pre:\n", "pre:\n  mu_x: 5.0\n", "mu_x"),
-    ], ids=["top_level", "in_pre"])
-    def test_repeated_key_exit_code(self, tmp_path, capsys, command, before,
-                                    after, key):
-        # YAML's SafeLoader would keep the last value silently.
-        path = tmp_path / "bad.cfg"
-        path.write_text(yaml.safe_dump(BASE).replace(before, after))
-        assert cli_main([command, "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config field '<file>': not parseable: ")
-        assert f"found duplicate key '{key}'" in err
-        assert not (tmp_path / "out").exists()
-
-    def test_stream_too_long_to_index_exit_code(self, tmp_path, capsys):
-        # numpy refuses 10**30 steps before it allocates anything.
-        path = write_config(tmp_path, n_pre=10**30)
-        assert cli_main(["run", "--config", str(path)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith(
-            f"error: config field 'n_pre/n_post': a stream of {10**30 + 300} "
-            "steps cannot be allocated: ")
+        assert (code, out) == (refusal.code, "")
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        assert err.startswith(refusal.error.format(config=path)), err
         assert not (tmp_path / "out").exists()
 
     def test_replications_write_one_directory_per_seed(self, tmp_path,
@@ -968,9 +926,6 @@ class TestCli:
         for name in ("seed_7/pvalues.csv", "seed_8/intervals.csv",
                      "aggregate.json"):
             assert (out / name).is_file(), name
-
-    def test_missing_file_exit_code(self, tmp_path):
-        assert cli_main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
     def test_overrides(self, tmp_path):
         path = write_config(tmp_path, n_pre=5000, n_post=5000)
