@@ -33,7 +33,7 @@ import yaml
 
 from .conformity import (ConformityMeasure, LikelihoodRatio, Mahalanobis,
                          OracleMahalanobisEnsemble, PredictiveOracle)
-from .cryptic import cryptic_shift
+from .cryptic import cryptic_shift, oracle_law
 from .gaussian import BivariateGaussian, sample_arrays
 from .intervals import IntervalSeries, interval_series
 from .martingale import JumperConfig, log10_capital
@@ -141,6 +141,10 @@ class ScenarioConfig:
             raise ConfigError("seed", f"replication seeds {self.seed} .. "
                               f"{self.seed + self.replications - 1} must fit "
                               "in 64 bits")
+        mean, sd = oracle_law(self.pre, self.post)
+        if not (math.isfinite(mean) and math.isfinite(sd)):
+            raise ConfigError("post", f"the oracle's w has mean {mean!r} and "
+                              f"sd {sd!r} under it; both must be finite")
 
     @staticmethod
     def from_dict(raw: dict[str, Any],
@@ -372,13 +376,14 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
                 f"seed {cfg.seed}, step {i + 1}: the draw (x, y) = "
                 f"({float(xs[i])!r}, {float(ys[i])!r}) is not finite"))
     measure = cfg.measure.build(cfg.pre, cfg.post)
-    pvalues = smoothed_pvalues(measure.scores(xs, ys), tau_rng)
-    trajectory = log10_capital(cfg.jumper, pvalues)  # index = step
-    # KS runs before the interval arrays exist, to keep the peak memory low.
-    ks_all, ks_pre, ks_post = (
-        ks_uniform(p, alpha=0.01) if p.size else None
-        for p in (pvalues, pvalues[:cfg.n_pre], pvalues[cfg.n_pre:]))
-    intervals = interval_series(xs, ys, cfg.pre, cfg.epsilon)
+    with np.errstate(over="ignore"):  # far examples may score -inf
+        pvalues = smoothed_pvalues(measure.scores(xs, ys), tau_rng)
+        trajectory = log10_capital(cfg.jumper, pvalues)  # index = step
+        # KS runs before the intervals exist, to keep the peak memory low.
+        ks_all, ks_pre, ks_post = (
+            ks_uniform(p, alpha=0.01) if p.size else None
+            for p in (pvalues, pvalues[:cfg.n_pre], pvalues[cfg.n_pre:]))
+        intervals = interval_series(xs, ys, cfg.pre, cfg.epsilon)
 
     coverage_pre, mean_width_pre = _phase_means(intervals, 1, cfg.n_pre)
     coverage_post, mean_width_post = _phase_means(intervals, cfg.n_pre, n)

@@ -24,15 +24,10 @@ class KSReport:
     reject: bool
 
 
-def _check_alpha(alpha: float) -> float:
-    if alpha not in KS_COEFFICIENTS:
-        raise ValueError(f"alpha must be one of {sorted(KS_COEFFICIENTS)}")
-    return KS_COEFFICIENTS[alpha]
-
-
 def ks_uniform(pvalues: Sequence[float], alpha: float = 0.01) -> KSReport:
     """One-sample KS statistic of the sample against Uniform(0, 1)."""
-    coeff = _check_alpha(alpha)
+    if alpha not in KS_COEFFICIENTS:
+        raise ValueError(f"alpha must be one of {sorted(KS_COEFFICIENTS)}")
     u = np.asarray(pvalues, dtype=float)
     if u.size == 0:
         raise ValueError("empty sample")
@@ -44,7 +39,7 @@ def ks_uniform(pvalues: Sequence[float], alpha: float = 0.01) -> KSReport:
     d = np.max(np.subtract(gap, u, out=gap))  # i / n - u, in place
     np.divide(np.arange(n), n, out=gap)
     d = max(d, np.max(np.subtract(u, gap, out=gap)))  # u - (i - 1) / n
-    threshold = coeff / np.sqrt(n)
+    threshold = KS_COEFFICIENTS[alpha] / np.sqrt(n)
     return KSReport(statistic=float(d), n=int(n),
                     threshold_at_alpha=float(threshold), alpha=alpha,
                     reject=bool(d > threshold))

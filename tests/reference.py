@@ -2,9 +2,10 @@
 
 The package computes every stage over whole arrays. The forms here do the
 same computations the obvious way, one example or one step at a time, and
-the tests compare the package against them bit for bit. The module also
-holds helpers that only the tests use: the model's mean vector and
-covariance matrix, and the two-sample KS test.
+the tests compare the package against them bit for bit; they check no
+argument, and nothing tests them. The module also holds the model's mean
+vector and covariance matrix, and the two-sample KS reject rule of the
+score-law tests.
 """
 
 from __future__ import annotations
@@ -14,17 +15,16 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
+from scipy.stats import ks_2samp
 
-from seqconformal import (BivariateGaussian, JumperConfig, KSReport,
-                          LikelihoodRatio, Mahalanobis,
-                          OracleMahalanobisEnsemble, PredictiveOracle,
-                          conditional_mean)
+from seqconformal import (BivariateGaussian, JumperConfig, LikelihoodRatio,
+                          Mahalanobis, OracleMahalanobisEnsemble,
+                          PredictiveOracle, conditional_mean)
 from seqconformal.gaussian import conditional_sd
 from seqconformal.intervals import IntervalSeries
-from seqconformal.stats import _check_alpha
 
 
 class ScoreStore:
@@ -48,74 +48,35 @@ class ScoreStore:
 
     def kth_smallest(self, k: int) -> float:
         """1-based order statistic."""
-        if not 1 <= k <= len(self._scores):
-            raise IndexError(f"rank {k} out of range for store of size {len(self._scores)}")
         return self._scores[k - 1]
 
 
-def store_of(scores) -> ScoreStore:
-    store = ScoreStore()
-    for s in scores:
-        store.insert(s)
-    return store
-
-
 def observe(store: ScoreStore, alpha_n: float, tau: float) -> float:
-    """Smoothed p-value of alpha_n against the store.
-
-    alpha_n must already have been inserted (the bag includes the new
-    example), so count_equal >= 1 and the result lies in [tau/n, 1].
-    """
-    if store.size == 0:
-        raise ValueError("score store is empty")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
+    """Smoothed p-value of alpha_n against the store, which already holds
+    it: the bag includes the new example."""
     return (store.count_less(alpha_n)
             + tau * store.count_equal(alpha_n)) / store.size
 
 
-@dataclass(frozen=True)
-class PredictionInterval:
-    lower: float
-    upper: float
-    center: float
-    step_index: int
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    def contains(self, y: float) -> bool:
-        return self.lower <= y <= self.upper
-
-
 def predict_interval(q0: BivariateGaussian, store: ScoreStore, x: float,
-                     epsilon: float, step_index: int = 0) -> PredictionInterval:
-    """Level-(1 - epsilon) interval for Y at x against the stored |r|.
+                     epsilon: float) -> tuple[float, float, float]:
+    """(center, lower, upper) of the level-(1 - epsilon) interval for Y at
+    x against the stored |r|.
 
     The store holds the absolute residuals |y - E_Q0[Y | x]| of the
     earlier examples. The half-width is the upper order statistic at rank
     ceil(epsilon * (size + 1)), a conservative tie-breaking choice.
     """
-    if store.size == 0:
-        raise ValueError("score store is empty")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
     rank = min(math.ceil(epsilon * (store.size + 1)), store.size)
     center = conditional_mean(q0, x)
     halfwidth = store.kth_smallest(store.size + 1 - rank)
-    return PredictionInterval(lower=center - halfwidth,
-                              upper=center + halfwidth,
-                              center=center,
-                              step_index=step_index)
+    return center, center - halfwidth, center + halfwidth
 
 
 def two_heap_series(xs: np.ndarray, ys: np.ndarray, q0: BivariateGaussian,
                     epsilon: float) -> IntervalSeries:
     """`interval_series` as one loop over whole-stream lists, with both
     heaps kept whole: every |r| stays stored until the end."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
     center = conditional_mean(q0, xs)
     abs_r = np.abs(ys - center).tolist()
     m = np.arange(1, len(xs))  # m residuals are stored at step m + 1
@@ -152,57 +113,41 @@ def left_sum(values: Iterable[float]) -> float:
 
 @dataclass
 class CapitalState:
-    """Per-epsilon capitals, decimal rescaling exponent, and step count.
-
-    Total capital is left_sum(capitals) * 10**log10_scale; it starts at 1,
-    split uniformly across the epsilon grid.
-    """
+    """Per-epsilon capitals and the decimal rescaling exponent: the total
+    capital is left_sum(capitals) * 10**log10_scale."""
 
     capitals: list[float]
     log10_scale: float = 0.0
-    step: int = 0
 
     @property
     def log10_total(self) -> float:
         return math.log10(left_sum(self.capitals)) + self.log10_scale
 
-    @property
-    def total(self) -> float:
-        return left_sum(self.capitals) * 10.0**self.log10_scale
-
 
 def initial_state(cfg: JumperConfig) -> CapitalState:
+    """A total of 1, split uniformly across the epsilon grid."""
     k = len(cfg.epsilons)
     return CapitalState(capitals=[1.0 / k] * k)
 
 
-def betting_function(epsilon: float, p: float) -> float:
-    """f_eps(p) = 1 + eps * (p - 1/2); integrates to 1 over [0, 1]."""
-    return 1.0 + epsilon * (p - 0.5)
-
-
-def jumper_step(state: CapitalState, cfg: JumperConfig, p: float,
-                renorm_exponent: int = 6) -> CapitalState:
-    """One mix-then-bet update of the capital state.
-
-    Rescales by a power of ten whenever the capital sum leaves
-    [10^-renorm_exponent, 10^renorm_exponent]; the reported total is
-    invariant under rescaling.
-    """
+def jumper_step(state: CapitalState, cfg: JumperConfig,
+                p: float) -> CapitalState:
+    """One update: mix, bet with f_eps(p) = 1 + eps * (p - 1/2), and
+    rescale by a power of ten whenever the capital sum leaves
+    [10^-6, 10^6]."""
     k = len(cfg.epsilons)
     total = left_sum(state.capitals)
     j = cfg.jump_rate
     mixed = [(1.0 - j) * c + (j / k) * total for c in state.capitals]
-    bet = [c * betting_function(e, p) for c, e in zip(mixed, cfg.epsilons)]
+    bet = [c * (1.0 + e * (p - 0.5)) for c, e in zip(mixed, cfg.epsilons)]
     scale = state.log10_scale
     s = left_sum(bet)
-    bound = 10.0**renorm_exponent
-    if s > bound or s < 1.0 / bound:
+    if s > 1e6 or s < 1e-6:
         m = math.floor(math.log10(s))
         factor = 10.0**m
         bet = [c / factor for c in bet]
         scale += m
-    return CapitalState(capitals=bet, log10_scale=scale, step=state.step + 1)
+    return CapitalState(capitals=bet, log10_scale=scale)
 
 
 def mean(q: BivariateGaussian) -> np.ndarray:
@@ -268,40 +213,14 @@ def score_fold(measure, points) -> list[float]:
     raise TypeError(f"no reference score for {type(measure).__name__}")
 
 
-def two_sample_ks(a: Sequence[float], b: Sequence[float],
-                  alpha: float = 0.01) -> KSReport:
-    """Two-sample KS statistic, symmetric in its arguments."""
-    coeff = _check_alpha(alpha)
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("empty sample")
-    if np.isnan(a).any() or np.isnan(b).any():
-        raise ValueError("samples must not contain NaN")
-    pooled = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
-    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
-    d = float(np.max(np.abs(cdf_a - cdf_b)))
-    threshold = coeff * np.sqrt((a.size + b.size) / (a.size * b.size))
-    return KSReport(statistic=d, n=int(a.size + b.size),
-                    threshold_at_alpha=float(threshold), alpha=alpha,
-                    reject=bool(d > threshold))
-
-
-def lag1_autocorrelation(values: Sequence[float]) -> float:
-    """Sample autocorrelation at lag 1."""
-    v = np.asarray(values, dtype=float)
-    if v.size < 2:
-        raise ValueError("need at least two values")
-    v = v - v.mean()
-    denom = float(np.dot(v, v))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(v[:-1], v[1:]) / denom)
+def two_sample_ks_rejects(a, b) -> bool:
+    """The two-sample KS test at alpha 0.01, by its asymptotic threshold."""
+    n, m = len(a), len(b)
+    return ks_2samp(a, b).statistic > 1.628 * math.sqrt((n + m) / (n * m))
 
 
 def fmt(x: float) -> str:
-    return format(x, ".17g")
+    return "%.17g" % x
 
 
 def write_csv(path: Path, header: list[str],

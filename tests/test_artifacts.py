@@ -5,8 +5,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from reference import write_csvs
 from seqconformal.intervals import IntervalSeries
@@ -58,29 +56,47 @@ def test_block_writer_matches_reference_bytes(tmp_path, n, n_pre):
             "step,center,lower,upper,width,covered\n"
 
 
-@given(st.one_of(st.floats(),
-                 st.builds(math.ldexp, st.floats(-1.0, 1.0),
-                           st.integers(-1074, 1023))))
-@example(0.0)
-@example(-0.0)
-@example(5e-324)
-@example(-5e-324)
-@example(sys.float_info.min)
-@example(sys.float_info.max)
-@example(-sys.float_info.max)
-@example(math.inf)
-@example(-math.inf)
-@example(math.nan)
-@example(-math.nan)
-def test_percent_g_is_format_g(x):
-    assert "%.17g" % x == format(x, ".17g")
+
+def written_tables(tmp_path, n, n_pre):
+    """The four tables _write_csvs writes for random rows, as lists of
+    fields without the header, and the columns it was given."""
+    rng = np.random.default_rng(n)
+    columns = {"stream.csv": (floats(rng, n), floats(rng, n)),
+               "pvalues.csv": (floats(rng, n),),
+               "martingale.csv": (floats(rng, n + 1),),
+               "intervals.csv": tuple(floats(rng, n - 1) for _ in range(4))
+               + (rng.random(n - 1) < 0.5,)}
+    xs, ys = columns["stream.csv"]
+    _write_csvs(tmp_path, n_pre, xs, ys, *columns["pvalues.csv"],
+                *columns["martingale.csv"],
+                IntervalSeries(*columns["intervals.csv"]))
+    tables = {name: [line.split(",") for line in
+                     (tmp_path / name).read_text().splitlines()[1:]]
+              for name in CSVS}
+    return tables, columns
 
 
-@given(st.integers(min_value=0, max_value=2**63))
-def test_percent_d_is_str_for_steps(i):
-    assert "%d" % i == str(i)
+def test_written_floats_read_back_bit_for_bit(tmp_path):
+    tables, columns = written_tables(tmp_path, 2 * B + 1, B)
+    for name in CSVS:
+        for j, column in enumerate(columns[name], 1):
+            if column.dtype == bool:
+                continue
+            read = np.array([float(row[j]) for row in tables[name]])
+            assert read.tobytes() == column.tobytes(), (name, j)
 
 
-def test_percent_d_of_bools():
-    assert "%d" % True == "1"
-    assert "%d" % False == "0"
+def test_steps_flags_and_phases_are_plain_fields(tmp_path):
+    n, n_pre = 2 * B + 1, B
+    tables, columns = written_tables(tmp_path, n, n_pre)
+    first = {"stream.csv": 1, "pvalues.csv": 1, "martingale.csv": 0,
+             "intervals.csv": 2}
+    for name, rows in tables.items():
+        assert [row[0] for row in rows] == [
+            str(step) for step in range(first[name], first[name] + len(rows))]
+    covered = columns["intervals.csv"][-1]
+    assert [row[-1] for row in tables["intervals.csv"]] == [
+        "1" if c else "0" for c in covered]
+    for name in ("stream.csv", "pvalues.csv"):
+        assert [row[-1] for row in tables[name]] == (
+            ["pre"] * n_pre + ["post"] * (n - n_pre))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import ScoreStore, predict_interval, store_of, two_heap_series
+from reference import ScoreStore, predict_interval, two_heap_series
 from seqconformal import intervals
 from seqconformal import (BivariateGaussian, RandomStream, conditional_mean,
                           interval_series, sample_arrays)
@@ -15,50 +15,6 @@ from seqconformal.martingale import BLOCK_STEPS
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
 SIGMA_C = math.sqrt(0.75)
-
-
-class TestPredictInterval:
-    def test_zero_residuals_degenerate(self):
-        # every stored example sat at the conditional mean, the score peak
-        store = store_of([0.0] * 100)
-        interval = predict_interval(Q0, store, 2.0, 0.05)
-        assert interval.width == 0.0
-        assert interval.center == pytest.approx(1.0)
-
-    def test_threshold_one_std_from_mean(self):
-        store = store_of([SIGMA_C] * 100)
-        interval = predict_interval(Q0, store, 0.0, 0.05)
-        assert interval.width == pytest.approx(2 * SIGMA_C)
-
-    def test_halfwidth_is_upper_order_statistic(self):
-        # 20 stored |r| = 1..20 at eps 0.1: rank ceil(0.1 * 21) = 3 from the
-        # top is 18
-        store = store_of([float(r) for r in range(20, 0, -1)])
-        interval = predict_interval(Q0, store, 2.0, 0.1)
-        assert (interval.lower, interval.upper) == (1.0 - 18.0, 1.0 + 18.0)
-
-    def test_contains_conditional_mean(self):
-        xs, ys = sample_arrays(Q0, RandomStream(1), 500)
-        store = store_of(np.abs(ys - 0.5 * xs).tolist())
-        for x in (-2.0, 0.0, 3.0):
-            interval = predict_interval(Q0, store, x, 0.05)
-            assert interval.lower <= interval.center <= interval.upper
-
-    def test_width_nonincreasing_in_epsilon(self):
-        rng = np.random.default_rng(0)
-        store = store_of(list(3.0 * rng.random(1000)))
-        widths = [predict_interval(Q0, store, 0.0, eps).width
-                  for eps in (0.01, 0.05, 0.1, 0.3)]
-        assert widths == sorted(widths, reverse=True)
-
-    def test_empty_store_rejected(self):
-        with pytest.raises(ValueError):
-            predict_interval(Q0, ScoreStore(), 0.0, 0.05)
-
-    def test_bad_epsilon_rejected(self):
-        store = store_of([0.1])
-        with pytest.raises(ValueError):
-            predict_interval(Q0, store, 0.0, 0.0)
 
 
 class TestIntervalSeries:
@@ -80,6 +36,43 @@ class TestIntervalSeries:
         # all scores tie at the peak, so every interval is the point mass
         assert (series.width == 0.0).all()
         assert series.covered.all()
+
+    # x = 0 puts every center at 0. Before the 21st example the 20 stored
+    # |r| are 20, 19, ..., 1; rank ceil(eps * 21) from the top is the
+    # half-width: at eps 0.1, rank 3 is 18.
+    @pytest.mark.parametrize("eps,halfwidth", [(0.01, 20.0), (0.05, 19.0),
+                                               (0.1, 18.0), (0.2, 16.0),
+                                               (0.5, 10.0), (0.9, 2.0)])
+    def test_halfwidth_is_upper_order_statistic(self, eps, halfwidth):
+        ys = np.arange(20.0, -1.0, -1.0)
+        series = interval_series(np.zeros(21), ys, Q0, eps)
+        assert (series.lower[-1], series.upper[-1]) == (-halfwidth, halfwidth)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.5])
+    def test_threshold_one_sd_from_mean(self, eps):
+        series = interval_series(np.zeros(100), np.full(100, SIGMA_C), Q0,
+                                 eps)
+        assert (series.width == 2 * SIGMA_C).all()
+
+    def test_zero_residuals_degenerate_at_the_conditional_mean(self):
+        # Every example sits at E[Y | X = 2] = 1, the score peak.
+        series = interval_series(np.full(30, 2.0), np.full(30, 1.0), Q0,
+                                 0.05)
+        assert (series.width == 0.0).all()
+        assert (series.center == 1.0).all()
+        assert series.covered.all()
+
+    def test_center_is_the_conditional_mean(self):
+        xs, ys = sample_arrays(Q0, RandomStream(1), 500)
+        series = interval_series(xs, ys, Q0, 0.05)
+        assert series.center.tolist() == conditional_mean(Q0, xs[1:]).tolist()
+
+    def test_width_nonincreasing_in_epsilon(self):
+        xs, ys = sample_arrays(Q0, RandomStream(1), 1000)
+        widths = [interval_series(xs, ys, Q0, eps).width
+                  for eps in (0.01, 0.05, 0.1, 0.3)]
+        for wider, narrower in zip(widths, widths[1:]):
+            assert (wider >= narrower).all()
 
     def test_coverage_at_nominal_level(self):
         rng = RandomStream(5)
@@ -109,10 +102,9 @@ def reference_series(xs, ys, q0, epsilon):
     rows = []
     for step, (x, y) in enumerate(zip(xs.tolist(), ys.tolist()), start=1):
         if step > 1:
-            interval = predict_interval(q0, store, x, epsilon,
-                                        step_index=step)
-            rows.append((interval.center, interval.lower, interval.upper,
-                         interval.width, interval.contains(y)))
+            center, lower, upper = predict_interval(q0, store, x, epsilon)
+            rows.append((center, lower, upper, upper - lower,
+                         lower <= y <= upper))
         store.insert(abs(y - conditional_mean(q0, x)))
     center, lower, upper, width, covered = np.array(
         rows, dtype=np.float64).reshape(-1, 5).T

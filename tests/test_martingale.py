@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from reference import betting_function, initial_state, jumper_step
+from reference import initial_state, jumper_step
 from seqconformal import JumperConfig, log10_capital
 from seqconformal.martingale import BLOCK_STEPS
 
@@ -28,71 +28,6 @@ class TestConfig:
             JumperConfig(epsilons=(math.nan, 0.0))
 
 
-class TestBettingFunction:
-    def test_neutral_epsilon(self):
-        for p in (0.0, 0.3, 1.0):
-            assert betting_function(0.0, p) == 1.0
-
-    def test_endpoints(self):
-        assert betting_function(1.0, 1.0) == 1.5
-        assert betting_function(1.0, 0.0) == 0.5
-
-    @pytest.mark.parametrize("eps", [-1.0, -0.5, 0.5, 1.0])
-    def test_integrates_to_one(self, eps):
-        total, _ = quad(lambda p: betting_function(eps, p), 0, 1)
-        assert total == pytest.approx(1.0)
-
-    @given(eps=st.floats(-1, 1), p=st.floats(0, 1))
-    @settings(max_examples=200, deadline=None)
-    def test_nonnegative_and_bounded(self, eps, p):
-        f = betting_function(eps, p)
-        assert 0.5 <= f <= 1.5
-
-
-class TestJumperStep:
-    def test_total_starts_at_one(self):
-        state = initial_state(JumperConfig())
-        assert state.total == pytest.approx(1.0)
-        assert state.log10_scale == 0.0
-
-    def test_neutral_pvalue_leaves_total(self):
-        cfg = JumperConfig()
-        state = jumper_step(initial_state(cfg), cfg, 0.5)
-        assert state.total == pytest.approx(1.0)
-
-    def test_one_step_symmetric_grid(self):
-        cfg = JumperConfig(jump_rate=0.0)
-        state = jumper_step(initial_state(cfg), cfg, 1.0)
-        assert state.total == pytest.approx(1.0)
-
-    def test_two_steps_hand_computed(self):
-        cfg = JumperConfig(jump_rate=0.0)
-        state = initial_state(cfg)
-        for _ in range(2):
-            state = jumper_step(state, cfg, 1.0)
-        assert state.total == pytest.approx(7.0 / 6.0)
-
-    def test_renormalization_invariance(self):
-        # aggressive vs lazy rescaling must report the same log10 capital
-        cfg = JumperConfig()
-        rng = np.random.default_rng(0)
-        ps = rng.beta(0.2, 1.0, size=2000)  # skewed small: capital explodes
-        s3 = initial_state(cfg)
-        s6 = initial_state(cfg)
-        for p in ps:
-            s3 = jumper_step(s3, cfg, p, renorm_exponent=3)
-            s6 = jumper_step(s6, cfg, p, renorm_exponent=6)
-        assert s3.log10_total == pytest.approx(s6.log10_total, abs=1e-9)
-        assert s3.log10_total > 10  # the stream really forced rescaling
-
-    def test_capital_stays_positive(self):
-        cfg = JumperConfig()
-        state = initial_state(cfg)
-        for p in (0.0, 1.0, 0.0, 1.0, 0.5):
-            state = jumper_step(state, cfg, p)
-            assert all(c > 0 for c in state.capitals)
-
-
 class TestLog10Capital:
     def test_empty_input(self):
         assert log10_capital(JumperConfig(), []).tolist() == [0.0]
@@ -100,17 +35,59 @@ class TestLog10Capital:
     def test_trajectory_length(self):
         assert len(log10_capital(JumperConfig(), [0.5] * 10)) == 11
 
-    def test_fairness_small(self):
-        # E[S_n] = 1 under uniform p-values
-        cfg = JumperConfig()
-        rng = np.random.default_rng(1)
-        totals = []
-        for _ in range(20_000):
-            state = initial_state(cfg)
-            for p in rng.random(3):
-                state = jumper_step(state, cfg, p)
-            totals.append(state.total)
-        assert np.mean(totals) == pytest.approx(1.0, abs=0.02)
+    @pytest.mark.parametrize("jump_rate", [0.0, 0.01])
+    def test_neutral_grid_keeps_the_capital(self, jump_rate):
+        # f_0(p) = 1 for every p
+        cfg = JumperConfig(epsilons=(0.0,), jump_rate=jump_rate)
+        ps = np.random.default_rng(2).random(100)
+        assert (log10_capital(cfg, ps) == 0.0).all()
+
+    def test_one_bet_endpoints(self):
+        # Under the grid (1.0,) with no jumps, f_1(1) = 1.5 and f_1(0) = 0.5.
+        cfg = JumperConfig(epsilons=(1.0,), jump_rate=0.0)
+        assert log10_capital(cfg, [1.0])[-1] == math.log10(1.5)
+        assert log10_capital(cfg, [0.0])[-1] == math.log10(0.5)
+
+    @pytest.mark.parametrize("eps", [-1.0, -0.5, 0.5, 1.0])
+    def test_one_bet_integrates_to_one(self, eps):
+        # E[S_1] under a uniform p is the integral of f_eps over [0, 1].
+        cfg = JumperConfig(epsilons=(eps,), jump_rate=0.0)
+        total, _ = quad(lambda p: 10.0 ** log10_capital(cfg, [p])[-1], 0, 1)
+        assert total == pytest.approx(1.0)
+
+    @given(eps=st.floats(-1, 1), p=st.floats(0, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_one_bet_lies_between_half_and_three_halves(self, eps, p):
+        cfg = JumperConfig(epsilons=(eps,), jump_rate=0.0)
+        after = log10_capital(cfg, [p])[-1]
+        assert math.log10(0.5) <= after <= math.log10(1.5)
+
+    def test_neutral_pvalue_keeps_the_capital(self):
+        trajectory = log10_capital(JumperConfig(), [0.5] * 100)
+        assert trajectory == pytest.approx(np.zeros(101), abs=1e-13)
+
+    @pytest.mark.parametrize("p,factor", [(1.0, 1.5), (0.0, 0.5)])
+    def test_rescaling_keeps_the_log10_capital(self, p, factor):
+        # Under the grid (1.0,) with no jumps S_n is factor**n, which leaves
+        # [10**-6, 10**6] by step 35 and is rescaled there.
+        cfg = JumperConfig(epsilons=(1.0,), jump_rate=0.0)
+        trajectory = log10_capital(cfg, [p] * 60)
+        assert abs(trajectory[-1]) > 6
+        assert trajectory == pytest.approx(
+            np.arange(61) * math.log10(factor), abs=1e-12)
+
+    def test_default_grid_hand_computed(self):
+        # With no jumps, p = 1 multiplies the capitals 1/3 by 0.5, 1 and
+        # 1.5: the total stays 1. A second p = 1 gives (1/12 + 1/3 + 3/4),
+        # that is 7/6.
+        cfg = JumperConfig(jump_rate=0.0)
+        trajectory = log10_capital(cfg, [1.0, 1.0])
+        assert trajectory[1] == pytest.approx(0.0, abs=1e-15)
+        assert trajectory[2] == pytest.approx(math.log10(7.0 / 6.0))
+
+    def test_capital_stays_positive(self):
+        trajectory = log10_capital(JumperConfig(), [0.0, 1.0, 0.0, 1.0, 0.5])
+        assert np.isfinite(trajectory).all()
 
     def test_ville_bound(self):
         # P(sup S >= c) <= 1/c under the null, plus Monte Carlo slack

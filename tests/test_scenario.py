@@ -64,7 +64,7 @@ GOLDEN_2K = {
 
 # SHA-256 of every file that run_scenario writes for the shipped configs at
 # their full 10000 + 10000 steps, taken with Python 3.11.7 and numpy 2.4.6;
-# the writer that formats each value with its own format(x, ".17g") call,
+# the writer that formats each value with its own "%.17g" % x,
 # `reference.write_csvs`, gives the same bytes. Unlike GOLDEN_2K, each CSV
 # here spans several blocks of the writer.
 GOLDEN_FULL = {
@@ -218,6 +218,12 @@ SIGMA_Y_1E200 = {"pre": {"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0,
 FAR_ORIGIN = {"pre": {"mu_x": 1.0e+5, "mu_y": 3.0, "sigma_x": 1.0,
                       "sigma_y": 1.0, "rho_cov": 0.5},
               "post": {"cryptic_delta_mu_x": 0.3}}
+# Each phase's mean lies 3e308, past the largest float, from the other's;
+# with r = 0 both lie on the flat line y = 0.
+FLAT_EDGE = {"pre": {"mu_x": 1.5e+308, "mu_y": 0.0, "sigma_x": 1.0,
+                     "sigma_y": 1.0, "rho_cov": 0.0},
+             "post": {"mu_x": -1.5e+308, "mu_y": 0.0, "sigma_x": 1.0,
+                      "sigma_y": 1.0, "rho_cov": 0.0}}
 
 # Model pairs that `seqconformal run` takes cleanly under each measure
 # named (see TestCli.test_runs_clean).
@@ -256,6 +262,12 @@ RUNS_CLEAN = {
     # would take the log of, underflow to 0.0; the scores are log densities,
     # so none is computed.
     "post_mean_40": ({"post": {**BASE["pre"], "mu_y": 40.0}}, MEASURE_KINDS),
+    # Past about 1e154 sds the squares of a post-change example overflow, and
+    # it scores -inf under Mahalanobis and the ensemble.
+    "cryptic_shift_1e200": ({"post": {"cryptic_delta_mu_x": 1.0e+200}},
+                            MEASURE_KINDS),
+    # x - mu_x overflows, so u is infinite under the other phase's model.
+    "flat_edge": (FLAT_EDGE, MEASURE_KINDS),
 }
 
 
@@ -428,13 +440,12 @@ REFUSED = {
         FIELD + f"'n_pre/n_post': a stream of {10**30 + 300} steps cannot be "
         "allocated: ", RUN),
     # The post mean is 3e308 from the pre mean in x, so its distance from
-    # the pre regression line (r = 0.5), the mean of w, is inf; JSON has no
-    # infinity, so verify prints none.
+    # the pre regression line (r = 0.5), the mean of w, is inf.
     "w_not_finite": Refusal(
         {"pre": {**PRE_MU_X_1E308, "mu_x": 1.5e+308},
          "post": {**PRE_MU_X_1E308, "mu_x": -1.5e+308}},
-        "error: verify: a reported value is not finite for this config\n",
-        ("verify",)),
+        FIELD + "'post': the oracle's w has mean inf and sd 1.0 under it; "
+        "both must be finite\n"),
     # A file that cannot be read or written is named by its path.
     "no_file": Refusal(
         ABSENT, "error: [Errno 2] No such file or directory: '{config}'\n",
@@ -825,12 +836,7 @@ class TestVerify:
         ("ensemble_cryptic", (0.0, 1.0)),
         # 1.0 above the line, in units of the conditional sd sqrt(0.75)
         ("non_cryptic", (1.1547005383792517, 1.0)),
-        # Each phase's mean lies 3e308, past the largest float, from the
-        # other's; with r = 0 both lie on the flat line y = 0.
-        ({"pre": {"mu_x": 1.5e+308, "mu_y": 0.0, "sigma_x": 1.0,
-                  "sigma_y": 1.0, "rho_cov": 0.0},
-          "post": {"mu_x": -1.5e+308, "mu_y": 0.0, "sigma_x": 1.0,
-                   "sigma_y": 1.0, "rho_cov": 0.0}}, (0.0, 1.0)),
+        (FLAT_EDGE, (0.0, 1.0)),
         # pre == post near the edge of the float range
         ({"pre": {"mu_x": -1.7e+308, "mu_y": 0.0, "sigma_x": 1.0e+307,
                   "sigma_y": 1.0, "rho_cov": 5.0e+306},

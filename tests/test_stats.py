@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from reference import lag1_autocorrelation, two_sample_ks
 from seqconformal import ks_uniform
 
 
@@ -65,48 +64,3 @@ class TestKsUniform:
         se = math.sqrt(alpha * (1 - alpha) / n_seeds)
         assert rejections / n_seeds <= alpha + 3 * se
 
-
-class TestTwoSampleKs:
-    def test_identical_samples(self):
-        a = [0.1, 0.5, 0.9]
-        assert two_sample_ks(a, a, 0.05).statistic == 0.0
-
-    def test_disjoint_supports(self):
-        report = two_sample_ks([0.0] * 10, [1.0] * 10, 0.01)
-        assert report.statistic == pytest.approx(1.0)
-        assert report.reject
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.random(300), rng.normal(0.5, 0.2, 200)
-        assert two_sample_ks(a, b, 0.05).statistic == pytest.approx(
-            two_sample_ks(b, a, 0.05).statistic)
-
-    def test_matches_scipy(self):
-        from scipy.stats import ks_2samp
-        rng = np.random.default_rng(2)
-        a, b = rng.random(400), rng.random(300)
-        assert two_sample_ks(a, b, 0.05).statistic == pytest.approx(
-            ks_2samp(a, b).statistic)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            two_sample_ks([], [0.5], 0.05)
-        for a, b in (([math.nan] * 3, [0.15, 0.25, 0.3]),
-                     ([0.15, 0.25, 0.3], [0.1, 0.2, math.nan])):
-            with pytest.raises(ValueError, match="NaN"):
-                two_sample_ks(a, b, 0.05)
-        # +-inf are ordered, so they stay valid
-        assert two_sample_ks([-math.inf, math.inf], [0.5], 0.05).n == 3
-
-
-class TestLag1Autocorrelation:
-    def test_alternating_sequence_is_negative(self):
-        assert lag1_autocorrelation([0.0, 1.0] * 50) < -0.9
-
-    def test_constant_sequence(self):
-        assert lag1_autocorrelation([0.5] * 10) == 0.0
-
-    def test_requires_two_values(self):
-        with pytest.raises(ValueError):
-            lag1_autocorrelation([0.5])

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import ScoreStore, lag1_autocorrelation, observe, store_of
+from reference import ScoreStore, observe
 from seqconformal import (BivariateGaussian, PredictiveOracle, RandomStream,
-                          ks_uniform, sample_arrays, smoothed_pvalues)
+                          sample_arrays, smoothed_pvalues)
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
 
@@ -13,59 +13,6 @@ Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
 def oracle_scores(rng: RandomStream, n: int) -> np.ndarray:
     """The oracle scores of n examples drawn from Q0 by rng."""
     return PredictiveOracle(Q0).scores(*sample_arrays(Q0, rng, n))
-
-
-class TestScoreStore:
-    def test_rank_counts_partition(self):
-        store = store_of([1.0, 2.0, 2.0, 3.0])
-        for alpha in (0.5, 1.0, 2.0, 2.5, 3.0, 9.0):
-            less = store.count_less(alpha)
-            equal = store.count_equal(alpha)
-            greater = store.size - less - equal
-            assert less + equal + greater == store.size
-            assert greater >= 0
-
-    def test_kth_smallest(self):
-        store = store_of([3.0, 1.0, 2.0])
-        assert [store.kth_smallest(k) for k in (1, 2, 3)] == [1.0, 2.0, 3.0]
-        with pytest.raises(IndexError):
-            store.kth_smallest(0)
-        with pytest.raises(IndexError):
-            store.kth_smallest(4)
-
-
-class TestObserve:
-    def test_first_example_returns_tau(self):
-        store = store_of([42.0])
-        assert observe(store, 42.0, 0.37) == pytest.approx(0.37)
-
-    def test_hand_computed_smoothing(self):
-        store = store_of([1.0, 2.0, 3.0])
-        assert observe(store, 3.0, 0.5) == pytest.approx((2 + 0.5) / 3)
-
-    def test_all_ties_extremes(self):
-        store = store_of([5.0, 5.0, 5.0])
-        assert observe(store, 5.0, 0.0) == 0.0
-        assert observe(store, 5.0, 1.0) == 1.0
-
-    def test_empty_store_rejected(self):
-        with pytest.raises(ValueError):
-            observe(ScoreStore(), 1.0, 0.5)
-
-    def test_bad_tau_rejected(self):
-        store = store_of([1.0])
-        with pytest.raises(ValueError):
-            observe(store, 1.0, 1.5)
-
-    @given(base=st.lists(st.floats(-100, 100), min_size=1, max_size=30),
-           lo=st.floats(-100, 100), hi=st.floats(-100, 100),
-           tau=st.floats(0, 1))
-    @settings(max_examples=200, deadline=None)
-    def test_monotone_in_alpha(self, base, lo, hi, tau):
-        a1, a2 = sorted((lo, hi))
-        p1 = observe(store_of(base + [a1]), a1, tau)
-        p2 = observe(store_of(base + [a2]), a2, tau)
-        assert p1 <= p2 + 1e-12
 
 
 class TestSmoothedPvalues:
@@ -92,22 +39,53 @@ class TestSmoothedPvalues:
         b = smoothed_pvalues(scores, RandomStream(9))
         assert a.tobytes() == b.tobytes()
 
-    def test_uniform_under_iid(self):
-        # KS uniformity at alpha=0.01 should hold for nearly every seed
-        rejections = 0
-        for seed in range(20):
-            rng = RandomStream(300 + seed)
-            pvals = smoothed_pvalues(oracle_scores(rng.substream(0), 2000),
-                                     rng.substream(1))
-            rejections += ks_uniform(pvals, alpha=0.01).reject
-        assert rejections <= 2
+    @pytest.mark.parametrize("score", [42.0, 0.0, -np.inf])
+    def test_one_score_gives_its_tau(self, score):
+        pvals = smoothed_pvalues(np.array([score]), RandomStream(5))
+        assert pvals.tolist() == RandomStream(5).uniforms(1).tolist()
+
+    @pytest.mark.parametrize("score", [5.0, -np.inf])
+    def test_all_ties_give_their_taus(self, score):
+        # Every earlier score ties, so p_n = tau_n * n / n.
+        pvals = smoothed_pvalues(np.full(50, score), RandomStream(8))
+        assert pvals == pytest.approx(RandomStream(8).uniforms(50),
+                                      rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("order", ["increasing", "decreasing"])
+    def test_monotone_stream_ranks_last_or_first(self, order):
+        # Increasing scores put all n - 1 earlier ones below a_n, so
+        # p_n = (n - 1 + tau_n) / n; decreasing ones put none, p_n = tau_n / n.
+        n = 50
+        steps = np.arange(1.0, n + 1)
+        scores, less = ((steps, steps - 1) if order == "increasing"
+                        else (-steps, np.zeros(n)))
+        pvals = smoothed_pvalues(scores, RandomStream(7))
+        taus = RandomStream(7).uniforms(n)
+        assert pvals.tolist() == ((taus + less) / steps).tolist()
+
+    def test_hand_computed_smoothing(self):
+        # At step 3 two earlier scores lie below 3 and none ties with it.
+        pvals = smoothed_pvalues(np.array([1.0, 2.0, 3.0]), RandomStream(6))
+        tau = RandomStream(6).uniforms(3)[2]
+        assert pvals[2] == (2 + tau) / 3
+
+    @given(base=st.lists(st.floats(-100, 100), max_size=30),
+           lo=st.floats(-100, 100), hi=st.floats(-100, 100),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_last_pvalue_monotone_in_last_score(self, base, lo, hi, seed):
+        # The same seed draws the same taus for both streams.
+        a1, a2 = sorted((lo, hi))
+        p1 = smoothed_pvalues(np.array(base + [a1]), RandomStream(seed))[-1]
+        p2 = smoothed_pvalues(np.array(base + [a2]), RandomStream(seed))[-1]
+        assert p1 <= p2 + 1e-12
 
     def test_lag1_autocorrelation_near_zero(self):
         n = 5000
         rng = RandomStream(77)
         pvals = smoothed_pvalues(oracle_scores(rng.substream(0), n),
                                  rng.substream(1))
-        assert abs(lag1_autocorrelation(pvals)) < 4 / np.sqrt(n)
+        assert abs(np.corrcoef(pvals[:-1], pvals[1:])[0, 1]) < 4 / np.sqrt(n)
 
 
 def reference_pvalues(scores, rng):
