@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 import statistics
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
                          is_dataclass, replace)
@@ -147,11 +148,6 @@ class ScenarioConfig:
                               f"sd {sd!r} under it; both must be finite")
 
     @staticmethod
-    def from_dict(raw: dict[str, Any],
-                  base_dir: Path | None = None) -> "ScenarioConfig":
-        return _parse_config(raw, base_dir or Path.cwd())
-
-    @staticmethod
     def from_file(path: str | Path) -> "ScenarioConfig":
         path = Path(path)
         try:
@@ -173,7 +169,11 @@ def _mapping(raw: Any, name: str) -> dict:
 
 def _as_number(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(name, f"expected a number, got {value!r}")
+        m = isinstance(value, str) and re.fullmatch(
+            r"([-+]?[0-9]+)\.?([0-9]*)[eE]([-+]?)([0-9]+)", value)
+        raise ConfigError(name, f"expected a number, got {value!r}" + (
+            f"; YAML 1.1 reads it as a string: write {m[1]}.{m[2] or 0}e"
+            f"{m[3] or '+'}{m[4]}" if m else ""))
     try:
         number = float(value)
     except OverflowError:

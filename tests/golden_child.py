@@ -6,18 +6,19 @@ sys.path) from an empty working directory, with only the package's parent
 directory on PYTHONPATH and numpy's SIMD dispatch set by
 NPY_DISABLE_CPU_FEATURES, so no module of `tests/` is importable. spec is
 JSON: the scenarios directory, the shipped config names of each golden
-table, and explicit `csv_rows` cases as the hex of their float64 bytes.
+table, and under "csv_cases" groups of explicit `csv_rows` cases, each the
+hex of their float64 bytes.
 
 Each table's runs are written under the working directory:
 - "2k": `seqconformal run --quick` (2000 + 2000 steps), through `cli.main`;
 - "full": `run_scenario` at the config's own stream length;
 - "replications": `run_replications` at 500 + 500 steps and 3 seeds.
 
-`csv_rows` also formats the explicit cases and 2 x 10^5 seeded doubles of
-random sign and exponent on its exact path (2**-13 <= |v| < 2**53). The
-child prints one JSON object: per table and config, the SHA-256 of every
-file written, and under "csv_mismatches" the repr of each value whose text
-is not b"%.17g" % v.
+`csv_rows` also formats each group of explicit cases and, as the group
+"csv_seeded", 2 x 10^5 seeded doubles of random sign and exponent on its
+exact path (2**-13 <= |v| < 2**53). The child prints one JSON object: per
+table and config, the SHA-256 of every file written, and per group the repr
+of each value whose text is not b"%.17g" % v.
 """
 
 import contextlib
@@ -66,12 +67,14 @@ def write_replications(config, out):
     return digests(out)
 
 
-def csv_mismatches(cases):
+def seeded_doubles():
     rng = np.random.default_rng(BATTERY_SEED)
     magnitudes = np.ldexp(1.0 + rng.random(BATTERY_SIZE),
                           rng.integers(-13, 53, BATTERY_SIZE))
-    values = np.concatenate((cases, np.where(rng.random(BATTERY_SIZE) < 0.5,
-                                             -magnitudes, magnitudes)))
+    return np.where(rng.random(BATTERY_SIZE) < 0.5, -magnitudes, magnitudes)
+
+
+def csv_mismatches(values):
     newline = np.frombuffer(b"\n", np.uint8)[None, :]
     rows = csv_rows(values[:, None], newline).tobytes().split(b"\n")[:-1]
     if len(rows) != len(values):
@@ -90,8 +93,9 @@ def main(spec):
                                   Path(table) / name)
                       for name in spec[table]}
               for table, write in WRITERS.items()}
-    result["csv_mismatches"] = csv_mismatches(
-        np.frombuffer(bytes.fromhex(spec["csv_cases"])))
+    for group, cases in spec["csv_cases"].items():
+        result[group] = csv_mismatches(np.frombuffer(bytes.fromhex(cases)))
+    result["csv_seeded"] = csv_mismatches(seeded_doubles())
     return result
 
 

@@ -1,16 +1,15 @@
 """Single-step reference implementations.
 
-The package computes every stage over whole arrays. The forms here do the
-same computations the obvious way, one example or one step at a time, and
-the tests compare the package against them bit for bit; they check no
-argument, and nothing tests them. The module also holds the model's mean
+The package computes every stage over whole arrays. Each stage has one
+form here, which does the same computation the obvious way, one example or
+one step at a time, and the tests compare the package against it bit for
+bit; the forms check no argument, and nothing tests them. The module also holds the model's mean
 vector and covariance matrix, and the two-sample KS reject rule of the
 score-law tests.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
@@ -24,7 +23,6 @@ from seqconformal import (BivariateGaussian, JumperConfig, LikelihoodRatio,
                           Mahalanobis, OracleMahalanobisEnsemble,
                           PredictiveOracle, conditional_mean)
 from seqconformal.gaussian import conditional_sd
-from seqconformal.intervals import IntervalSeries
 
 
 class ScoreStore:
@@ -71,35 +69,6 @@ def predict_interval(q0: BivariateGaussian, store: ScoreStore, x: float,
     center = conditional_mean(q0, x)
     halfwidth = store.kth_smallest(store.size + 1 - rank)
     return center, center - halfwidth, center + halfwidth
-
-
-def two_heap_series(xs: np.ndarray, ys: np.ndarray, q0: BivariateGaussian,
-                    epsilon: float) -> IntervalSeries:
-    """`interval_series` as one loop over whole-stream lists, with both
-    heaps kept whole: every |r| stays stored until the end."""
-    center = conditional_mean(q0, xs)
-    abs_r = np.abs(ys - center).tolist()
-    m = np.arange(1, len(xs))  # m residuals are stored at step m + 1
-    rank = np.minimum(np.ceil(epsilon * (m + 1)), m)
-    grows = (np.diff(rank, prepend=0.0) > 0).tolist()
-    push, pushpop, pop = heapq.heappush, heapq.heappushpop, heapq.heappop
-    largest: list[float] = []
-    rest: list[float] = []  # negated
-    halfwidths = []
-    for r, grow in zip(abs_r, grows):
-        # The smaller of r and the top of largest moves on to rest.
-        push(rest, -pushpop(largest, r))
-        if grow:
-            push(largest, -pop(rest))
-        halfwidths.append(largest[0])
-    halfwidth = np.array(halfwidths)
-    center = center[1:]
-    lower = center - halfwidth
-    upper = center + halfwidth
-    ys = ys[1:]
-    return IntervalSeries(center=center, lower=lower, upper=upper,
-                          width=upper - lower,
-                          covered=(lower <= ys) & (ys <= upper))
 
 
 def left_sum(values: Iterable[float]) -> float:

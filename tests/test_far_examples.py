@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,11 +73,18 @@ def far_configs(draw):
             "measure": draw(st.sampled_from(MEASURES))}
 
 
+def load(raw, tmp):
+    """The config of raw, written as a file under the directory tmp."""
+    path = Path(tmp) / "scenario.cfg"
+    path.write_text(yaml.safe_dump(raw))
+    return ScenarioConfig.from_file(path)
+
+
 def pvalues_of_run(raw):
     """Run the config with numpy's invalid operations raising; return its
     p-values and its log10 capital trajectory, read from its artifacts."""
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = ScenarioConfig.from_dict(raw, base_dir=Path(tmp))
+        cfg = load(raw, tmp)
         with np.errstate(invalid="raise"):
             run_scenario(cfg)
         pvalues = np.loadtxt(cfg.output_dir / "pvalues.csv", delimiter=",",
@@ -131,7 +139,7 @@ def edge_run(measure):
                     "sigma_y": 1.0, "rho_cov": 0.0},
            "n_pre": 300, "n_post": 300, "seed": 7, "measure": measure}
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = ScenarioConfig.from_dict(raw, base_dir=Path(tmp))
+        cfg = load(raw, tmp)
         # The subtraction x - mu_x overflows; that is allowed.
         with np.errstate(over="ignore", invalid="ignore"):
             run_scenario(cfg)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import ScoreStore, predict_interval, two_heap_series
+from reference import ScoreStore, predict_interval
 from seqconformal import intervals
 from seqconformal import (BivariateGaussian, RandomStream, conditional_mean,
                           interval_series, sample_arrays)
@@ -202,8 +202,8 @@ PATTERNS = {
 class TestBlockBoundaries:
     """The loop reads BLOCK_STEPS steps per block, trims the smaller heap
     between blocks and drops every later |r| below the smallest value a
-    trim kept; the intervals must equal those of one loop that keeps every
-    |r| (`reference.two_heap_series`) bit for bit."""
+    trim kept; the intervals must equal `reference_series`, which keeps
+    every |r|, bit for bit."""
 
     # Stream lengths whose n - 1 intervals end one short of, on, and one
     # past a block boundary, and one past the second and the third.
@@ -211,13 +211,13 @@ class TestBlockBoundaries:
                              [B - 1, B, B + 1, 2 * B + 1, 3 * B + 1])
     @pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.5, 0.9])
     @pytest.mark.parametrize("pattern", sorted(PATTERNS))
-    def test_equals_untrimmed_two_heap_loop(self, pattern, intervals_count,
-                                            epsilon):
+    def test_equals_predict_interval(self, pattern, intervals_count,
+                                     epsilon):
         n = intervals_count + 1
         ys = PATTERNS[pattern](n, epsilon)
         xs = np.zeros(n)
         assert_same_bits(interval_series(xs, ys, Q0, epsilon),
-                         two_heap_series(xs, ys, Q0, epsilon))
+                         reference_series(xs, ys, Q0, epsilon))
 
     def test_trimming_drops_values(self, monkeypatch):
         # At epsilon = 1/2 over 4B intervals, k at m stored |r| is
@@ -257,7 +257,7 @@ class TestBlockBoundaries:
         n = 4 * B + 1
         ys = falling(n)
         xs = np.zeros(n)
-        want = two_heap_series(xs, ys, Q0, 0.5)
+        want = reference_series(xs, ys, Q0, 0.5)
         monkeypatch.setattr(intervals, "heapq", CountingHeapq)
         got = interval_series(xs, ys, Q0, 0.5)
         largest, rest = heaps["largest"], heaps["rest"]
