@@ -1,8 +1,8 @@
-"""CSV text of float64 blocks, byte for byte `'%.17g' % v`, built in numpy.
+"""CSV rows of a step and float64 or bool columns, built in numpy.
 
-`csv_rows` formats a rows x columns block with a fixed number of numpy
-calls. A value v with 1e-4 <= |v| < 2**53, or a zero, takes the exact
-path, where `'%.17g'` writes fixed-point digits:
+`csv_rows` formats a block of rows in a few numpy calls. A
+float v with 1e-4 <= |v| < 2**53, or a zero, takes the exact path, where
+`'%.17g'` writes fixed-point digits, and its bytes are those of `'%.17g'`:
 
 1. Guess the decimal exponent d of |v| from `np.log10`. The guess is only
    a starting point, so a last-bit difference in `log10` (numpy's SIMD
@@ -21,11 +21,12 @@ path, where `'%.17g'` writes fixed-point digits:
    the integer digits of those bytes and the fraction digits of a copy
    moved 3 bytes on, and add the sign, the point, and for d < 0 the
    leading '0.' and zeros. The bytes that hold no text stay NUL, and one
-   boolean mask drops them from the whole block.
+   `bytes.translate` drops them from the whole block.
 
 Any other value (exponent form, nan, inf) is formatted by `'%.17g'` itself,
-one value at a time. Integers below 2**53, such as steps and 0/1 flags,
-are exact as float64, and `'%.17g' % float(i)` is `'%d' % i` for them.
+one value at a time. No integer is a float here: a step below 2**53 is
+'%d' of its part above 10**4, then its last four digits from a table, and
+a bool is the byte '0' or '1'.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ _four = np.stack((_i // 1000, _i // 100 % 10, _i // 10 % 10, _i % 10),
 _DIGITS = np.append((_four + ord("0")).view(np.uint32)[:, 0], np.uint32(0))
 _NUL_WORD = 10_000  # _DIGITS[_NUL_WORD] is four NUL bytes
 _ZEROS = sum(_i % 10**j == 0 for j in range(1, 5))
+# _LEADING[i]: _DIGITS[i] with its leading zeros NUL ('0' for i = 0).
+_LEADING = np.where((_four.cumsum(axis=1) > 0) | (np.arange(4) == 3),
+                    _four + ord("0"), 0).astype(np.uint8).view(np.uint32)[:, 0]
 del _i, _four
 
 # A value's text is built in 24 bytes, three uint64 words, from two copies
@@ -178,24 +182,44 @@ def _fields(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def csv_rows(block: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The CSV rows of a rows x columns float64 block, as uint8 bytes.
+def _step_text(first: int, rows: int) -> np.ndarray:
+    """(rows, 16) uint8: the steps first, first + 1, ... (below 2**53) as
+    '%d', behind NUL bytes. Each step's last four digits come from a table,
+    the digits above them from '%d' once per 10**4 steps."""
+    text = np.zeros((rows, 16), np.uint8)
+    low = np.arange(first, first + rows) % 10**4
+    for high in range(first // 10**4, (first + rows - 1) // 10**4 + 1):
+        part = slice(max(high * 10**4 - first, 0), (high + 1) * 10**4 - first)
+        head = np.frombuffer(b"%d" % high if high else b"", np.uint8)
+        text[part, 12 - len(head):12] = head
+        text.view(np.uint32)[part, 3] = np.take(
+            _DIGITS if high else _LEADING, low[part])
+    return text
 
-    Each row is its values in '%.17g' joined by ',', then its row of ends
+
+def csv_rows(first_step: int, columns: list[np.ndarray],
+             ends: np.ndarray) -> bytes:
+    """The CSV rows of the steps first_step, first_step + 1, ... and the
+    equal-length float64 or bool columns.
+
+    Each row is its step in '%d', then its value of each column, '%.17g'
+    for a float and '%d' for a bool, joined by ','; then its row of ends
     (a rows x m or 1 x m uint8 array of end bytes, NUL-padded, such as
     b',pre\\n').
     """
-    rows, cols = block.shape
-    values = _fields(block.ravel()).reshape(rows, cols, _BYTES)
-    width = cols * (_BYTES + 1)
-    text = np.empty((rows, width + ends.shape[1]), np.uint8)
-    fields = text[:, :width].reshape(rows, cols, _BYTES + 1)
-    fields[:, :, :_BYTES] = values
-    del values
-    fields[:, :-1, _BYTES] = ord(",")
-    fields[:, -1, _BYTES] = 0
-    text[:, width:] = ends
-    text = text.ravel()
-    # A boolean mask selects without np.compress's index array, which
-    # would hold 8 bytes per byte of text.
-    return text[text != 0]
+    rows = len(columns[0])
+    floats = [c for c in columns if c.dtype != bool]
+    values = iter(_fields(np.stack(floats, axis=1).ravel())
+                  .reshape(rows, len(floats), _BYTES).transpose(1, 0, 2))
+    widths = [1 if c.dtype == bool else _BYTES for c in columns]
+    text = np.empty((rows, 16 + sum(widths) + len(widths) + ends.shape[1]),
+                    np.uint8)
+    text[:, :16] = _step_text(first_step, rows)
+    at = 17
+    for column, width in zip(columns, widths):
+        text[:, at - 1] = ord(",")
+        text[:, at:at + width] = (next(values) if width == _BYTES else
+                                  column.view(np.uint8)[:, None] + ord("0"))
+        at += 1 + width
+    text[:, at - 1:] = ends
+    return text.tobytes().translate(None, b"\0")

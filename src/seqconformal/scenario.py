@@ -11,10 +11,10 @@ the scenario seed. The measure's scores are a stage of their own: the
 transducer takes the scores, not the measure.
 
 The CSV artifacts are written by one table writer, `_write_table`. Its
-rows go out in blocks of `BLOCK_ROWS`: each block is one rows x columns
-float64 matrix (the step, then the table's columns), turned into text by a
-single `_csvtext.csv_rows` call. The bytes are those of `%.17g` for every
-float and of `%d` for the steps and `covered`, built in numpy.
+rows go out in blocks of `BLOCK_ROWS`: each block, its first step and the
+table's column slices, is turned into text by a single `_csvtext.csv_rows`
+call, in numpy. Only the float columns go through the `%.17g` formatter;
+the steps and `covered` are written as `%d` and never become floats.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import re
 import statistics
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
                          is_dataclass, replace)
+from decimal import Decimal
 from pathlib import Path
 from typing import Any, Iterable, Sequence, get_type_hints
 
@@ -167,10 +168,14 @@ def _mapping(raw: Any, name: str) -> dict:
     return raw
 
 
+# A number in exponent form, which YAML 1.1 reads as a string if it has
+# no '.' or no exponent sign.
+_EXPONENT = re.compile(r"([-+]?[0-9]+)\.?([0-9]*)[eE]([-+]?)([0-9]+)")
+
+
 def _as_number(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        m = isinstance(value, str) and re.fullmatch(
-            r"([-+]?[0-9]+)\.?([0-9]*)[eE]([-+]?)([0-9]+)", value)
+        m = isinstance(value, str) and _EXPONENT.fullmatch(value)
         raise ConfigError(name, f"expected a number, got {value!r}" + (
             f"; YAML 1.1 reads it as a string: write {m[1]}.{m[2] or 0}e"
             f"{m[3] or '+'}{m[4]}" if m else ""))
@@ -183,6 +188,16 @@ def _as_number(value: Any, name: str) -> float:
     return number
 
 
+def _as_integer(value: Any, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        exact = Decimal(value if isinstance(value, float) or isinstance(
+            value, str) and _EXPONENT.fullmatch(value) else "nan")
+        raise ConfigError(name, f"expected an integer, got {value!r}" + (
+            f"; write it in full: {int(exact)}" if math.isfinite(exact)
+            and exact == exact.to_integral_value() else ""))
+    return value
+
+
 def _typed(value: Any, kind: type, expected: str, name: str) -> Any:
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(name, f"expected {expected}, got {value!r}")
@@ -192,7 +207,7 @@ def _typed(value: Any, kind: type, expected: str, name: str) -> Any:
 # How `_parse` reads (value, field name, base_dir) into each annotation.
 _CONVERTERS = {
     float: lambda v, name, base: _as_number(v, name),
-    int: lambda v, name, base: _typed(v, int, "an integer", name),
+    int: lambda v, name, base: _as_integer(v, name),
     str: lambda v, name, base: _typed(v, str, "a string", name),
     Path: lambda v, name, base: base / _typed(v, str, "a path", name),
     tuple[float, ...]: lambda v, name, base: tuple(
@@ -288,10 +303,10 @@ def _write_table(path: Path, header: str, first_step: int,
                  n_pre: int | None = None) -> None:
     """Write a CSV of the header line and one row per element of the columns.
 
-    Row i is the step first_step + i and columns[0][i], columns[1][i], ...,
-    each as '%.17g' formats it ('%d' for the steps and for bools). With
-    n_pre, each row also ends in a phase field: `pre` for the first n_pre
-    rows and `post` after.
+    Row i is the step first_step + i (below 2**53) and columns[0][i],
+    columns[1][i], ..., of float64 or bool columns, each as '%.17g' formats
+    it ('%d' for the steps and for bools). With n_pre, each row also ends
+    in a phase field: `pre` for the first n_pre rows and `post` after.
     """
     # Imported here, so that a run without artifacts never builds the
     # formatter's tables: with the numpy code they touch, about 1 MiB.
@@ -301,14 +316,11 @@ def _write_table(path: Path, header: str, first_step: int,
     with path.open("wb") as fh:
         fh.write(header.encode() + b"\n")
         for start in range(0, n, BLOCK_ROWS):
-            rows = np.arange(start, min(start + BLOCK_ROWS, n))
-            block = np.empty((len(rows), 1 + len(columns)))
-            block[:, 0] = rows + first_step
-            for j, column in enumerate(columns, 1):
-                block[:, j] = column[start:start + len(rows)]
-            ends = (_ROW_END if n_pre is None
-                    else _PHASE_ENDS[(rows >= n_pre).astype(np.intp)])
-            fh.write(csv_rows(block, ends))
+            stop = min(start + BLOCK_ROWS, n)
+            ends = (_ROW_END if n_pre is None else _PHASE_ENDS[
+                (np.arange(start, stop) >= n_pre).astype(np.intp)])
+            fh.write(csv_rows(first_step + start,
+                              [c[start:stop] for c in columns], ends))
 
 
 def _write_csvs(out: Path, n_pre: int, xs: np.ndarray, ys: np.ndarray,

@@ -7,9 +7,10 @@ Emits one smoothed p-value per example of a stream:
 where a_i is the conformity score of the i-th example, so the bag
 already includes the new example's score, and tau_n is a fresh uniform
 tie-breaking draw from [0, 1). Under exchangeable data the p-values are
-IID uniform on [0, 1) (p_n = 0 needs tau_n = 0.0, a chance of 2^-53) for
-any conformity measure that is a fixed function of the example and its
-bag; every measure in `conformity` is one.
+IID uniform on [0, 1) for any conformity measure that is a fixed function
+of the example and its bag; every measure in `conformity` is one. Float64
+p-values lie in [0, 1]: p_n = 0 needs tau_n = 0.0, p_n = 1 a numerator
+that rounds up to n, each a chance of at most n * 2^-53 per step.
 
 `smoothed_pvalues` takes the scores of a stream, in stream order, and
 computes every p-value in one array pass: both counts come from

@@ -16,9 +16,10 @@ Each table's runs are written under the working directory:
 
 `csv_rows` also formats each group of explicit cases and, as the group
 "csv_seeded", 2 x 10^5 seeded doubles of random sign and exponent on its
-exact path (2**-13 <= |v| < 2**53). The child prints one JSON object: per
-table and config, the SHA-256 of every file written, and per group the repr
-of each value whose text is not b"%.17g" % v.
+exact path (2**-13 <= |v| < 2**53), as a float column of steps 0, 1, ....
+The child prints one JSON object: per table and config, the SHA-256 of
+every file written, and per group the repr of each value v at step i whose
+row is not b"%d,%.17g" % (i, v).
 """
 
 import contextlib
@@ -76,11 +77,11 @@ def seeded_doubles():
 
 def csv_mismatches(values):
     newline = np.frombuffer(b"\n", np.uint8)[None, :]
-    rows = csv_rows(values[:, None], newline).tobytes().split(b"\n")[:-1]
+    rows = csv_rows(0, [values], newline).split(b"\n")[:-1]
     if len(rows) != len(values):
         return [f"{len(rows)} rows for {len(values)} values"]
-    return [repr(v) for v, row in zip(values.tolist(), rows)
-            if row != b"%.17g" % v]
+    return [repr(v) for step, (v, row) in enumerate(zip(values.tolist(), rows))
+            if row != b"%d,%.17g" % (step, v)]
 
 
 WRITERS = {"2k": write_2k, "full": write_full,

@@ -8,7 +8,7 @@ import pytest
 
 from reference import write_csvs
 from seqconformal.intervals import IntervalSeries
-from seqconformal.scenario import BLOCK_ROWS, _write_csvs
+from seqconformal.scenario import BLOCK_ROWS, _write_csvs, _write_table
 
 B = BLOCK_ROWS
 CSVS = ("stream.csv", "pvalues.csv", "martingale.csv", "intervals.csv")
@@ -100,3 +100,18 @@ def test_steps_flags_and_phases_are_plain_fields(tmp_path):
     for name in ("stream.csv", "pvalues.csv"):
         assert [row[-1] for row in tables[name]] == (
             ["pre"] * n_pre + ["post"] * (n - n_pre))
+
+
+# (first step, rows): 0, each 10**k - 1 and 10**k below 2**53, 2**53 - 1,
+# and a block of steps across 10**4 and one across 10**8.
+STEP_RUNS = [(0, 1), *((10**k - 1, 2) for k in range(1, 16)), (2**53 - 1, 1),
+             (10**4 - B // 2, B), (10**8 - B // 2, B)]
+
+
+def test_steps_at_each_digit_count(tmp_path):
+    path = tmp_path / "steps.csv"
+    for first, rows in STEP_RUNS:
+        _write_table(path, "step,x", first, (np.zeros(rows),))
+        steps = [row.partition(b",")[0]
+                 for row in path.read_bytes().splitlines()[1:]]
+        assert steps == [b"%d" % s for s in range(first, first + rows)], first

@@ -98,7 +98,7 @@ def pvalues_of_run(raw):
 @settings(max_examples=150, deadline=None)
 def test_far_shift_runs_without_nan(raw):
     pvalues, trajectory = pvalues_of_run(raw)
-    assert ((0.0 < pvalues) & (pvalues <= 1.0)).all()
+    assert ((0.0 <= pvalues) & (pvalues <= 1.0)).all()
     assert np.isfinite(trajectory).all()
 
 

@@ -15,15 +15,21 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import seqconformal
 from seqconformal import ScenarioConfig, run_scenario
+from seqconformal.intervals import IntervalSeries
+from seqconformal.scenario import BLOCK_ROWS, _write_csvs
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Bytes per step that a run may hold at its peak; see the test docstring.
 BUDGET_PER_STEP = 96
+# Bytes per row of a block that the CSV writer may hold at its peak; see
+# test_writer_peak_memory_per_block.
+WRITER_BUDGET_PER_ROW = 1024
 
 # The 10^6-step run, without artifacts: it prints its peak RSS in MiB
 # (ru_maxrss is in KiB on Linux) and the repr of its summary.
@@ -75,6 +81,42 @@ def test_run_peak_memory_per_step():
     finally:
         tracemalloc.stop()
     assert peak / steps <= BUDGET_PER_STEP, f"{peak / steps:.1f} B/step"
+
+
+def test_writer_peak_memory_per_block(tmp_path):
+    """The peak traced bytes of `_write_csvs` on a stream of 3 blocks and
+    a row stay within WRITER_BUDGET_PER_ROW per row of one block.
+
+    The writer formats one block of `BLOCK_ROWS` rows at a time, so its
+    peak does not grow with the stream. The widest row is the intervals
+    table's: a step, four floats and a flag. In B/row:
+    - `_fields` peaks at 128 B per float it formats (tracemalloc, 4096
+      floats): d and D (16), the six digit groups and the divmod halves as
+      int64 (64), their ASCII words (24) and the trailing-zero counts (24).
+      Four floats take 512, five 640 for a writer that also formats the
+      step as a float;
+    - the row's text, at most 16 + 4 x 25 + 2 + 1 = 119 B (126 with a
+      24-byte step field), is held three times while its NULs are
+      dropped: 378.
+    640 + 378 = 1018 B/row is within the budget of 1024. The writer peaks
+    at about 550 B/row here, and the design before the integer step path
+    at about 830; one that formatted a whole table at once would hold more
+    than twice the budget.
+    """
+    import seqconformal._csvtext  # noqa: F401  its tables: ~1 MiB, once
+    n = 3 * BLOCK_ROWS + 1
+    rng = np.random.default_rng(11)
+    xs, ys, pvalues = rng.standard_normal((3, n))
+    intervals = IntervalSeries(*rng.standard_normal((4, n - 1)),
+                               covered=rng.random(n - 1) < 0.95)
+    trajectory = np.cumsum(rng.standard_normal(n + 1))
+    tracemalloc.start()
+    try:
+        _write_csvs(tmp_path, n // 2, xs, ys, pvalues, trajectory, intervals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= BLOCK_ROWS * WRITER_BUDGET_PER_ROW, f"{peak} B"
 
 
 @pytest.mark.skipif(sys.platform != "linux",

@@ -344,6 +344,14 @@ REFUSED = {
     # One wrong-typed value for each annotation the parser converts.
     "n_pre_float": Refusal(
         {"n_pre": 1.5}, FIELD + "'n_pre': expected an integer, got 1.5\n"),
+    # A whole number in exponent form, as YAML 1.1 reads `1e4` (a string)
+    # and `1.0e+4` (a float), and the count to write instead.
+    "n_pre_exponent_string": Refusal(
+        {"n_pre": "1e4"}, FIELD + "'n_pre': expected an integer, got '1e4'; "
+        "write it in full: 10000\n"),
+    "n_pre_exponent_float": Refusal(
+        {"n_pre": 1.0e+4}, FIELD + "'n_pre': expected an integer, got "
+        "10000.0; write it in full: 10000\n"),
     "seed_bool": Refusal(
         {"seed": True}, FIELD + "'seed': expected an integer, got True\n"),
     "epsilon_string": Refusal(
@@ -713,7 +721,7 @@ class TestRunScenario:
         out = cfg.output_dir
         pvalues = (out / "pvalues.csv").read_text().strip().split("\n")[1:]
         assert len(pvalues) == 1
-        assert 0.0 < float(pvalues[0].split(",")[1]) <= 1.0
+        assert 0.0 <= float(pvalues[0].split(",")[1]) <= 1.0
         for name, rows in (("stream.csv", 1), ("martingale.csv", 2),
                            ("intervals.csv", 0)):
             lines = (out / name).read_text().strip().split("\n")
@@ -924,7 +932,7 @@ class TestCli:
         out = tmp_path / "out"
         pvalues = np.loadtxt(out / "pvalues.csv", delimiter=",", skiprows=1,
                              usecols=1)
-        assert ((0.0 < pvalues) & (pvalues <= 1.0)).all()
+        assert ((0.0 <= pvalues) & (pvalues <= 1.0)).all()
         assert np.isfinite(np.loadtxt(out / "martingale.csv", delimiter=",",
                                       skiprows=1, usecols=1)).all()
         intervals = np.loadtxt(out / "intervals.csv", delimiter=",",

@@ -31,7 +31,17 @@ class TestSmoothedPvalues:
     def test_pvalues_in_unit_interval(self):
         scores = oracle_scores(RandomStream(3).substream(0), 500)
         pvals = smoothed_pvalues(scores, RandomStream(3).substream(1))
-        assert ((0.0 < pvals) & (pvals <= 1.0)).all()
+        assert ((0.0 <= pvals) & (pvals <= 1.0)).all()
+
+    def test_extreme_taus_reach_both_ends(self):
+        # tau = 0.0 with no smaller earlier score gives p = 0, and the
+        # largest tau, 1 - 2**-53, rounds 1 + tau up to 2, so p = 2 / 2:
+        # float64 p-values lie in [0, 1], both ends included.
+        class Taus:
+            def uniforms(self, n):
+                return np.array([0.0, 1.0 - 2.0**-53])
+        pvals = smoothed_pvalues(np.array([1.0, 2.0]), Taus())
+        assert pvals.tolist() == [0.0, 1.0]
 
     def test_deterministic_given_seed(self):
         scores = oracle_scores(RandomStream(4).substream(0), 200)
