@@ -1,8 +1,12 @@
-"""CSV rows of a step and float64 or bool columns, built in numpy.
+"""CSV tables of a step and float64 or bool columns, built in numpy.
 
-`csv_rows` formats a block of rows in a few numpy calls. A
-float v with 1e-4 <= |v| < 2**53, or a zero, takes the exact path, where
-`'%.17g'` writes fixed-point digits, and its bytes are those of `'%.17g'`:
+`write_table` writes every CSV artifact, in blocks of `BLOCK_ROWS` rows, so
+its memory does not grow with the table. A table with a phase field is two
+segments, rows that end in `,pre` and rows that end in `,post`; no block
+spans both, so each block is one `csv_rows` call with one row end, and is
+formatted in a few numpy calls. A float v with 1e-4 <= |v| < 2**53, or a
+zero, takes the exact path, where `'%.17g'` writes fixed-point digits, and
+its bytes are those of `'%.17g'`:
 
 1. Guess the decimal exponent d of |v| from `np.log10`. The guess is only
    a starting point, so a last-bit difference in `log10` (numpy's SIMD
@@ -31,7 +35,13 @@ a bool is the byte '0' or '1'.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
+
+# Rows of a table formatted per `csv_rows` call; a block bounds the memory
+# that `_fields` and the row text hold at once.
+BLOCK_ROWS = 1024
 
 # One step of the exponent guess corrects an off-by-one of the floor of
 # log10 at a power of ten, another a rounding up to 10**17; three is spare.
@@ -197,22 +207,20 @@ def _step_text(first: int, rows: int) -> np.ndarray:
     return text
 
 
-def csv_rows(first_step: int, columns: list[np.ndarray],
-             ends: np.ndarray) -> bytes:
+def csv_rows(first_step: int, columns: list[np.ndarray], end: bytes) -> bytes:
     """The CSV rows of the steps first_step, first_step + 1, ... and the
     equal-length float64 or bool columns.
 
     Each row is its step in '%d', then its value of each column, '%.17g'
-    for a float and '%d' for a bool, joined by ','; then its row of ends
-    (a rows x m or 1 x m uint8 array of end bytes, NUL-padded, such as
-    b',pre\\n').
+    for a float and '%d' for a bool, joined by ','; then the row end
+    `end`, such as b',pre\\n'.
     """
     rows = len(columns[0])
     floats = [c for c in columns if c.dtype != bool]
     values = iter(_fields(np.stack(floats, axis=1).ravel())
                   .reshape(rows, len(floats), _BYTES).transpose(1, 0, 2))
     widths = [1 if c.dtype == bool else _BYTES for c in columns]
-    text = np.empty((rows, 16 + sum(widths) + len(widths) + ends.shape[1]),
+    text = np.empty((rows, 16 + sum(widths) + len(widths) + len(end)),
                     np.uint8)
     text[:, :16] = _step_text(first_step, rows)
     at = 17
@@ -221,5 +229,24 @@ def csv_rows(first_step: int, columns: list[np.ndarray],
         text[:, at:at + width] = (next(values) if width == _BYTES else
                                   column.view(np.uint8)[:, None] + ord("0"))
         at += 1 + width
-    text[:, at - 1:] = ends
+    text[:, at - 1:] = np.frombuffer(end, np.uint8)
     return text.tobytes().translate(None, b"\0")
+
+
+def write_table(path: Path, header: str, first_step: int,
+                columns: tuple[np.ndarray, ...],
+                n_pre: int | None = None) -> None:
+    """Write a CSV of the header line and the `csv_rows` row of each step
+    first_step + i and columns[0][i], columns[1][i], .... With n_pre (at
+    most the row count), the first n_pre rows end in a phase field `pre`
+    and the others in `post`."""
+    n = len(columns[0])
+    segments = ([(0, n, b"\n")] if n_pre is None else
+                [(0, n_pre, b",pre\n"), (n_pre, n, b",post\n")])
+    with path.open("wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for lo, hi, end in segments:
+            for start in range(lo, hi, BLOCK_ROWS):
+                stop = min(start + BLOCK_ROWS, hi)
+                fh.write(csv_rows(first_step + start,
+                                  [c[start:stop] for c in columns], end))

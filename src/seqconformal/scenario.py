@@ -9,12 +9,6 @@ artifacts plus a JSON summary. Runs are fully deterministic per seed: the
 data stream and the tie-breaking stream are independent substreams of
 the scenario seed. The measure's scores are a stage of their own: the
 transducer takes the scores, not the measure.
-
-The CSV artifacts are written by one table writer, `_write_table`. Its
-rows go out in blocks of `BLOCK_ROWS`: each block, its first step and the
-table's column slices, is turned into text by a single `_csvtext.csv_rows`
-call, in numpy. Only the float columns go through the `%.17g` formatter;
-the steps and `covered` are written as `%d` and never become floats.
 """
 
 from __future__ import annotations
@@ -45,14 +39,6 @@ from .transducer import smoothed_pvalues
 
 DATA_SUBSTREAM = 0
 TAU_SUBSTREAM = 1
-
-# Rows of a CSV artifact formatted per `csv_rows` call; a block bounds the
-# memory that formatting holds at once.
-BLOCK_ROWS = 1024
-# The end bytes of a row, NUL-padded: without a phase field, and with
-# `pre` or `post`.
-_ROW_END = np.frombuffer(b"\n", np.uint8)[None, :]
-_PHASE_ENDS = np.frombuffer(b",pre\n\0,post\n", np.uint8).reshape(2, 6)
 
 
 class ConfigError(ValueError):
@@ -298,44 +284,23 @@ class ScenarioSummary:
         return asdict(self)
 
 
-def _write_table(path: Path, header: str, first_step: int,
-                 columns: Sequence[np.ndarray],
-                 n_pre: int | None = None) -> None:
-    """Write a CSV of the header line and one row per element of the columns.
-
-    Row i is the step first_step + i (below 2**53) and columns[0][i],
-    columns[1][i], ..., of float64 or bool columns, each as '%.17g' formats
-    it ('%d' for the steps and for bools). With n_pre, each row also ends
-    in a phase field: `pre` for the first n_pre rows and `post` after.
-    """
-    # Imported here, so that a run without artifacts never builds the
-    # formatter's tables: with the numpy code they touch, about 1 MiB.
-    from ._csvtext import csv_rows
-
-    n = len(columns[0])
-    with path.open("wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for start in range(0, n, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, n)
-            ends = (_ROW_END if n_pre is None else _PHASE_ENDS[
-                (np.arange(start, stop) >= n_pre).astype(np.intp)])
-            fh.write(csv_rows(first_step + start,
-                              [c[start:stop] for c in columns], ends))
-
-
 def _write_csvs(out: Path, n_pre: int, xs: np.ndarray, ys: np.ndarray,
                 pvalues: np.ndarray, trajectory: np.ndarray,
                 intervals: IntervalSeries) -> None:
     """stream.csv, pvalues.csv, martingale.csv and intervals.csv."""
-    _write_table(out / "stream.csv", "step,x,y,phase", 1, (xs, ys), n_pre)
-    _write_table(out / "pvalues.csv", "step,pvalue,phase", 1, (pvalues,),
-                 n_pre)
-    _write_table(out / "martingale.csv", "step,log10_capital", 0,
-                 (trajectory,))
-    _write_table(out / "intervals.csv",
-                 "step,center,lower,upper,width,covered", 2,
-                 (intervals.center, intervals.lower, intervals.upper,
-                  intervals.width, intervals.covered))
+    # Imported here, so that a run without artifacts never builds the
+    # formatter's tables: with the numpy code they touch, about 1 MiB.
+    from ._csvtext import write_table
+
+    write_table(out / "stream.csv", "step,x,y,phase", 1, (xs, ys), n_pre)
+    write_table(out / "pvalues.csv", "step,pvalue,phase", 1, (pvalues,),
+                n_pre)
+    write_table(out / "martingale.csv", "step,log10_capital", 0,
+                (trajectory,))
+    write_table(out / "intervals.csv",
+                "step,center,lower,upper,width,covered", 2,
+                (intervals.center, intervals.lower, intervals.upper,
+                 intervals.width, intervals.covered))
 
 
 def _write_json(path: Path, obj: dict[str, Any]) -> None:

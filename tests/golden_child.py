@@ -76,8 +76,7 @@ def seeded_doubles():
 
 
 def csv_mismatches(values):
-    newline = np.frombuffer(b"\n", np.uint8)[None, :]
-    rows = csv_rows(0, [values], newline).split(b"\n")[:-1]
+    rows = csv_rows(0, [values], b"\n").split(b"\n")[:-1]
     if len(rows) != len(values):
         return [f"{len(rows)} rows for {len(values)} values"]
     return [repr(v) for step, (v, row) in enumerate(zip(values.tolist(), rows))

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from reference import write_csvs
+from seqconformal._csvtext import BLOCK_ROWS, write_table
 from seqconformal.intervals import IntervalSeries
-from seqconformal.scenario import BLOCK_ROWS, _write_csvs, _write_table
+from seqconformal.scenario import _write_csvs
 
 B = BLOCK_ROWS
 CSVS = ("stream.csv", "pvalues.csv", "martingale.csv", "intervals.csv")
@@ -54,7 +55,6 @@ def test_block_writer_matches_reference_bytes(tmp_path, n, n_pre):
     if n == 1:
         assert (tmp_path / "new" / "intervals.csv").read_text() == \
             "step,center,lower,upper,width,covered\n"
-
 
 
 def written_tables(tmp_path, n, n_pre):
@@ -111,7 +111,7 @@ STEP_RUNS = [(0, 1), *((10**k - 1, 2) for k in range(1, 16)), (2**53 - 1, 1),
 def test_steps_at_each_digit_count(tmp_path):
     path = tmp_path / "steps.csv"
     for first, rows in STEP_RUNS:
-        _write_table(path, "step,x", first, (np.zeros(rows),))
+        write_table(path, "step,x", first, (np.zeros(rows),))
         steps = [row.partition(b",")[0]
                  for row in path.read_bytes().splitlines()[1:]]
         assert steps == [b"%d" % s for s in range(first, first + rows)], first

@@ -20,8 +20,9 @@ import pytest
 
 import seqconformal
 from seqconformal import ScenarioConfig, run_scenario
+from seqconformal._csvtext import BLOCK_ROWS
 from seqconformal.intervals import IntervalSeries
-from seqconformal.scenario import BLOCK_ROWS, _write_csvs
+from seqconformal.scenario import _write_csvs
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -87,9 +88,9 @@ def test_writer_peak_memory_per_block(tmp_path):
     """The peak traced bytes of `_write_csvs` on a stream of 3 blocks and
     a row stay within WRITER_BUDGET_PER_ROW per row of one block.
 
-    The writer formats one block of `BLOCK_ROWS` rows at a time, so its
-    peak does not grow with the stream. The widest row is the intervals
-    table's: a step, four floats and a flag. In B/row:
+    `write_table` formats a block of at most `BLOCK_ROWS` rows at a time,
+    so its peak does not grow with the stream. The widest row is the
+    intervals table's: a step, four floats and a flag. In B/row:
     - `_fields` peaks at 128 B per float it formats (tracemalloc, 4096
       floats): d and D (16), the six digit groups and the divmod halves as
       int64 (64), their ASCII words (24) and the trailing-zero counts (24).
@@ -103,7 +104,6 @@ def test_writer_peak_memory_per_block(tmp_path):
     at about 830; one that formatted a whole table at once would hold more
     than twice the budget.
     """
-    import seqconformal._csvtext  # noqa: F401  its tables: ~1 MiB, once
     n = 3 * BLOCK_ROWS + 1
     rng = np.random.default_rng(11)
     xs, ys, pvalues = rng.standard_normal((3, n))

@@ -64,8 +64,9 @@ GOLDEN_2K = {
 # SHA-256 of every file that run_scenario writes for the shipped configs at
 # their full 10000 + 10000 steps, taken with Python 3.11.7 and numpy 2.4.6;
 # the writer that formats each value with its own "%.17g" % x,
-# `reference.write_csvs`, gives the same bytes. Unlike GOLDEN_2K, each CSV
-# here spans several blocks of the writer.
+# `reference.write_csvs`, gives the same bytes. Unlike GOLDEN_2K, these
+# runs take the Jumper and interval loops through more than one block of
+# `BLOCK_STEPS` steps, trim the interval heap and write steps past 10**4.
 GOLDEN_FULL = {
     "cryptic": {
         "intervals.csv": "49d978387279cfb8f5bec59eabdb0edd27ea8bc767f67b133a005a08a1565239",
@@ -920,7 +921,7 @@ class TestCli:
         for kind in kinds])
     def test_runs_clean(self, tmp_path, capsys, name, kind):
         """`seqconformal run` on a model pair of RUNS_CLEAN exits 0 with no
-        warning and nothing on stderr, and writes p-values in (0, 1], a
+        warning and nothing on stderr, and writes p-values in [0, 1], a
         finite martingale, finite intervals of width >= 0 and a summary
         with no NaN or Infinity."""
         models, _ = RUNS_CLEAN[name]
