@@ -10,10 +10,15 @@ that |r|, and no score is computed. Excluding the candidate from its
 own bag changes ranks by at most 1, an O(1/n) effect. Intervals are
 built from unsmoothed p-values and are therefore deterministic.
 
-`interval_series` runs a whole stream, given as x and y arrays, and
+`interval_block` runs a block of a stream, given as x and y arrays, and
 tracks the threshold with a two-heap streaming order statistic, O(log n)
-per step. The loop reads one `tolist()` block of `BLOCK_STEPS` steps at a
-time into a float64 array. Only the growths of the rank still to come
+per step. The heaps carry the stream's state from one block to the next:
+`heaps` is (largest, rest, top, floor), described below, and top is also
+the half-width owed to the first example of the next block. The last
+example of the stream is never admitted: no interval uses it.
+`interval_series` is the one-block case, a whole stream from `new_heaps`.
+The loop reads one `tolist()` sub-block of `BLOCK_STEPS` steps at a time
+into a float64 array. Only the growths of the rank still to come
 take |r| out of the heap of the smaller ones, each its largest, so that
 heap keeps just that many largest values: no other can reach an interval.
 
@@ -52,41 +57,46 @@ class IntervalSeries:
     covered: np.ndarray  # bool
 
 
-def interval_series(xs: np.ndarray, ys: np.ndarray, q0: BivariateGaussian,
-                    epsilon: float) -> IntervalSeries:
-    """Online intervals over a stream of examples (xs[i], ys[i]), as arrays.
+Heaps = tuple[list[float], list[float], float, float]
 
-    At step n the interval for x_n uses the |r| of z_1..z_{n-1}; z_n is
-    admitted to the store afterwards. The first step has nothing to
-    predict from, so the arrays start at step 2; they are empty for a
-    stream of fewer than two examples. The half-width at step m + 1 is the
-    k-th largest of the m stored |r|, at the conservative rank
-    k = ceil(epsilon * (m + 1)), capped at m.
+
+def new_heaps() -> Heaps:
+    """The heaps of a stream before its first example: largest, one value
+    per growth of k so far; rest, negated; top, largest[0] and the
+    half-width; and floor, below which no |r| can reach largest."""
+    return [], [], math.inf, -math.inf
+
+
+def interval_block(xs: np.ndarray, ys: np.ndarray, first: int, n: int,
+                   q0: BivariateGaussian, epsilon: float,
+                   heaps: Heaps) -> tuple[IntervalSeries, Heaps]:
+    """The intervals of a block of examples (xs[i], ys[i]), examples
+    first, first + 1, ... of an n-example stream, given the heaps after
+    the examples before it; and the heaps after the block. Example 0 has
+    no interval, so a block from 0 gives one interval fewer than its
+    examples.
 
     k never falls and grows by at most one as m grows, so the k largest
     |r| stay in a min-heap and the rest in a max-heap (stored negated);
     the half-width is the top of the min-heap.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    n = len(xs)
     center = conditional_mean(q0, xs)
     abs_r = np.abs(ys - center)
     def rank(m):  # k at m stored |r|, as a float; rank(0) is 0
         return np.minimum(np.ceil(epsilon * (m + 1)), m)
     push, replace, pop = heapq.heappush, heapq.heapreplace, heapq.heappop
-    largest: list[float] = []  # one value per growth of k so far
-    rest: list[float] = []  # negated
-    top = math.inf  # largest[0], the half-width
-    floor = -math.inf  # no |r| below this can reach largest
-    halfwidth = np.empty(max(n - 1, 0))
-    for start in range(0, n - 1, BLOCK_STEPS):
+    largest, rest, top, floor = heaps
+    # halfwidth[i] is that of example first + i: the first is owed.
+    halfwidth = np.empty(len(xs) + 1)
+    halfwidth[0] = top
+    admit = max(min(first + len(xs), n - 1) - first, 0)
+    for start in range(0, admit, BLOCK_STEPS):
         left = int(rank(n - 1)) - len(largest)  # growths still to come
         if len(rest) > 2 * left:  # trimming costs O(1) per step this way
             rest = sorted(rest)[:left]  # a sorted list is a heap
             floor = -rest[-1] if rest else math.inf
-        stop = min(start + BLOCK_STEPS, n - 1)
-        grows = np.diff(rank(np.arange(start, stop + 1))) > 0
+        stop = min(start + BLOCK_STEPS, admit)
+        grows = np.diff(rank(np.arange(first + start, first + stop + 1))) > 0
         halfwidths = []
         for r, grow in zip(abs_r[start:stop].tolist(), grows.tolist()):
             # The smaller of r and top moves on toward rest.
@@ -99,12 +109,31 @@ def interval_series(xs: np.ndarray, ys: np.ndarray, q0: BivariateGaussian,
                 push(largest, -pop(rest))
                 top = largest[0]
             halfwidths.append(top)
-        halfwidth[start:stop] = halfwidths
+        halfwidth[start + 1:stop + 1] = halfwidths
     del abs_r
-    center = center[1:]
+    skip = 1 if first == 0 else 0  # example 0 has no interval
+    center = center[skip:]
+    halfwidth = halfwidth[skip:len(xs)]
     upper = center + halfwidth
     lower = np.subtract(center, halfwidth, out=halfwidth)
-    ys = ys[1:]
+    ys = ys[skip:]
     return IntervalSeries(center=center, lower=lower, upper=upper,
                           width=upper - lower,
-                          covered=(lower <= ys) & (ys <= upper))
+                          covered=(lower <= ys) & (ys <= upper)), (
+        largest, rest, top, floor)
+
+
+def interval_series(xs: np.ndarray, ys: np.ndarray, q0: BivariateGaussian,
+                    epsilon: float) -> IntervalSeries:
+    """Online intervals over a stream of examples (xs[i], ys[i]), as arrays.
+
+    At step n the interval for x_n uses the |r| of z_1..z_{n-1}; z_n is
+    admitted to the store afterwards. The first step has nothing to
+    predict from, so the arrays start at step 2; they are empty for a
+    stream of fewer than two examples. The half-width at step m + 1 is the
+    k-th largest of the m stored |r|, at the conservative rank
+    k = ceil(epsilon * (m + 1)), capped at m.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    return interval_block(xs, ys, 0, len(xs), q0, epsilon, new_heaps())[0]

@@ -22,6 +22,11 @@ and in grid order, the expressions a loop over the grid would:
 appends `log10(total) + scale`, its log10 capital, to a list that the
 block slice-assigns into the trajectory.
 
+The state between steps is the capitals, their total and the scale.
+`capital_block` takes it in and gives it back, so a run bets on its
+p-values one block at a time and keeps only the log10 capitals it needs;
+`log10_capital` is the one-block case, from `jumper_start`.
+
 Defaults (eps grid {-1, 0, 1}, J = 0.01) follow the standard Simple
 Jumper parameterization; both are configurable.
 """
@@ -96,6 +101,36 @@ def _step_loop(k: int):
     return namespace["steps"]
 
 
+def jumper_start(cfg: JumperConfig) -> tuple[list[float], float, float]:
+    """The capitals, total and scale before the first bet: 1/k of the
+    capital on each of the k bets, summed left to right from 0.0."""
+    k = len(cfg.epsilons)
+    capitals = [1.0 / k] * k
+    return capitals, reduce(add, capitals, 0.0), 0.0
+
+
+def capital_block(cfg: JumperConfig, pvalues: np.ndarray,
+                  state: tuple[list[float], float, float],
+                  out: np.ndarray) -> tuple[list[float], float, float]:
+    """Bet on each p-value of a float64 array from state, the capitals,
+    total and scale after the steps before it; out[i] becomes the log10
+    capital after pvalues[i]. Returns the state after the last p-value."""
+    k = len(cfg.epsilons)
+    steps = _step_loop(k)
+    keep = 1.0 - cfg.jump_rate
+    share = cfg.jump_rate / k
+    bound = 10.0**6
+    capitals, total, scale = state
+    for start in range(0, len(pvalues), BLOCK_STEPS):
+        logs = []
+        capitals, total, scale = steps(
+            pvalues[start:start + BLOCK_STEPS].tolist(), capitals,
+            cfg.epsilons, keep, share, bound, 1.0 / bound, total, scale,
+            logs)
+        out[start:start + len(logs)] = logs
+    return capitals, total, scale
+
+
 def log10_capital(cfg: JumperConfig, pvalues: Sequence[float]) -> np.ndarray:
     """log10 capital after each p-value, as a float64 array from 0 at index 0.
 
@@ -106,22 +141,9 @@ def log10_capital(cfg: JumperConfig, pvalues: Sequence[float]) -> np.ndarray:
     the module docstring). Every total is summed left to right from 0.0,
     never by the builtin `sum`.
     """
-    k = len(cfg.epsilons)
-    steps = _step_loop(k)
-    keep = 1.0 - cfg.jump_rate
-    share = cfg.jump_rate / k
-    bound = 10.0**6
-    capitals = [1.0 / k] * k
-    total = reduce(add, capitals, 0.0)
-    scale = 0.0
+    state = jumper_start(cfg)
     pvalues = np.asarray(pvalues, dtype=np.float64)
     trajectory = np.empty(len(pvalues) + 1)
-    trajectory[0] = math.log10(total) + scale
-    for start in range(0, len(pvalues), BLOCK_STEPS):
-        logs = []
-        capitals, total, scale = steps(
-            pvalues[start:start + BLOCK_STEPS].tolist(), capitals,
-            cfg.epsilons, keep, share, bound, 1.0 / bound, total, scale,
-            logs)
-        trajectory[start + 1:start + 1 + len(logs)] = logs
+    trajectory[0] = math.log10(state[1]) + state[2]
+    capital_block(cfg, pvalues, state, trajectory[1:])
     return trajectory

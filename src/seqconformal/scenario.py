@@ -1,14 +1,26 @@
 """Config-driven scenario runner.
 
 `run_scenario` composes the stage functions: it samples a pre/post-change
-Gaussian stream as x and y arrays (`sample_arrays`), runs them through the
-smoothed conformal transducer (`smoothed_pvalues`), the Simple Jumper
-martingale (`log10_capital`) and the online prediction intervals
-(`interval_series`), tests the p-values for uniformity, and emits CSV
-artifacts plus a JSON summary. Runs are fully deterministic per seed: the
-data stream and the tie-breaking stream are independent substreams of
-the scenario seed. The measure's scores are a stage of their own: the
-transducer takes the scores, not the measure.
+Gaussian stream as x and y arrays (`sample_arrays`), scores it with the
+measure, runs the scores through the smoothed conformal transducer
+(`pvalue_block`), the Simple Jumper martingale (`capital_block`) and the
+online prediction intervals (`interval_block`), tests the p-values for
+uniformity, and emits CSV artifacts plus a JSON summary. Runs are fully
+deterministic per seed: the data stream and the tie-breaking stream are
+independent substreams of the scenario seed. The measure's scores are a
+stage of their own: the transducer takes the scores, not the measure.
+
+The run is one loop over blocks of `RUN_BLOCK` steps, and each stage
+carries its state from one block to the next: the two random streams,
+the sorted bag of earlier scores, the Jumper's capitals, total and scale,
+the interval heaps, and the running coverage and width sums of each
+phase. A block that holds the change point samples its pre part, then
+its post part. A run without artifacts holds only the p-values, which
+the KS tests need at the end, and the bag (16 B per step), plus working
+arrays of O(`RUN_BLOCK`); a run with artifacts fills each column whole
+and writes the CSVs after the loop, so a run that fails writes nothing.
+A stream of at most `RUN_BLOCK` steps is one block, the whole-stream
+stage functions' case.
 """
 
 from __future__ import annotations
@@ -31,14 +43,18 @@ from .conformity import (ConformityMeasure, LikelihoodRatio, Mahalanobis,
                          OracleMahalanobisEnsemble, PredictiveOracle)
 from .cryptic import cryptic_shift, oracle_law
 from .gaussian import BivariateGaussian, sample_arrays
-from .intervals import IntervalSeries, interval_series
-from .martingale import JumperConfig, log10_capital
+from .intervals import (IntervalSeries, interval_block, interval_series,
+                        new_heaps)
+from .martingale import (BLOCK_STEPS, JumperConfig, capital_block,
+                         jumper_start, log10_capital)
 from .rng import RandomStream
 from .stats import KSReport, ks_uniform
-from .transducer import smoothed_pvalues
+from .transducer import add_to_bag, pvalue_block, smoothed_pvalues
 
 DATA_SUBSTREAM = 0
 TAU_SUBSTREAM = 1
+# Steps per block of run_scenario's loop.
+RUN_BLOCK = 2 * BLOCK_STEPS
 
 
 class ConfigError(ValueError):
@@ -308,23 +324,70 @@ def _write_json(path: Path, obj: dict[str, Any]) -> None:
                     encoding="utf-8", newline="\n")
 
 
-def _phase_means(intervals: IntervalSeries, lo: int,
-                 hi: int) -> tuple[float | None, float | None]:
-    """Coverage and mean width over the intervals of steps lo+1..hi."""
-    # The arrays start at step 2.
-    sel = slice(max(lo - 1, 0), max(hi - 1, 0))
-    if not intervals.covered[sel].size:
-        return None, None
-    covered, width = intervals.covered[sel], intervals.width[sel]
-    # cumsum adds in step order, like a loop from 0.0 (0.0 + maps -0.0 to 0.0).
-    return (int(covered.sum()) / covered.size,
-            (0.0 + float(np.cumsum(width)[-1])) / covered.size)
+@dataclass
+class _PhaseSums:
+    """The intervals of one phase so far: their number, how many covered
+    their y, and their widths summed in step order from 0.0."""
+
+    count: int = 0
+    covered: int = 0
+    width: float = 0.0
+
+    def add(self, intervals: IntervalSeries, lo: int, hi: int) -> None:
+        """Add the intervals intervals[lo:hi], the next in step order."""
+        covered, width = intervals.covered[lo:hi], intervals.width[lo:hi]
+        self.count += covered.size
+        self.covered += int(np.count_nonzero(covered))
+        # cumsum adds in step order; seeded with the sum so far, its
+        # additions are those of one cumsum over the phase.
+        self.width = float(np.cumsum(np.concatenate(([self.width],
+                                                     width)))[-1])
+
+    def means(self) -> tuple[float | None, float | None]:
+        """Coverage and mean width, or None for a phase with no interval."""
+        if not self.count:
+            return None, None
+        return self.covered / self.count, self.width / self.count
+
+
+def _add_to_phases(phases: tuple[_PhaseSums, _PhaseSums],
+                   intervals: IntervalSeries, first: int, n_pre: int) -> None:
+    """Add the intervals of examples first, first + 1, ... (from 0) to the
+    sums of their phases; the pre phase ends before example n_pre."""
+    cut = min(max(n_pre - first, 0), len(intervals.width))
+    phases[0].add(intervals, 0, cut)
+    phases[1].add(intervals, cut, len(intervals.width))
+
+
+def _draws(cfg: ScenarioConfig, rng: RandomStream, lo: int,
+           hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y of examples lo..hi-1 (from 0): their pre part from
+    cfg.pre, then their post part from cfg.post. A draw that overflows
+    raises ConfigError naming its phase, seed, 1-based step and (x, y)."""
+    cut = min(max(cfg.n_pre, lo), hi)
+    parts = []
+    for phase, model, a, b in (("pre", cfg.pre, lo, cut),
+                               ("post", cfg.post, cut, hi)):
+        if a == b:
+            continue
+        x, y = sample_arrays(model, rng, b - a)
+        finite = np.isfinite(x) & np.isfinite(y)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ConfigError(phase, (
+                f"seed {cfg.seed}, step {a + i + 1}: the draw (x, y) = "
+                f"({float(x[i])!r}, {float(y[i])!r}) is not finite"))
+        parts.append((x, y))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
                  output_dir: Path | None = None,
                  write_artifacts: bool = True) -> ScenarioSummary:
-    """Sample, transduce, bet, predict, summarize.
+    """Sample, transduce, bet, predict, summarize, one block of
+    `RUN_BLOCK` steps at a time.
 
     seed/output_dir override the config values (used by replications). The
     seed override is checked like a file value, as the seed of one run. A
@@ -339,34 +402,53 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
 
     n = cfg.n_pre + cfg.n_post
     try:
-        xs, ys = np.empty(n), np.empty(n)
+        pvalues, bag = np.empty(n), np.empty(n)
+        if write_artifacts:  # the intervals start at step 2
+            xs, ys, trajectory = np.empty(n), np.empty(n), np.empty(n + 1)
+            intervals = IntervalSeries(*np.empty((4, max(n - 1, 0))),
+                                       covered=np.empty(max(n - 1, 0), bool))
     except (ValueError, MemoryError) as exc:  # too long to index or to hold
         raise ConfigError("n_pre/n_post", f"a stream of {n} steps cannot be "
                           f"allocated: {exc}") from None
-    for phase, model, lo, hi in (("pre", cfg.pre, 0, cfg.n_pre),
-                                 ("post", cfg.post, cfg.n_pre, n)):
-        xs[lo:hi], ys[lo:hi] = sample_arrays(model, data_rng, hi - lo)
-        finite = np.isfinite(xs[lo:hi]) & np.isfinite(ys[lo:hi])
-        if not finite.all():
-            i = lo + int(np.argmin(finite))
-            raise ConfigError(phase, (
-                f"seed {cfg.seed}, step {i + 1}: the draw (x, y) = "
-                f"({float(xs[i])!r}, {float(ys[i])!r}) is not finite"))
     measure = cfg.measure.build(cfg.pre, cfg.post)
+    jumper = jumper_start(cfg.jumper)
+    final = peak = log10_capital(cfg.jumper, ())[0]  # before any bet
+    if write_artifacts:
+        trajectory[0] = final
+    heaps = new_heaps()
+    phases = _PhaseSums(), _PhaseSums()
     with np.errstate(over="ignore"):  # far examples may score -inf
-        pvalues = smoothed_pvalues(measure.scores(xs, ys), tau_rng)
-        trajectory = log10_capital(cfg.jumper, pvalues)  # index = step
-        # KS runs before the intervals exist, to keep the peak memory low.
-        ks_all, ks_pre, ks_post = (
-            ks_uniform(p, alpha=0.01) if p.size else None
-            for p in (pvalues, pvalues[:cfg.n_pre], pvalues[cfg.n_pre:]))
-        intervals = interval_series(xs, ys, cfg.pre, cfg.epsilon)
+        for lo in range(0, n, RUN_BLOCK):
+            hi = min(lo + RUN_BLOCK, n)
+            x, y = _draws(cfg, data_rng, lo, hi)
+            scores = measure.scores(x, y)
+            p = pvalues[lo:hi]
+            p[:] = pvalue_block(scores, bag[:lo], tau_rng)
+            if hi < n:
+                add_to_bag(bag, lo, scores)
+            logs = (trajectory[lo + 1:hi + 1] if write_artifacts
+                    else np.empty(hi - lo))
+            jumper = capital_block(cfg.jumper, p, jumper, logs)
+            final, peak = logs[-1], max(peak, logs.max())
+            block, heaps = interval_block(x, y, lo, n, cfg.pre, cfg.epsilon,
+                                          heaps)
+            _add_to_phases(phases, block, max(lo, 1), cfg.n_pre)
+            if write_artifacts:
+                xs[lo:hi], ys[lo:hi] = x, y
+                for f in fields(block):
+                    getattr(intervals, f.name)[max(lo, 1) - 1:hi - 1] = \
+                        getattr(block, f.name)
+            del x, y, scores, p, logs, block  # freed before the next block
+    del bag, heaps  # freed before KS, which holds 24 B per step
+    ks_all, ks_pre, ks_post = (
+        ks_uniform(p, alpha=0.01) if p.size else None
+        for p in (pvalues, pvalues[:cfg.n_pre], pvalues[cfg.n_pre:]))
 
-    coverage_pre, mean_width_pre = _phase_means(intervals, 1, cfg.n_pre)
-    coverage_post, mean_width_post = _phase_means(intervals, cfg.n_pre, n)
+    coverage_pre, mean_width_pre = phases[0].means()
+    coverage_post, mean_width_post = phases[1].means()
     summary = ScenarioSummary(
-        final_log10_capital=float(trajectory[-1]),
-        max_log10_capital=float(trajectory.max()),
+        final_log10_capital=float(final),
+        max_log10_capital=float(peak),
         ks_all=ks_all, ks_pre=ks_pre, ks_post=ks_post,
         coverage_pre=coverage_pre,
         coverage_post=coverage_post,

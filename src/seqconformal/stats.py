@@ -35,9 +35,14 @@ def ks_uniform(pvalues: Sequence[float], alpha: float = 0.01) -> KSReport:
         raise ValueError("values must lie in [0, 1]")
     n = u.size
     u = np.sort(u)
-    gap = np.arange(1, n + 1) / n
+    # i / n, then (i - 1) / n, each in one float64 buffer divided in place:
+    # i and n are below 2^53, so float(i) is exact.
+    gap = np.arange(1, n + 1, dtype=float)
+    gap /= n
     d = np.max(np.subtract(gap, u, out=gap))  # i / n - u, in place
-    np.divide(np.arange(n), n, out=gap)
+    del gap  # freed before the next buffer is built
+    gap = np.arange(n, dtype=float)
+    gap /= n
     d = max(d, np.max(np.subtract(u, gap, out=gap)))  # u - (i - 1) / n
     threshold = KS_COEFFICIENTS[alpha] / np.sqrt(n)
     return KSReport(statistic=float(d), n=int(n),

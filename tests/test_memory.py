@@ -2,9 +2,9 @@
 
 `tracemalloc` counts numpy's data buffers as well as Python objects, so the
 peak it reports for one run does not depend on the allocator or the
-machine. The test takes about 4.5 s on a 2-vCPU host with Python 3.11:
-tracing every allocation makes the run about 11 times slower than the
-0.27 s it takes untraced. The 10^6-step run is measured untraced, by the
+machine. The test takes about 4 s on a 2-vCPU host with Python 3.11:
+tracing every allocation makes the run about 16 times slower than the
+0.25 s it takes untraced. The 10^6-step run is measured untraced, by the
 peak RSS of a process of its own.
 """
 
@@ -27,20 +27,33 @@ from seqconformal.scenario import _write_csvs
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Bytes per step that a run may hold at its peak; see the test docstring.
-BUDGET_PER_STEP = 96
+BUDGET_PER_STEP = 47
 # Bytes per row of a block that the CSV writer may hold at its peak; see
 # test_writer_peak_memory_per_block.
 WRITER_BUDGET_PER_ROW = 1024
 
-# The 10^6-step run, without artifacts: it prints its peak RSS in MiB
-# (ru_maxrss is in KiB on Linux) and the repr of its summary.
+# The peak RSS of the 10^6-step run, in MiB: a process that has imported
+# the package and run a 1000-step stream peaks at about 37 MiB on Linux with
+# numpy 2.4.6, and the bound takes 40. The run's largest stage, KS, holds
+# 24 B/step (22.9 MiB), and test_run_peak_memory_per_step's allowance of
+# 23 B/step (21.9 MiB) covers the rest: 40 + 22.9 + 21.9 is about 85. The run
+# peaks at about 65 MiB; the design that built every whole-stream array
+# before it summarized peaked at 107 MiB, and the one before that at 267.
+RSS_BOUND_MIB = 85
+
+# The 10^6-step run, without artifacts: it prints its peak RSS in MiB and
+# the repr of its summary. The peak is Linux's VmHWM, in KiB, that of this
+# process image alone: ru_maxrss would also count the peak RSS of the
+# process that started it (Linux keeps it across exec), here pytest's.
 LONG_RUN = """
-import dataclasses, resource, sys
+import dataclasses, sys
 from seqconformal import ScenarioConfig, run_scenario
 cfg = dataclasses.replace(ScenarioConfig.from_file(sys.argv[1]),
                           n_pre=500000, n_post=500000)
 summary = run_scenario(cfg, write_artifacts=False)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+with open("/proc/self/status", encoding="ascii") as status:
+    print(next(int(line.split()[1]) for line in status
+               if line.startswith("VmHWM:")) / 1024)
 print(repr(summary))
 """
 
@@ -49,27 +62,26 @@ def test_run_peak_memory_per_step():
     """The peak traced bytes of a 10^5 + 10^5-step cryptic run without
     artifacts, per step, stay within BUDGET_PER_STEP.
 
-    A run keeps x and y (16 B/step) to the end, and from their stages on
-    the p-values and the log10 trajectory (16 more). Each stage's working
-    set on top of what is kept, in B/step:
-    - rank compression: the scores (8) and numpy's `unique` with its
-      inverse (49 at most: a copy of the scores, the sort permutation and
-      the sorted copy, 24; a bool mask, 1; the inverse, built by a cumsum
-      and a scatter, 24), so 16 + 57 = 73;
-    - rank counts: the scores (8) and ten int32 arrays (40): 16 + 48 = 64;
-    - intervals: the center, lower, upper and width arrays (32), the
-      covered flags with their two bool temporaries (3) and the heaps,
-      about 32 B per float held for an epsilon share of the steps (2):
-      32 + 37 = 69;
-    - KS: a sorted copy, one buffer for i/n - u and the int64 i (24):
-      32 + 24 = 56.
-    The Jumper and interval loops hold O(1) Python objects per block of
-    `BLOCK_STEPS` steps. The largest stage, 73 B/step, plus 23 B/step
-    (4.6 MB at this length) for objects that a first run in a process
-    creates and for numpy's own allocations gives the budget of 96 B/step.
-    One Python float per step (32 B with its list slot) held through the
-    rank compression or the interval stage exceeds it; the design before
-    the budget peaked at 212 B/step.
+    The run is one loop over blocks of `RUN_BLOCK` steps. What each stage
+    holds, in B/step:
+    - the loop: the p-values (8) and the sorted bag of earlier scores (8),
+      each filled block by block, and the interval heaps, one Python float
+      (about 32 B with its list slot) per growth of k, an epsilon share of
+      the steps (2): 18. A block's working arrays (its draws and scores,
+      numpy's `unique` and the int32 rank-count arrays, the Jumper's and
+      the interval loop's lists of one `BLOCK_STEPS` sub-block, the
+      interval arrays) take about 1 MB, whatever the length of the stream;
+    - KS, after the loop frees the bag and the heaps: the p-values, a
+      sorted copy and one float64 buffer for i/n - u, then for
+      u - (i - 1)/n (24).
+    The largest stage, 24 B/step, plus 23 B/step (4.6 MB at this length)
+    for a block's working arrays, for objects that a first run in a
+    process creates and for numpy's own allocations gives the budget of
+    47 B/step. One Python float per step (32 B with its list slot) held
+    through the loop or KS exceeds it. The design that built every
+    whole-stream array before it summarized peaked at about 74 B/step, in
+    numpy's `unique` over all the scores; the design before the first
+    budget at 212.
     """
     cfg = dataclasses.replace(
         ScenarioConfig.from_file(SCENARIOS / "cryptic.cfg"),
@@ -120,15 +132,14 @@ def test_writer_peak_memory_per_block(tmp_path):
 
 
 @pytest.mark.skipif(sys.platform != "linux",
-                    reason="ru_maxrss is in KiB on Linux")
+                    reason="VmHWM is read from Linux's /proc")
 def test_million_step_run_peak_rss_and_summary(tmp_path):
     """The north star's longest stream: one 10^6-step cryptic run without
     artifacts, in a fresh process with only src/ on the path, run from
-    tmp_path. Its peak RSS stays within 160 MiB; before the runs kept O(1)
-    Python objects per block of steps, this run peaked at 267 MiB. Its
-    summary equals, in every bit (the repr of every float), the one recorded
-    before the generated Jumper step and the interval floor, which must not
-    change a result."""
+    tmp_path. Its peak RSS stays within RSS_BOUND_MIB, derived above it.
+    Its summary equals, in every bit (the repr of every float), the one
+    recorded before the generated Jumper step, the interval floor and the
+    block loop, none of which may change a result."""
     env = {**os.environ,
            "PYTHONPATH": str(Path(seqconformal.__file__).parents[1])}
     child = subprocess.run(
@@ -136,7 +147,7 @@ def test_million_step_run_peak_rss_and_summary(tmp_path):
         env=env, cwd=tmp_path, stdout=subprocess.PIPE, text=True,
         check=True)
     peak, summary = child.stdout.splitlines()
-    assert float(peak) <= 160, f"peak RSS {float(peak):.1f} MiB"
+    assert float(peak) <= RSS_BOUND_MIB, f"peak RSS {float(peak):.1f} MiB"
     want = (
         "ScenarioSummary(final_log10_capital=-1715.4173969378621, "
         "max_log10_capital=1.8871243032021612, "

@@ -22,8 +22,9 @@ from seqconformal import (BivariateGaussian, ConfigError, JumperConfig,
                           run_scenario, sample_arrays)
 from seqconformal.cli import main as cli_main
 from seqconformal.intervals import IntervalSeries
-from seqconformal.scenario import (DATA_SUBSTREAM, MeasureSpec, _converter,
-                                   _phase_means, aggregate_summaries)
+from seqconformal.scenario import (DATA_SUBSTREAM, RUN_BLOCK, MeasureSpec,
+                                   _add_to_phases, _converter, _PhaseSums,
+                                   aggregate_summaries)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_CHILD = Path(__file__).with_name("golden_child.py")
@@ -67,6 +68,9 @@ GOLDEN_2K = {
 # `reference.write_csvs`, gives the same bytes. Unlike GOLDEN_2K, these
 # runs take the Jumper and interval loops through more than one block of
 # `BLOCK_STEPS` steps, trim the interval heap and write steps past 10**4.
+# They also cross two seams of run_scenario's blocks of `RUN_BLOCK` (8192)
+# steps, and the change point, after step 10000, falls inside the second
+# block.
 GOLDEN_FULL = {
     "cryptic": {
         "intervals.csv": "49d978387279cfb8f5bec59eabdb0edd27ea8bc767f67b133a005a08a1565239",
@@ -681,10 +685,13 @@ class TestRunScenario:
         assert summary.ks_post is None
         assert not summary.ks_all.reject
 
-    @pytest.mark.parametrize("phase", ["pre", "post"])
-    def test_non_finite_draw_names_phase_and_step(self, tmp_path, phase):
+    # The last row's first overflow lies past the first block of the run.
+    @pytest.mark.parametrize("phase,n_pre", [("pre", 300), ("post", 300),
+                                             ("post", RUN_BLOCK + 100)])
+    def test_non_finite_draw_names_phase_and_step(self, tmp_path, phase,
+                                                  n_pre):
         model = {**BASE["pre"], "sigma_x": 1.0e308, "rho_cov": 0.0}
-        cfg = make_config(tmp_path, **{phase: model})
+        cfg = make_config(tmp_path, n_pre=n_pre, **{phase: model})
         with pytest.raises(ConfigError) as info:
             run_scenario(cfg)
         step = int(info.value.reason.split("step ")[1].split(":")[0])
@@ -810,37 +817,53 @@ def left_to_right_mean(widths):
     return left_sum(widths) / len(widths)
 
 
+def phase_means(*blocks):
+    """Coverage and mean width of one phase whose intervals come in
+    blocks, each a list of widths."""
+    sums = _PhaseSums()
+    for widths in blocks:
+        sums.add(series_of_widths(widths), 0, len(widths))
+    return sums.means()
+
+
 class TestPhaseMeans:
     def test_widths_summed_left_to_right(self):
         # Left to right, each 1e-16 is lost against 1.0; a compensated sum
         # (math.fsum, or Python 3.12's sum) keeps them.
         widths = [1.0, 1e-16, 1e-16]
-        coverage, mean_width = _phase_means(series_of_widths(widths), 1, 4)
+        coverage, mean_width = phase_means(widths)
         assert coverage == 1.0
         assert mean_width == 1.0 / 3 == left_to_right_mean(widths)
         assert mean_width != math.fsum(widths) / 3
+        assert phase_means(widths[:1], widths[1:]) == (coverage, mean_width)
 
     def test_long_series_in_step_order(self):
         # numpy's pairwise sum differs from step order on this series.
         rng = np.random.default_rng(5)
         widths = (rng.random(10_000)
                   * 10.0 ** rng.integers(-8, 8, size=10_000)).tolist()
-        _, mean_width = _phase_means(series_of_widths(widths), 1, 10_001)
+        _, mean_width = phase_means(widths)
         assert repr(mean_width) == repr(left_to_right_mean(widths))
         assert mean_width != float(np.sum(widths)) / len(widths)
+        _, in_blocks = phase_means(widths[:4321], [], widths[4321:])
+        assert repr(in_blocks) == repr(mean_width)
 
     def test_zero_widths_give_positive_zero(self):
-        _, mean_width = _phase_means(series_of_widths([-0.0, -0.0]), 1, 3)
+        _, mean_width = phase_means([-0.0, -0.0])
         assert repr(mean_width) == repr(left_to_right_mean([-0.0, -0.0]))
         assert repr(mean_width) == "0.0"
 
     def test_phase_selection(self):
-        # Steps lo+1..hi; the arrays start at step 2.
-        series = series_of_widths([1.0, 2.0, 4.0, 8.0])  # steps 2..5
-        assert _phase_means(series, 1, 3) == (1.0, 1.5)
-        assert _phase_means(series, 3, 5) == (1.0, 6.0)
-        assert _phase_means(series, 5, 5) == (None, None)
-        assert _phase_means(series_of_widths([]), 1, 5) == (None, None)
+        # The pre phase ends before example n_pre; the series holds the
+        # intervals of examples 1..4 (steps 2..5).
+        series = series_of_widths([1.0, 2.0, 4.0, 8.0])
+        for n_pre, want in ((3, [(1.0, 1.5), (1.0, 6.0)]),
+                            (5, [(1.0, 3.75), (None, None)]),
+                            (1, [(None, None), (1.0, 3.75)])):
+            phases = _PhaseSums(), _PhaseSums()
+            _add_to_phases(phases, series, 1, n_pre)
+            assert [sums.means() for sums in phases] == want
+        assert phase_means([]) == (None, None)
 
 
 class TestReplications:
