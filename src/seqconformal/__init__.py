@@ -9,13 +9,13 @@ from .conformity import (LikelihoodRatio, Mahalanobis,
                          OracleMahalanobisEnsemble, PredictiveOracle)
 from .cryptic import cryptic_shift, oracle_law
 from .gaussian import BivariateGaussian, conditional_mean, sample_arrays
-from .intervals import IntervalSeries, interval_series
-from .martingale import JumperConfig, log10_capital
+from .intervals import IntervalSeries
+from .martingale import JumperConfig
 from .rng import RandomStream
-from .scenario import (ConfigError, ScenarioConfig, ScenarioSummary,
-                       efficiency_series, run_ctm, run_replications,
-                       run_scenario, run_transducer, sample)
+from .scenario import (ConfigError, Monitor, ScenarioConfig,
+                       ScenarioSummary, efficiency_series, run_ctm,
+                       run_replications, run_scenario, run_transducer,
+                       sample)
 from .stats import KSReport, ks_uniform
-from .transducer import smoothed_pvalues
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ per step. The heaps carry the stream's state from one block to the next:
 `heaps` is (largest, rest, top, floor), described below, and top is also
 the half-width owed to the first example of the next block. The last
 example of the stream is never admitted: no interval uses it.
-`interval_series` is the one-block case, a whole stream from `new_heaps`.
+A stream starts from `new_heaps`.
 The loop reads one `tolist()` sub-block of `BLOCK_STEPS` steps at a time
 into a float64 array. Only the growths of the rank still to come
 take |r| out of the heap of the smaller ones, each its largest, so that
@@ -121,19 +121,3 @@ def interval_block(xs: np.ndarray, ys: np.ndarray, first: int, n: int,
                           width=upper - lower,
                           covered=(lower <= ys) & (ys <= upper)), (
         largest, rest, top, floor)
-
-
-def interval_series(xs: np.ndarray, ys: np.ndarray, q0: BivariateGaussian,
-                    epsilon: float) -> IntervalSeries:
-    """Online intervals over a stream of examples (xs[i], ys[i]), as arrays.
-
-    At step n the interval for x_n uses the |r| of z_1..z_{n-1}; z_n is
-    admitted to the store afterwards. The first step has nothing to
-    predict from, so the arrays start at step 2; they are empty for a
-    stream of fewer than two examples. The half-width at step m + 1 is the
-    k-th largest of the m stored |r|, at the conservative rank
-    k = ceil(epsilon * (m + 1)), capped at m.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    return interval_block(xs, ys, 0, len(xs), q0, epsilon, new_heaps())[0]

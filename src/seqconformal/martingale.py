@@ -24,8 +24,8 @@ block slice-assigns into the trajectory.
 
 The state between steps is the capitals, their total and the scale.
 `capital_block` takes it in and gives it back, so a run bets on its
-p-values one block at a time and keeps only the log10 capitals it needs;
-`log10_capital` is the one-block case, from `jumper_start`.
+p-values one block at a time, from `jumper_start`, and keeps only the
+log10 capitals it needs.
 
 Defaults (eps grid {-1, 0, 1}, J = 0.01) follow the standard Simple
 Jumper parameterization; both are configurable.
@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 from functools import cache, reduce
 from operator import add
-from typing import Sequence
 
 import numpy as np
 
@@ -129,21 +128,3 @@ def capital_block(cfg: JumperConfig, pvalues: np.ndarray,
             logs)
         out[start:start + len(logs)] = logs
     return capitals, total, scale
-
-
-def log10_capital(cfg: JumperConfig, pvalues: Sequence[float]) -> np.ndarray:
-    """log10 capital after each p-value, as a float64 array from 0 at index 0.
-
-    Each step mixes, then bets with f_eps(p) = 1 + eps * (p - 1/2), then
-    rescales by a power of ten whenever the capital sum leaves
-    [10^-6, 10^6]; the reported log10 total is invariant under rescaling.
-    The step loop is the one `_step_loop` generated for the grid size (see
-    the module docstring). Every total is summed left to right from 0.0,
-    never by the builtin `sum`.
-    """
-    state = jumper_start(cfg)
-    pvalues = np.asarray(pvalues, dtype=np.float64)
-    trajectory = np.empty(len(pvalues) + 1)
-    trajectory[0] = math.log10(state[1]) + state[2]
-    capital_block(cfg, pvalues, state, trajectory[1:])
-    return trajectory

@@ -1,26 +1,19 @@
 """Config-driven scenario runner.
 
-`run_scenario` composes the stage functions: it samples a pre/post-change
-Gaussian stream as x and y arrays (`sample_arrays`), scores it with the
-measure, runs the scores through the smoothed conformal transducer
-(`pvalue_block`), the Simple Jumper martingale (`capital_block`) and the
-online prediction intervals (`interval_block`), tests the p-values for
-uniformity, and emits CSV artifacts plus a JSON summary. Runs are fully
+A `Monitor` runs the stages of a scenario over a stream fed block by
+block: the measure's scores, the smoothed conformal transducer
+(`pvalue_block`), which takes the scores, not the measure, the Simple
+Jumper martingale (`capital_block`) and the online prediction intervals
+(`interval_block`); `finish` tests the p-values for uniformity and
+summarizes. `run_scenario` samples a pre/post-change Gaussian stream
+(`sample_arrays`) in blocks of `RUN_BLOCK` steps, feeds them to a
+Monitor, and emits CSV artifacts plus a JSON summary. Runs are fully
 deterministic per seed: the data stream and the tie-breaking stream are
-independent substreams of the scenario seed. The measure's scores are a
-stage of their own: the transducer takes the scores, not the measure.
-
-The run is one loop over blocks of `RUN_BLOCK` steps, and each stage
-carries its state from one block to the next: the two random streams,
-the sorted bag of earlier scores, the Jumper's capitals, total and scale,
-the interval heaps, and the running coverage and width sums of each
-phase. A block that holds the change point samples its pre part, then
-its post part. A run without artifacts holds only the p-values, which
-the KS tests need at the end, and the bag (16 B per step), plus working
-arrays of O(`RUN_BLOCK`); a run with artifacts fills each column whole
-and writes the CSVs after the loop, so a run that fails writes nothing.
-A stream of at most `RUN_BLOCK` steps is one block, the whole-stream
-stage functions' case.
+independent substreams of the scenario seed. A run without artifacts
+holds only the p-values, which KS needs at the end, and the bag of
+earlier scores (16 B per step), plus working arrays of O(`RUN_BLOCK`); a
+run with artifacts fills each column whole and writes the CSVs after the
+loop, so a run that fails writes nothing.
 """
 
 from __future__ import annotations
@@ -43,13 +36,12 @@ from .conformity import (ConformityMeasure, LikelihoodRatio, Mahalanobis,
                          OracleMahalanobisEnsemble, PredictiveOracle)
 from .cryptic import cryptic_shift, oracle_law
 from .gaussian import BivariateGaussian, sample_arrays
-from .intervals import (IntervalSeries, interval_block, interval_series,
-                        new_heaps)
+from .intervals import IntervalSeries, interval_block, new_heaps
 from .martingale import (BLOCK_STEPS, JumperConfig, capital_block,
-                         jumper_start, log10_capital)
+                         jumper_start)
 from .rng import RandomStream
 from .stats import KSReport, ks_uniform
-from .transducer import add_to_bag, pvalue_block, smoothed_pvalues
+from .transducer import add_to_bag, pvalue_block
 
 DATA_SUBSTREAM = 0
 TAU_SUBSTREAM = 1
@@ -350,15 +342,6 @@ class _PhaseSums:
         return self.covered / self.count, self.width / self.count
 
 
-def _add_to_phases(phases: tuple[_PhaseSums, _PhaseSums],
-                   intervals: IntervalSeries, first: int, n_pre: int) -> None:
-    """Add the intervals of examples first, first + 1, ... (from 0) to the
-    sums of their phases; the pre phase ends before example n_pre."""
-    cut = min(max(n_pre - first, 0), len(intervals.width))
-    phases[0].add(intervals, 0, cut)
-    phases[1].add(intervals, cut, len(intervals.width))
-
-
 def _draws(cfg: ScenarioConfig, rng: RandomStream, lo: int,
            hi: int) -> tuple[np.ndarray, np.ndarray]:
     """The x and y of examples lo..hi-1 (from 0): their pre part from
@@ -383,11 +366,93 @@ def _draws(cfg: ScenarioConfig, rng: RandomStream, lo: int,
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
+@dataclass(frozen=True)
+class Block:
+    """A fed block's p-values, log10 capital per step and intervals."""
+
+    pvalues: np.ndarray
+    log10_capital: np.ndarray
+    intervals: IntervalSeries
+
+
+class Monitor:
+    """The stages of one scenario over its n_pre + n_post examples, fed
+    block by block as they arrive; any block sizes give the same bits.
+    Between blocks it holds the tie-breaking stream, the sorted bag of
+    earlier scores, the Jumper's state, the interval heaps, each phase's
+    sums, `pvalues` (each Block's are a view of it), and the last and
+    peak log10 capital, `final_log10_capital` and `max_log10_capital`."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        n = cfg.n_pre + cfg.n_post
+        self.pvalues, self._bag = np.empty(n), np.empty(n)
+        self.cfg, self.fed = cfg, 0
+        self._tau = RandomStream(cfg.seed).substream(TAU_SUBSTREAM)
+        self._measure = cfg.measure.build(cfg.pre, cfg.post)
+        self._jumper = _, total, scale = jumper_start(cfg.jumper)
+        self.final_log10_capital = self.max_log10_capital = (
+            math.log10(total) + scale)
+        self._heaps = new_heaps()
+        self._phases = _PhaseSums(), _PhaseSums()
+
+    def feed(self, xs: np.ndarray, ys: np.ndarray) -> Block:
+        """Run the next examples (xs[i], ys[i]) through every stage.
+        ValueError for a block that is empty, goes past the stream, or
+        whose xs and ys differ in length."""
+        cfg, lo, n = self.cfg, self.fed, len(self.pvalues)
+        hi = lo + len(xs)
+        if not lo < hi <= n or len(ys) != len(xs):
+            raise ValueError(f"{lo} of {n} examples fed: {len(xs)} x and "
+                             f"{len(ys)} y are not 1 to {n - lo} of each")
+        with np.errstate(over="ignore"):  # far examples may score -inf
+            scores = self._measure.scores(xs, ys)
+            p = self.pvalues[lo:hi]
+            p[:] = pvalue_block(scores, self._bag[:lo], self._tau)
+            if hi < n:  # no later score is ranked against the last block
+                add_to_bag(self._bag, lo, scores)
+            logs = np.empty(hi - lo)
+            self._jumper = capital_block(cfg.jumper, p, self._jumper, logs)
+            self.final_log10_capital = logs[-1]
+            self.max_log10_capital = max(self.max_log10_capital, logs.max())
+            intervals, self._heaps = interval_block(
+                xs, ys, lo, n, cfg.pre, cfg.epsilon, self._heaps)
+            # Example 0 has no interval; the pre phase ends at n_pre.
+            cut = min(max(cfg.n_pre - max(lo, 1), 0), len(intervals.width))
+            self._phases[0].add(intervals, 0, cut)
+            self._phases[1].add(intervals, cut, len(intervals.width))
+        self.fed = hi
+        return Block(p, logs, intervals)
+
+    def finish(self) -> ScenarioSummary:
+        """The KS tests of all the p-values and of each phase's, and the
+        summary. ValueError until every example is fed."""
+        n_pre, n = self.cfg.n_pre, len(self.pvalues)
+        if self.fed < n:
+            raise ValueError(f"finish after {self.fed} of {n} examples")
+        self._bag = self._heaps = None  # freed before KS
+        ks_all, ks_pre, ks_post = (
+            ks_uniform(p, alpha=0.01) if p.size else None
+            for p in (self.pvalues, self.pvalues[:n_pre],
+                      self.pvalues[n_pre:]))
+        coverage_pre, mean_width_pre = self._phases[0].means()
+        coverage_post, mean_width_post = self._phases[1].means()
+        return ScenarioSummary(
+            final_log10_capital=float(self.final_log10_capital),
+            max_log10_capital=float(self.max_log10_capital),
+            ks_all=ks_all, ks_pre=ks_pre, ks_post=ks_post,
+            coverage_pre=coverage_pre,
+            coverage_post=coverage_post,
+            mean_width_pre=mean_width_pre,
+            mean_width_post=mean_width_post,
+            seed=self.cfg.seed,
+        )
+
+
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
                  output_dir: Path | None = None,
                  write_artifacts: bool = True) -> ScenarioSummary:
-    """Sample, transduce, bet, predict, summarize, one block of
-    `RUN_BLOCK` steps at a time.
+    """Sample blocks of `RUN_BLOCK` steps, feed them to a `Monitor`,
+    summarize, and write the artifacts.
 
     seed/output_dir override the config values (used by replications). The
     seed override is checked like a file value, as the seed of one run. A
@@ -396,72 +461,36 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     """
     if seed is not None:
         cfg = replace(cfg, seed=seed, replications=1)
-    root = RandomStream(cfg.seed)
-    data_rng = root.substream(DATA_SUBSTREAM)
-    tau_rng = root.substream(TAU_SUBSTREAM)
-
+    data_rng = RandomStream(cfg.seed).substream(DATA_SUBSTREAM)
     n = cfg.n_pre + cfg.n_post
     try:
-        pvalues, bag = np.empty(n), np.empty(n)
+        monitor = Monitor(cfg)
         if write_artifacts:  # the intervals start at step 2
             xs, ys, trajectory = np.empty(n), np.empty(n), np.empty(n + 1)
+            trajectory[0] = monitor.final_log10_capital  # before any bet
             intervals = IntervalSeries(*np.empty((4, max(n - 1, 0))),
                                        covered=np.empty(max(n - 1, 0), bool))
     except (ValueError, MemoryError) as exc:  # too long to index or to hold
         raise ConfigError("n_pre/n_post", f"a stream of {n} steps cannot be "
                           f"allocated: {exc}") from None
-    measure = cfg.measure.build(cfg.pre, cfg.post)
-    jumper = jumper_start(cfg.jumper)
-    final = peak = log10_capital(cfg.jumper, ())[0]  # before any bet
-    if write_artifacts:
-        trajectory[0] = final
-    heaps = new_heaps()
-    phases = _PhaseSums(), _PhaseSums()
-    with np.errstate(over="ignore"):  # far examples may score -inf
-        for lo in range(0, n, RUN_BLOCK):
-            hi = min(lo + RUN_BLOCK, n)
-            x, y = _draws(cfg, data_rng, lo, hi)
-            scores = measure.scores(x, y)
-            p = pvalues[lo:hi]
-            p[:] = pvalue_block(scores, bag[:lo], tau_rng)
-            if hi < n:
-                add_to_bag(bag, lo, scores)
-            logs = (trajectory[lo + 1:hi + 1] if write_artifacts
-                    else np.empty(hi - lo))
-            jumper = capital_block(cfg.jumper, p, jumper, logs)
-            final, peak = logs[-1], max(peak, logs.max())
-            block, heaps = interval_block(x, y, lo, n, cfg.pre, cfg.epsilon,
-                                          heaps)
-            _add_to_phases(phases, block, max(lo, 1), cfg.n_pre)
-            if write_artifacts:
-                xs[lo:hi], ys[lo:hi] = x, y
-                for f in fields(block):
-                    getattr(intervals, f.name)[max(lo, 1) - 1:hi - 1] = \
-                        getattr(block, f.name)
-            del x, y, scores, p, logs, block  # freed before the next block
-    del bag, heaps  # freed before KS, which holds 24 B per step
-    ks_all, ks_pre, ks_post = (
-        ks_uniform(p, alpha=0.01) if p.size else None
-        for p in (pvalues, pvalues[:cfg.n_pre], pvalues[cfg.n_pre:]))
-
-    coverage_pre, mean_width_pre = phases[0].means()
-    coverage_post, mean_width_post = phases[1].means()
-    summary = ScenarioSummary(
-        final_log10_capital=float(final),
-        max_log10_capital=float(peak),
-        ks_all=ks_all, ks_pre=ks_pre, ks_post=ks_post,
-        coverage_pre=coverage_pre,
-        coverage_post=coverage_post,
-        mean_width_pre=mean_width_pre,
-        mean_width_post=mean_width_post,
-        seed=cfg.seed,
-    )
+    for lo in range(0, n, RUN_BLOCK):
+        hi = min(lo + RUN_BLOCK, n)
+        x, y = _draws(cfg, data_rng, lo, hi)
+        block = monitor.feed(x, y)
+        if write_artifacts:
+            xs[lo:hi], ys[lo:hi] = x, y
+            trajectory[lo + 1:hi + 1] = block.log10_capital
+            for f in fields(intervals):
+                getattr(intervals, f.name)[max(lo, 1) - 1:hi - 1] = \
+                    getattr(block.intervals, f.name)
+        del x, y, block  # freed before the next block's draws
+    summary = monitor.finish()
 
     if write_artifacts:
         out = cfg.output_dir if output_dir is None else output_dir
         try:
             out.mkdir(parents=True, exist_ok=True)
-            _write_csvs(out, cfg.n_pre, xs, ys, pvalues, trajectory,
+            _write_csvs(out, cfg.n_pre, xs, ys, monitor.pvalues, trajectory,
                         intervals)
             _write_json(out / "summary.json", summary.to_dict())
         except OSError as exc:
@@ -551,16 +580,22 @@ class PValue:
 
 def run_transducer(measure: ConformityMeasure, stream: Iterable[Example],
                    rng: RandomStream) -> list[PValue]:
-    """`smoothed_pvalues` as one `PValue` per example of a list."""
-    values = smoothed_pvalues(measure.scores(*columns(stream)), rng).tolist()
+    """`pvalue_block` with an empty bag, as one `PValue` per example of a
+    list."""
+    values = pvalue_block(measure.scores(*columns(stream)), np.empty(0),
+                          rng).tolist()
     return [PValue(v, i) for i, v in enumerate(values, start=1)]
 
 
 def run_ctm(cfg: JumperConfig,
             pvalues: Iterable[PValue]) -> list[tuple[int, float]]:
-    """`log10_capital` as (step, log10 S) float pairs, from (0, 0.0)."""
-    trajectory = log10_capital(cfg, [p.value for p in pvalues])
-    return list(enumerate(trajectory.tolist()))
+    """`capital_block` from `jumper_start`, as (step, log10 S) float
+    pairs from step 0."""
+    state = _, total, scale = jumper_start(cfg)
+    ps = np.array([p.value for p in pvalues], dtype=np.float64)
+    logs = np.empty(len(ps))
+    capital_block(cfg, ps, state, logs)
+    return list(enumerate([math.log10(total) + scale, *logs.tolist()]))
 
 
 @dataclass(frozen=True)
@@ -575,8 +610,12 @@ class EfficiencyRecord:
 
 def efficiency_series(stream: Sequence[Example], q0: BivariateGaussian,
                       epsilon: float) -> list[EfficiencyRecord]:
-    """`interval_series` as one record per step, from step 2."""
-    s = interval_series(*columns(stream), q0, epsilon)
+    """`interval_block` over a whole stream, as one record per step, from
+    step 2."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    s = interval_block(*columns(stream), 0, len(stream), q0, epsilon,
+                       new_heaps())[0]
     return [EfficiencyRecord(*row) for row in zip(
         range(2, len(stream) + 1), s.center.tolist(), s.lower.tolist(),
         s.upper.tolist(), s.width.tolist(), s.covered.tolist())]

@@ -13,6 +13,9 @@ from typing import Sequence
 import numpy as np
 
 KS_COEFFICIENTS = {0.05: 1.358, 0.01: 1.628}
+# Sorted values per chunk of the KS differences, so that KS holds the
+# sorted copy of its sample and O(_CHUNK) more.
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -35,15 +38,13 @@ def ks_uniform(pvalues: Sequence[float], alpha: float = 0.01) -> KSReport:
         raise ValueError("values must lie in [0, 1]")
     n = u.size
     u = np.sort(u)
-    # i / n, then (i - 1) / n, each in one float64 buffer divided in place:
-    # i and n are below 2^53, so float(i) is exact.
-    gap = np.arange(1, n + 1, dtype=float)
-    gap /= n
-    d = np.max(np.subtract(gap, u, out=gap))  # i / n - u, in place
-    del gap  # freed before the next buffer is built
-    gap = np.arange(n, dtype=float)
-    gap /= n
-    d = max(d, np.max(np.subtract(u, gap, out=gap)))  # u - (i - 1) / n
+    # i / n - u and u - (i - 1) / n, one chunk of the sorted values at a
+    # time: i and n are below 2^53, so float(i) and float(i) - 1 are exact.
+    d = -np.inf
+    for lo in range(0, n, _CHUNK):
+        chunk = u[lo:lo + _CHUNK]
+        i = np.arange(lo + 1, lo + len(chunk) + 1, dtype=float)
+        d = max(d, np.max(i / n - chunk), np.max(chunk - (i - 1) / n))
     threshold = KS_COEFFICIENTS[alpha] / np.sqrt(n)
     return KSReport(statistic=float(d), n=int(n),
                     threshold_at_alpha=float(threshold), alpha=alpha,

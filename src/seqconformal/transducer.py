@@ -20,7 +20,7 @@ int32 below 2^31 scores; the earlier scores add a binary search of the
 bag per distinct score of the block. The taus are drawn as one block,
 which the formula then updates in place. `add_to_bag` merges a block into
 the bag, so a run holds the bag (8 B per step) and O(b) working arrays.
-`smoothed_pvalues` is the one-block case: a whole stream and an empty bag.
+A whole stream is one block with an empty bag.
 """
 
 from __future__ import annotations
@@ -109,9 +109,3 @@ def add_to_bag(bag: np.ndarray, size: int, scores: np.ndarray) -> None:
     # numpy's stable sort is a timsort: it merges the two sorted runs in
     # O(stop) time and O(len(scores)) memory.
     bag[:stop].sort(kind="stable")
-
-
-def smoothed_pvalues(scores: np.ndarray, rng: RandomStream) -> np.ndarray:
-    """The p-value of each of a stream's scores, in stream order: the
-    p-values of one block with an empty bag."""
-    return pvalue_block(scores, np.empty(0), rng)

@@ -17,6 +17,8 @@ import pytest
 import seqconformal as sc
 from reference import two_sample_ks_rejects
 from seqconformal.gaussian import conditional_sd
+from seqconformal.martingale import capital_block, jumper_start
+from seqconformal.transducer import pvalue_block
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 QUICK = {"n_pre": 2000, "n_post": 2000}
@@ -127,24 +129,26 @@ def test_criterion_5_validity_and_fairness():
         rng = sc.RandomStream(seed)
         scores = sc.PredictiveOracle(q0).scores(
             *sc.sample_arrays(q0, rng.substream(0), 10_000))
-        pvals = sc.smoothed_pvalues(scores, rng.substream(1))
+        pvals = pvalue_block(scores, np.empty(0), rng.substream(1))
         rejections += sc.ks_uniform(pvals, alpha=0.01).reject
     uniform_ok = 20 - rejections >= 18
 
     # (b) martingale fairness: E[S_5] = 1 under uniform p-values
     cfg = sc.JumperConfig()
     ps = np.random.default_rng(123).random((100_000, 5))
-    total = 0.0
+    total, logs = 0.0, np.empty(5)
     for row in ps:
-        total += 10.0 ** sc.log10_capital(cfg, row)[-1]
+        capital_block(cfg, row, jumper_start(cfg), logs)
+        total += 10.0 ** logs[-1]
     mean_s5 = total / len(ps)
     fairness_ok = 0.98 <= mean_s5 <= 1.02
 
     # (c) Ville: P(max S >= 10) over 200 IID runs of length 1000
-    exceed = 0
+    exceed, logs = 0, np.empty(1000)
     for seed in range(200):
         p = np.random.default_rng(5000 + seed).random(1000)
-        if sc.log10_capital(cfg, p).max() >= 1.0:  # log10 scale
+        capital_block(cfg, p, jumper_start(cfg), logs)
+        if logs.max() >= 1.0:  # log10 scale; S_0 = 1 is below 10
             exceed += 1
     ville_rate = exceed / 200
     ville_ok = ville_rate <= 0.16

@@ -20,11 +20,13 @@ from hypothesis import strategies as st
 from seqconformal import (BivariateGaussian, JumperConfig, LikelihoodRatio,
                           Mahalanobis, OracleMahalanobisEnsemble,
                           PredictiveOracle, RandomStream, ScenarioConfig,
-                          efficiency_series, interval_series, log10_capital,
-                          run_ctm, run_scenario, run_transducer, sample,
-                          sample_arrays, smoothed_pvalues)
+                          efficiency_series, run_ctm, run_scenario,
+                          run_transducer, sample, sample_arrays)
+from seqconformal.intervals import interval_block, new_heaps
+from seqconformal.martingale import capital_block, jumper_start
 from seqconformal.scenario import (DATA_SUBSTREAM, TAU_SUBSTREAM, Example,
                                    PValue, columns)
+from seqconformal.transducer import pvalue_block
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -84,12 +86,12 @@ class TestRunTransducer:
         assert run_transducer(PredictiveOracle(Q0), [], RandomStream(1)) == []
 
     @pytest.mark.parametrize("kind", sorted(MEASURES))
-    def test_pvalues_are_smoothed_pvalues_of_the_scores(self, kind):
+    def test_pvalues_are_pvalue_block_of_the_scores(self, kind):
         rng = RandomStream(8)
         stream = sample(Q0, rng.substream(0), 1000)
         measure = MEASURES[kind]
-        want = smoothed_pvalues(measure.scores(*columns(stream)),
-                                rng.substream(1))
+        want = pvalue_block(measure.scores(*columns(stream)), np.empty(0),
+                            rng.substream(1))
         got = run_transducer(measure, stream, rng.substream(1))
         assert [p.value for p in got] == want.tolist()
         assert [p.step_index for p in got] == list(range(1, 1001))
@@ -99,22 +101,23 @@ class TestRunCtm:
     def test_empty_input(self):
         assert run_ctm(JumperConfig(), []) == [(0, 0.0)]
 
-    def test_steps_and_values_are_log10_capital(self):
-        ps = np.random.default_rng(3).random(500).tolist()
-        got = run_ctm(JumperConfig(), [PValue(p, i)
-                                       for i, p in enumerate(ps, start=1)])
+    def test_steps_and_values_are_capital_block(self):
+        ps = np.random.default_rng(3).random(500)
+        got = run_ctm(JumperConfig(), [PValue(p, i) for i, p in
+                                       enumerate(ps.tolist(), start=1)])
         assert [s for s, _ in got] == list(range(501))
         assert all(type(v) is float for _, v in got)
-        assert repr([v for _, v in got]) == repr(
-            log10_capital(JumperConfig(), ps).tolist())
+        logs = np.empty(500)
+        capital_block(JumperConfig(), ps, jumper_start(JumperConfig()), logs)
+        assert repr([v for _, v in got]) == repr([0.0, *logs.tolist()])
 
 
 class TestEfficiencySeries:
     @pytest.mark.parametrize("n", [0, 1, 2, 200])
     def test_records_are_the_interval_arrays(self, n):
         stream = sample(Q0, RandomStream(11), n)
-        series = interval_series(*sample_arrays(Q0, RandomStream(11), n), Q0,
-                                 0.05)
+        series = interval_block(*sample_arrays(Q0, RandomStream(11), n), 0,
+                                n, Q0, 0.05, new_heaps())[0]
         records = efficiency_series(stream, Q0, 0.05)
         assert [r.step for r in records] == list(range(2, n + 1))
         for name in ("center", "lower", "upper", "width", "covered"):

@@ -1,15 +1,17 @@
-"""The block loop: each stage's state carried across block seams.
+"""A Monitor fed in blocks: each stage's state carried across block seams.
 
-A run cuts its stream into blocks of `RUN_BLOCK` steps and carries each
-stage's state from one block to the next. Cut anywhere, the stages must
-give the bits of one block: the p-values (the sorted bag of earlier
-scores), the log10 capitals (the Jumper's capitals, total and scale), the
-intervals (the heaps and the half-width owed to the next block) and the
-coverage and width sums of each phase.
+A `Monitor` takes its stream in blocks of any size and carries each
+stage's state from one block to the next. Cut anywhere, it must give the
+bits of `run_scenario`, which feeds it blocks of `RUN_BLOCK` steps: the
+p-values (the sorted bag of earlier scores), the log10 capitals (the
+Jumper's capitals, total and scale), the intervals (the heaps and the
+half-width owed to the next block) and the summary (the coverage and
+width sums of each phase).
 """
 
 import dataclasses
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -17,50 +19,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqconformal import (BivariateGaussian, JumperConfig, Mahalanobis,
-                          RandomStream, ScenarioConfig, interval_series,
-                          log10_capital, run_scenario, smoothed_pvalues)
+from seqconformal import (BivariateGaussian, Monitor, RandomStream,
+                          ScenarioConfig, run_scenario)
 from seqconformal import scenario
-from seqconformal.intervals import IntervalSeries, interval_block, new_heaps
-from seqconformal.martingale import capital_block, jumper_start
-from seqconformal.scenario import RUN_BLOCK, _add_to_phases, _PhaseSums
+from seqconformal.intervals import IntervalSeries
+from seqconformal.scenario import RUN_BLOCK, MeasureSpec
 from seqconformal.transducer import add_to_bag, pvalue_block
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 Q0 = BivariateGaussian(0.0, 0.0, 1.0, 1.0, 0.5)
-JUMPER = JumperConfig()
-# Coordinates from a small pool, so that equal examples, and so equal
-# scores, fall on both sides of a seam; +-1e200 is so far out that its
-# Mahalanobis score overflows to -inf, and all such examples tie.
-COORDINATES = st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0, 1e200, -1e200])
+# A post-change model so far out that the Mahalanobis score of every post
+# example overflows to -inf: all such examples tie, on both sides of a seam.
+FAR = BivariateGaussian(1e200, 0.0, 1.0, 1.0, 0.5)
+COLUMNS = ("pvalue", "log10_capital",
+           *(f.name for f in dataclasses.fields(IntervalSeries)))
 
 
-def in_blocks(xs, ys, n_pre, edges, epsilon, seed):
-    """Every stage over the stream cut at edges: the p-values, the log10
-    capitals from step 0, the interval columns and each phase's means."""
-    n = len(xs)
-    with np.errstate(over="ignore"):
-        scores = Mahalanobis(Q0).scores(xs, ys)
-    rng = RandomStream(seed)
-    bag = np.empty(n)
-    state, heaps = jumper_start(JUMPER), new_heaps()
-    pvalues = [np.array([])]
-    logs = [log10_capital(JUMPER, [])]
-    columns = {f.name: [] for f in dataclasses.fields(IntervalSeries)}
-    sums = _PhaseSums(), _PhaseSums()
-    for lo, hi in zip(edges, edges[1:]):
-        pvalues.append(pvalue_block(scores[lo:hi], bag[:lo], rng))
-        add_to_bag(bag, lo, scores[lo:hi])
-        logs.append(np.empty(hi - lo))
-        state = capital_block(JUMPER, pvalues[-1], state, logs[-1])
-        block, heaps = interval_block(xs[lo:hi], ys[lo:hi], lo, n, Q0,
-                                      epsilon, heaps)
-        for name, column in columns.items():
-            column.append(getattr(block, name))
-        _add_to_phases(sums, block, max(lo, 1), n_pre)
-    return (np.concatenate(pvalues), np.concatenate(logs),
-            {name: np.concatenate(c) for name, c in columns.items()},
-            [s.means() for s in sums])
+def config(n_pre, n_post, post=Q0, epsilon=0.05, seed=7):
+    return ScenarioConfig(Q0, post, n_pre, n_post, seed,
+                          measure=MeasureSpec("mahalanobis"),
+                          epsilon=epsilon)
+
+
+def run_columns(cfg):
+    """run_scenario's draws, p-values, log10 capitals from step 1 and
+    interval columns, read back from its artifacts (%.17g round-trips
+    floats), and its summary."""
+    with tempfile.TemporaryDirectory() as out:
+        summary = run_scenario(cfg, output_dir=Path(out))
+
+        def column(name, i):
+            rows = (Path(out) / name).read_text().splitlines()[1:]
+            return np.array([float(row.split(",")[i]) for row in rows])
+
+        names = ("center", "lower", "upper", "width")
+        return (column("stream.csv", 1), column("stream.csv", 2), {
+            "pvalue": column("pvalues.csv", 1),
+            "log10_capital": column("martingale.csv", 1)[1:],
+            **{name: column("intervals.csv", i + 1)
+               for i, name in enumerate(names)},
+            "covered": column("intervals.csv", 5) == 1.0}, summary)
+
+
+def assert_bits_of_run(cfg, edges):
+    """A Monitor fed run_scenario's stream cut at edges gives its bits."""
+    xs, ys, want, summary = run_columns(cfg)
+    monitor = Monitor(cfg)
+    blocks = [monitor.feed(xs[lo:hi], ys[lo:hi])
+              for lo, hi in zip(edges, edges[1:])]
+    got = {"pvalue": [b.pvalues for b in blocks],
+           "log10_capital": [b.log10_capital for b in blocks],
+           **{name: [getattr(b.intervals, name) for b in blocks]
+              for name in COLUMNS[2:]}}
+    for name in COLUMNS:
+        column = np.concatenate(got[name])
+        assert column.dtype == want[name].dtype, name
+        assert column.tobytes() == want[name].tobytes(), name
+    assert repr(monitor.finish()) == repr(summary)
 
 
 @st.composite
@@ -69,36 +84,48 @@ def split_streams(draw):
     0 to n with blocks of 1..n steps; a third of the time the change point
     is an edge, otherwise it may fall inside a block."""
     n = draw(st.integers(1, 60))
-    points = st.lists(COORDINATES, min_size=n, max_size=n)
-    xs, ys = np.array(draw(points)), np.array(draw(points))
     n_pre = draw(st.integers(0, n))
     inner = set(draw(st.lists(st.integers(1, n - 1), max_size=n))
                 if n > 1 else [])
     if 0 < n_pre < n and draw(st.integers(0, 2)) == 0:
         inner.add(n_pre)
-    return xs, ys, n_pre, [0, *sorted(inner), n]
+    return n_pre, n - n_pre, [0, *sorted(inner), n]
 
 
-@given(stream=split_streams(), epsilon=st.sampled_from([0.05, 0.3, 0.9]),
+@given(stream=split_streams(), post=st.sampled_from([Q0, FAR]),
+       epsilon=st.sampled_from([0.05, 0.3, 0.9]),
        seed=st.integers(0, 2**32))
 @settings(max_examples=300, deadline=None)
-def test_block_states_give_the_bits_of_one_block(stream, epsilon, seed):
-    xs, ys, n_pre, edges = stream
-    pvalues, logs, columns, means = in_blocks(xs, ys, n_pre, edges, epsilon,
-                                              seed)
-    one_p, one_logs, one_columns, one_means = in_blocks(
-        xs, ys, n_pre, [0, len(xs)], epsilon, seed)
-    with np.errstate(over="ignore"):
-        want_p = smoothed_pvalues(Mahalanobis(Q0).scores(xs, ys),
-                                  RandomStream(seed))
-    assert pvalues.tobytes() == one_p.tobytes() == want_p.tobytes()
-    assert logs.tobytes() == one_logs.tobytes() == \
-        log10_capital(JUMPER, want_p).tobytes()
-    series = interval_series(xs, ys, Q0, epsilon)
-    for name, column in columns.items():
-        assert column.tobytes() == one_columns[name].tobytes() == \
-            getattr(series, name).tobytes(), name
-    assert repr(means) == repr(one_means)
+def test_monitor_in_blocks_gives_the_bits_of_run_scenario(stream, post,
+                                                          epsilon, seed):
+    n_pre, n_post, edges = stream
+    assert_bits_of_run(config(n_pre, n_post, post, epsilon, seed), edges)
+
+
+@pytest.mark.parametrize("post", [Q0, FAR])
+def test_one_example_at_a_time(post):
+    assert_bits_of_run(config(300, 300, post), list(range(601)))
+
+
+@pytest.mark.parametrize("fed,x,y", [(600, 1, 1), (599, 2, 2), (0, 601, 601),
+                                     (5, 0, 0), (5, 3, 1), (5, 1, 3)])
+def test_a_block_past_the_end_empty_or_ragged_raises(fed, x, y):
+    monitor = Monitor(config(300, 300))
+    if fed:
+        monitor.feed(np.zeros(fed), np.ones(fed))
+    with pytest.raises(ValueError, match=f"{fed} of 600 examples fed: {x} x "
+                       f"and {y} y are not 1 to {600 - fed} of each"):
+        monitor.feed(np.zeros(x), np.ones(y))
+
+
+@pytest.mark.parametrize("fed", [0, 1, 599])
+def test_finish_before_the_end_raises(fed):
+    monitor = Monitor(config(300, 300))
+    if fed:
+        monitor.feed(np.zeros(fed), np.ones(fed))
+    with pytest.raises(ValueError, match=f"finish after {fed} of 600 "
+                       "examples"):
+        monitor.finish()
 
 
 # Scores as the transducer sees them: equal, signed zeros, infinite and NaN.
@@ -120,7 +147,7 @@ def test_bag_counts_ties_across_seams(scores, cuts, seed):
     for lo, hi in zip(edges, edges[1:]):
         got.append(pvalue_block(scores[lo:hi], bag[:lo], rng))
         add_to_bag(bag, lo, scores[lo:hi])
-    want = smoothed_pvalues(scores, RandomStream(seed))
+    want = pvalue_block(scores, np.empty(0), RandomStream(seed))
     assert np.concatenate(got).tobytes() == want.tobytes()
 
 

@@ -12,8 +12,9 @@ from reference import (conditional_density, covariance, mean,
 from seqconformal import (BivariateGaussian, LikelihoodRatio, Mahalanobis,
                           OracleMahalanobisEnsemble, PredictiveOracle,
                           RandomStream, cryptic_shift, ks_uniform,
-                          sample_arrays, smoothed_pvalues)
+                          sample_arrays)
 from seqconformal.scenario import DATA_SUBSTREAM, TAU_SUBSTREAM
+from seqconformal.transducer import pvalue_block
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
 
@@ -260,7 +261,7 @@ def test_pvalues_uniform_under_exchangeability(kind):
     for seed in range(1000, 1100):
         rng = RandomStream(seed)
         xs, ys = sample_arrays(Q0, rng.substream(DATA_SUBSTREAM), 4000)
-        pvalues = smoothed_pvalues(SHIPPED[kind].scores(xs, ys),
-                                   rng.substream(TAU_SUBSTREAM))
+        pvalues = pvalue_block(SHIPPED[kind].scores(xs, ys), np.empty(0),
+                               rng.substream(TAU_SUBSTREAM))
         rejections += ks_uniform(pvalues, alpha=0.01).reject
     assert rejections <= 5

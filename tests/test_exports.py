@@ -12,12 +12,12 @@ from seqconformal import (conformity, gaussian, intervals, martingale,
 
 EXPORTS = [
     "BivariateGaussian", "ConfigError", "IntervalSeries", "JumperConfig",
-    "KSReport", "LikelihoodRatio", "Mahalanobis",
+    "KSReport", "LikelihoodRatio", "Mahalanobis", "Monitor",
     "OracleMahalanobisEnsemble", "PredictiveOracle", "RandomStream",
     "ScenarioConfig", "ScenarioSummary", "conditional_mean", "cryptic_shift",
-    "efficiency_series", "interval_series", "ks_uniform", "log10_capital",
-    "oracle_law", "run_ctm", "run_replications", "run_scenario",
-    "run_transducer", "sample", "sample_arrays", "smoothed_pvalues",
+    "efficiency_series", "ks_uniform", "oracle_law", "run_ctm",
+    "run_replications", "run_scenario", "run_transducer", "sample",
+    "sample_arrays",
 ]
 
 # The per-example adapters live in one block at the end of `scenario.py`.

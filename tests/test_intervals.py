@@ -9,30 +9,36 @@ from hypothesis import strategies as st
 from reference import ScoreStore, predict_interval
 from seqconformal import intervals
 from seqconformal import (BivariateGaussian, RandomStream, conditional_mean,
-                          interval_series, sample_arrays)
-from seqconformal.intervals import IntervalSeries
+                          efficiency_series, sample, sample_arrays)
+from seqconformal.intervals import IntervalSeries, interval_block, new_heaps
 from seqconformal.martingale import BLOCK_STEPS
 
 Q0 = BivariateGaussian(0, 0, 1, 1, 0.5)
 SIGMA_C = math.sqrt(0.75)
 
 
+def stream_intervals(xs, ys, q0, epsilon):
+    """The intervals of a whole stream: one `interval_block` from
+    `new_heaps`."""
+    return interval_block(xs, ys, 0, len(xs), q0, epsilon, new_heaps())[0]
+
+
 class TestIntervalSeries:
     def test_short_stream_gives_empty_arrays(self):
         # The arrays start at step 2, so there is nothing to predict.
         for n in (0, 1):
-            series = interval_series(np.zeros(n), np.zeros(n), Q0, 0.05)
+            series = stream_intervals(np.zeros(n), np.zeros(n), Q0, 0.05)
             for name in ("center", "lower", "upper", "width", "covered"):
                 assert getattr(series, name).shape == (0,), (n, name)
             assert series.covered.dtype == bool
 
     def test_arrays_start_at_step_two(self):
-        series = interval_series(*sample_arrays(Q0, RandomStream(2), 50), Q0,
-                                 0.05)
+        series = stream_intervals(*sample_arrays(Q0, RandomStream(2), 50),
+                                  Q0, 0.05)
         assert len(series.width) == 49
 
     def test_constant_stream_degenerates(self):
-        series = interval_series(np.zeros(40), np.zeros(40), Q0, 0.05)
+        series = stream_intervals(np.zeros(40), np.zeros(40), Q0, 0.05)
         # all scores tie at the peak, so every interval is the point mass
         assert (series.width == 0.0).all()
         assert series.covered.all()
@@ -45,52 +51,51 @@ class TestIntervalSeries:
                                                (0.5, 10.0), (0.9, 2.0)])
     def test_halfwidth_is_upper_order_statistic(self, eps, halfwidth):
         ys = np.arange(20.0, -1.0, -1.0)
-        series = interval_series(np.zeros(21), ys, Q0, eps)
+        series = stream_intervals(np.zeros(21), ys, Q0, eps)
         assert (series.lower[-1], series.upper[-1]) == (-halfwidth, halfwidth)
 
     @pytest.mark.parametrize("eps", [0.01, 0.05, 0.5])
     def test_threshold_one_sd_from_mean(self, eps):
-        series = interval_series(np.zeros(100), np.full(100, SIGMA_C), Q0,
-                                 eps)
+        series = stream_intervals(np.zeros(100), np.full(100, SIGMA_C), Q0,
+                                  eps)
         assert (series.width == 2 * SIGMA_C).all()
 
     def test_zero_residuals_degenerate_at_the_conditional_mean(self):
         # Every example sits at E[Y | X = 2] = 1, the score peak.
-        series = interval_series(np.full(30, 2.0), np.full(30, 1.0), Q0,
-                                 0.05)
+        series = stream_intervals(np.full(30, 2.0), np.full(30, 1.0), Q0, 0.05)
         assert (series.width == 0.0).all()
         assert (series.center == 1.0).all()
         assert series.covered.all()
 
     def test_center_is_the_conditional_mean(self):
         xs, ys = sample_arrays(Q0, RandomStream(1), 500)
-        series = interval_series(xs, ys, Q0, 0.05)
+        series = stream_intervals(xs, ys, Q0, 0.05)
         assert series.center.tolist() == conditional_mean(Q0, xs[1:]).tolist()
 
     def test_width_nonincreasing_in_epsilon(self):
         xs, ys = sample_arrays(Q0, RandomStream(1), 1000)
-        widths = [interval_series(xs, ys, Q0, eps).width
+        widths = [stream_intervals(xs, ys, Q0, eps).width
                   for eps in (0.01, 0.05, 0.1, 0.3)]
         for wider, narrower in zip(widths, widths[1:]):
             assert (wider >= narrower).all()
 
     def test_coverage_at_nominal_level(self):
         rng = RandomStream(5)
-        series = interval_series(*sample_arrays(Q0, rng, 5000), Q0, 0.05)
+        series = stream_intervals(*sample_arrays(Q0, rng, 5000), Q0, 0.05)
         coverage = np.mean(series.covered)
         assert coverage == pytest.approx(0.95, abs=0.02)
 
     def test_miscoverage_bounded_under_exchangeability(self):
         eps = 0.05
         rng = RandomStream(6)
-        series = interval_series(*sample_arrays(Q0, rng, 3000), Q0, eps)
+        series = stream_intervals(*sample_arrays(Q0, rng, 3000), Q0, eps)
         miss = np.mean(~series.covered)
         se = math.sqrt(eps * (1 - eps) / series.covered.size)
         assert miss <= eps + 3 * se
 
     def test_width_matches_bounds(self):
-        series = interval_series(*sample_arrays(Q0, RandomStream(7), 100),
-                                 Q0, 0.1)
+        series = stream_intervals(*sample_arrays(Q0, RandomStream(7), 100),
+                                  Q0, 0.1)
         assert series.width == pytest.approx(series.upper - series.lower)
         assert ((series.lower <= series.center)
                 & (series.center <= series.upper)).all()
@@ -120,7 +125,7 @@ class TestStreamingThreshold:
     @settings(max_examples=200, deadline=None)
     def test_equals_predict_interval_bit_for_bit(self, points, epsilon):
         xs, ys = np.array(points, dtype=np.float64).reshape(-1, 2).T
-        assert_same_bits(interval_series(xs, ys, Q0, epsilon),
+        assert_same_bits(stream_intervals(xs, ys, Q0, epsilon),
                          reference_series(xs, ys, Q0, epsilon))
 
     @pytest.mark.parametrize("epsilon", [0.01, 0.5])
@@ -129,13 +134,13 @@ class TestStreamingThreshold:
         xs, ys = np.concatenate([sample_arrays(Q0, RandomStream(9), 400),
                                  sample_arrays(q1, RandomStream(10), 400)],
                                 axis=1)
-        assert_same_bits(interval_series(xs, ys, Q0, epsilon),
+        assert_same_bits(stream_intervals(xs, ys, Q0, epsilon),
                          reference_series(xs, ys, Q0, epsilon))
 
     def test_all_equal_scores(self):
         xs = np.full(30, 1.0)
         ys = np.full(30, 0.5 + 0.5 * math.sqrt(0.75))
-        assert_same_bits(interval_series(xs, ys, Q0, 0.01),
+        assert_same_bits(stream_intervals(xs, ys, Q0, 0.01),
                          reference_series(xs, ys, Q0, 0.01))
 
     def test_far_residual_sets_the_interval(self):
@@ -146,14 +151,14 @@ class TestStreamingThreshold:
         want = IntervalSeries(center=np.zeros(2), lower=np.full(2, -100.0),
                               upper=np.full(2, 100.0), width=np.full(2, 200.0),
                               covered=np.ones(2, dtype=bool))
-        assert_same_bits(interval_series(xs, ys, Q0, 0.05), want)
+        assert_same_bits(stream_intervals(xs, ys, Q0, 0.05), want)
         assert_same_bits(reference_series(xs, ys, Q0, 0.05), want)
 
     def test_bad_epsilon_rejected(self):
-        xs, ys = sample_arrays(Q0, RandomStream(12), 10)
+        stream = sample(Q0, RandomStream(12), 10)
         for epsilon in (0.0, 1.0):
             with pytest.raises(ValueError, match="epsilon"):
-                interval_series(xs, ys, Q0, epsilon)
+                efficiency_series(stream, Q0, epsilon)
 
 
 def assert_same_bits(got, want):
@@ -216,7 +221,7 @@ class TestBlockBoundaries:
         n = intervals_count + 1
         ys = PATTERNS[pattern](n, epsilon)
         xs = np.zeros(n)
-        assert_same_bits(interval_series(xs, ys, Q0, epsilon),
+        assert_same_bits(stream_intervals(xs, ys, Q0, epsilon),
                          reference_series(xs, ys, Q0, epsilon))
 
     def test_trimming_drops_values(self, monkeypatch):
@@ -259,7 +264,7 @@ class TestBlockBoundaries:
         xs = np.zeros(n)
         want = reference_series(xs, ys, Q0, 0.5)
         monkeypatch.setattr(intervals, "heapq", CountingHeapq)
-        got = interval_series(xs, ys, Q0, 0.5)
+        got = stream_intervals(xs, ys, Q0, 0.5)
         largest, rest = heaps["largest"], heaps["rest"]
         assert len(largest) == pushes["largest"] == 2 * B + 1
         assert pushes["rest"] == 3 * B

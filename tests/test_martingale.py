@@ -7,8 +7,19 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from reference import initial_state, jumper_step
-from seqconformal import JumperConfig, log10_capital
-from seqconformal.martingale import BLOCK_STEPS
+from seqconformal import JumperConfig
+from seqconformal.martingale import BLOCK_STEPS, capital_block, jumper_start
+
+
+def log10_trajectory(cfg, pvalues):
+    """log10 S by step, from step 0: `capital_block` from `jumper_start`
+    over the p-values as a float64 array."""
+    state = _, total, scale = jumper_start(cfg)
+    trajectory = np.empty(len(pvalues) + 1)
+    trajectory[0] = math.log10(total) + scale
+    capital_block(cfg, np.asarray(pvalues, dtype=np.float64), state,
+                  trajectory[1:])
+    return trajectory
 
 
 class TestConfig:
@@ -30,40 +41,40 @@ class TestConfig:
 
 class TestLog10Capital:
     def test_empty_input(self):
-        assert log10_capital(JumperConfig(), []).tolist() == [0.0]
+        assert log10_trajectory(JumperConfig(), []).tolist() == [0.0]
 
     def test_trajectory_length(self):
-        assert len(log10_capital(JumperConfig(), [0.5] * 10)) == 11
+        assert len(log10_trajectory(JumperConfig(), [0.5] * 10)) == 11
 
     @pytest.mark.parametrize("jump_rate", [0.0, 0.01])
     def test_neutral_grid_keeps_the_capital(self, jump_rate):
         # f_0(p) = 1 for every p
         cfg = JumperConfig(epsilons=(0.0,), jump_rate=jump_rate)
         ps = np.random.default_rng(2).random(100)
-        assert (log10_capital(cfg, ps) == 0.0).all()
+        assert (log10_trajectory(cfg, ps) == 0.0).all()
 
     def test_one_bet_endpoints(self):
         # Under the grid (1.0,) with no jumps, f_1(1) = 1.5 and f_1(0) = 0.5.
         cfg = JumperConfig(epsilons=(1.0,), jump_rate=0.0)
-        assert log10_capital(cfg, [1.0])[-1] == math.log10(1.5)
-        assert log10_capital(cfg, [0.0])[-1] == math.log10(0.5)
+        assert log10_trajectory(cfg, [1.0])[-1] == math.log10(1.5)
+        assert log10_trajectory(cfg, [0.0])[-1] == math.log10(0.5)
 
     @pytest.mark.parametrize("eps", [-1.0, -0.5, 0.5, 1.0])
     def test_one_bet_integrates_to_one(self, eps):
         # E[S_1] under a uniform p is the integral of f_eps over [0, 1].
         cfg = JumperConfig(epsilons=(eps,), jump_rate=0.0)
-        total, _ = quad(lambda p: 10.0 ** log10_capital(cfg, [p])[-1], 0, 1)
+        total, _ = quad(lambda p: 10.0 ** log10_trajectory(cfg, [p])[-1], 0, 1)
         assert total == pytest.approx(1.0)
 
     @given(eps=st.floats(-1, 1), p=st.floats(0, 1))
     @settings(max_examples=200, deadline=None)
     def test_one_bet_lies_between_half_and_three_halves(self, eps, p):
         cfg = JumperConfig(epsilons=(eps,), jump_rate=0.0)
-        after = log10_capital(cfg, [p])[-1]
+        after = log10_trajectory(cfg, [p])[-1]
         assert math.log10(0.5) <= after <= math.log10(1.5)
 
     def test_neutral_pvalue_keeps_the_capital(self):
-        trajectory = log10_capital(JumperConfig(), [0.5] * 100)
+        trajectory = log10_trajectory(JumperConfig(), [0.5] * 100)
         assert trajectory == pytest.approx(np.zeros(101), abs=1e-13)
 
     @pytest.mark.parametrize("p,factor", [(1.0, 1.5), (0.0, 0.5)])
@@ -71,7 +82,7 @@ class TestLog10Capital:
         # Under the grid (1.0,) with no jumps S_n is factor**n, which leaves
         # [10**-6, 10**6] by step 35 and is rescaled there.
         cfg = JumperConfig(epsilons=(1.0,), jump_rate=0.0)
-        trajectory = log10_capital(cfg, [p] * 60)
+        trajectory = log10_trajectory(cfg, [p] * 60)
         assert abs(trajectory[-1]) > 6
         assert trajectory == pytest.approx(
             np.arange(61) * math.log10(factor), abs=1e-12)
@@ -81,12 +92,13 @@ class TestLog10Capital:
         # 1.5: the total stays 1. A second p = 1 gives (1/12 + 1/3 + 3/4),
         # that is 7/6.
         cfg = JumperConfig(jump_rate=0.0)
-        trajectory = log10_capital(cfg, [1.0, 1.0])
+        trajectory = log10_trajectory(cfg, [1.0, 1.0])
         assert trajectory[1] == pytest.approx(0.0, abs=1e-15)
         assert trajectory[2] == pytest.approx(math.log10(7.0 / 6.0))
 
     def test_capital_stays_positive(self):
-        trajectory = log10_capital(JumperConfig(), [0.0, 1.0, 0.0, 1.0, 0.5])
+        trajectory = log10_trajectory(JumperConfig(),
+                                      [0.0, 1.0, 0.0, 1.0, 0.5])
         assert np.isfinite(trajectory).all()
 
     def test_ville_bound(self):
@@ -96,7 +108,7 @@ class TestLog10Capital:
         exceed = {5.0: 0, 10.0: 0, 20.0: 0}
         for seed in range(n_runs):
             ps = np.random.default_rng(5000 + seed).random(length)
-            max_log10 = log10_capital(cfg, ps).max()
+            max_log10 = log10_trajectory(cfg, ps).max()
             for c in exceed:
                 if max_log10 >= math.log10(c):
                     exceed[c] += 1
@@ -141,7 +153,7 @@ class TestInlineRecurrence:
                                                     run):
         cfg = JumperConfig(epsilons=epsilons, jump_rate=jump_rate)
         ps = PVALUE_RUNS[run]
-        assert (repr(log10_capital(cfg, ps).tolist())
+        assert (repr(log10_trajectory(cfg, ps).tolist())
                 == repr(folded_trajectory(cfg, ps)))
 
     @pytest.mark.parametrize("run,direction", [("uniform", -1),
@@ -159,15 +171,19 @@ class TestInlineRecurrence:
             state = jumper_step(state, cfg, p)
             want.append(state.log10_total)
         assert direction * state.log10_scale > 6
-        assert repr(log10_capital(cfg, ps).tolist()) == repr(want)
+        assert repr(log10_trajectory(cfg, ps).tolist()) == repr(want)
 
-    def test_array_and_list_inputs(self):
-        ps = PVALUE_RUNS["random"][:500]
-        want = repr(folded_trajectory(JumperConfig(), ps))
-        for pvalues in (np.array(ps), ps):
-            got = log10_capital(JumperConfig(), pvalues)
-            assert got.dtype == np.float64
-            assert repr(got.tolist()) == want
+    @pytest.mark.parametrize("cut", [0, 1, 250, 499, 500])
+    def test_returned_state_continues_the_run(self, cut):
+        # capital_block's state after ps[:cut], fed back with ps[cut:],
+        # gives the log10 capitals of one call over ps.
+        cfg = JumperConfig()
+        ps = np.array(PVALUE_RUNS["random"][:500])
+        logs = np.empty(500)
+        state = capital_block(cfg, ps[:cut], jumper_start(cfg), logs[:cut])
+        capital_block(cfg, ps[cut:], state, logs[cut:])
+        want = folded_trajectory(cfg, ps.tolist())[1:]
+        assert repr(logs.tolist()) == repr(want)
 
 
 B = BLOCK_STEPS
@@ -209,7 +225,7 @@ def rescaled_steps(cfg, ps):
 
 
 class TestBlockBoundaries:
-    """log10_capital reads BLOCK_STEPS p-values per block, and each step
+    """capital_block reads BLOCK_STEPS p-values per block, and each step
     adds the decimal scale it ends at to its log10 total; the scale of a
     rescale on the last step of a block or the first of the next must
     carry over."""
@@ -222,7 +238,7 @@ class TestBlockBoundaries:
         ps = rescaling_run(ONE_BET, n, [(step, 1.0) for step in steps])
         assert len(ps) == n
         assert rescaled_steps(ONE_BET, ps) == steps
-        got = log10_capital(ONE_BET, ps)
+        got = log10_trajectory(ONE_BET, ps)
         assert repr(got.tolist()) == repr(folded_trajectory(ONE_BET, ps))
 
     def test_two_bets_rescale_both_ways_within_and_at_block_edges(self):
@@ -233,13 +249,13 @@ class TestBlockBoundaries:
         n = 3 * B + 10
         ps = rescaling_run(TWO_BETS, n, rescales)
         assert rescaled_steps(TWO_BETS, ps) == [step for step, _ in rescales]
-        got = log10_capital(TWO_BETS, ps)
+        got = log10_trajectory(TWO_BETS, ps)
         assert repr(got.tolist()) == repr(folded_trajectory(TWO_BETS, ps))
 
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
     def test_default_grid_across_blocks(self, n):
         ps = np.random.default_rng(n).beta(0.2, 1.0, size=n).tolist()
-        got = log10_capital(JumperConfig(), ps).tolist()
+        got = log10_trajectory(JumperConfig(), ps).tolist()
         assert repr(got) == repr(folded_trajectory(JumperConfig(), ps))
 
 
@@ -287,8 +303,8 @@ class TestExactFairness:
              prefix=[0.0, 1.0] * 50)
     def test_half_is_the_conditional_mean(self, grid, jump_rate, prefix):
         cfg = JumperConfig(epsilons=tuple(grid), jump_rate=jump_rate)
-        before = log10_capital(cfg, prefix)[-1]
-        after = log10_capital(cfg, prefix + [0.5])[-1]
+        before = log10_trajectory(cfg, prefix)[-1]
+        after = log10_trajectory(cfg, prefix + [0.5])[-1]
         assert abs(after - before) <= fairness_tolerance(
             len(grid), (before, after))
 
@@ -298,9 +314,9 @@ class TestExactFairness:
         # capital by 1 + (p - 1/2): 1.5 per step passes 10**6 at step 35,
         # 0.5 per step passes 10**-6 at step 20, and each rescales.
         cfg = JumperConfig(epsilons=(1.0,), jump_rate=0.0)
-        trajectory = log10_capital(cfg, [p] * 60)
+        trajectory = log10_trajectory(cfg, [p] * 60)
         assert direction * trajectory[-1] > 6
         for n, before in enumerate(trajectory):
-            after = log10_capital(cfg, [p] * n + [0.5])[-1]
+            after = log10_trajectory(cfg, [p] * n + [0.5])[-1]
             assert abs(after - before) <= fairness_tolerance(
                 1, (before, after))

@@ -34,11 +34,13 @@ WRITER_BUDGET_PER_ROW = 1024
 
 # The peak RSS of the 10^6-step run, in MiB: a process that has imported
 # the package and run a 1000-step stream peaks at about 37 MiB on Linux with
-# numpy 2.4.6, and the bound takes 40. The run's largest stage, KS, holds
-# 24 B/step (22.9 MiB), and test_run_peak_memory_per_step's allowance of
-# 23 B/step (21.9 MiB) covers the rest: 40 + 22.9 + 21.9 is about 85. The run
-# peaks at about 65 MiB; the design that built every whole-stream array
-# before it summarized peaked at 107 MiB, and the one before that at 267.
+# numpy 2.4.6, and the bound takes 40. The run's largest stage, the loop,
+# holds 18 B/step (17.2 MiB), KS 16 B/step (15.3 MiB), and
+# test_run_peak_memory_per_step's allowance of 23 B/step (21.9 MiB) covers
+# the rest: 40 + 17.2 + 21.9 is about 79. The bound keeps the 85 it took
+# when KS held 24 B/step (22.9 MiB). The run peaks at about 58 MiB, 65 MiB
+# with that KS; the design that built every whole-stream array before it
+# summarized peaked at 107 MiB, and the one before that at 267.
 RSS_BOUND_MIB = 85
 
 # The 10^6-step run, without artifacts: it prints its peak RSS in MiB and
@@ -71,17 +73,19 @@ def test_run_peak_memory_per_step():
       numpy's `unique` and the int32 rank-count arrays, the Jumper's and
       the interval loop's lists of one `BLOCK_STEPS` sub-block, the
       interval arrays) take about 1 MB, whatever the length of the stream;
-    - KS, after the loop frees the bag and the heaps: the p-values, a
-      sorted copy and one float64 buffer for i/n - u, then for
-      u - (i - 1)/n (24).
-    The largest stage, 24 B/step, plus 23 B/step (4.6 MB at this length)
-    for a block's working arrays, for objects that a first run in a
-    process creates and for numpy's own allocations gives the budget of
-    47 B/step. One Python float per step (32 B with its list slot) held
-    through the loop or KS exceeds it. The design that built every
-    whole-stream array before it summarized peaked at about 74 B/step, in
-    numpy's `unique` over all the scores; the design before the first
-    budget at 212.
+    - KS, after the loop frees the bag and the heaps: the p-values and a
+      sorted copy (16), plus i/n - u and u - (i - 1)/n over one chunk of
+      8192 sorted values at a time.
+    The budget of 47 B/step was the largest stage when KS held 24 B/step
+    (one buffer of n differences at a time), plus 23 B/step (4.6 MB at
+    this length) for a block's working arrays, for objects that a first
+    run in a process creates and for numpy's own allocations. With the
+    loop's 18 B/step now the largest, a first run in a process peaks at
+    about 27 B/step. One Python float per step (32 B with its list slot)
+    held through the loop or KS exceeds the budget. The design that built
+    every whole-stream array before it summarized peaked at about 74
+    B/step, in numpy's `unique` over all the scores; the design before the
+    first budget at 212.
     """
     cfg = dataclasses.replace(
         ScenarioConfig.from_file(SCENARIOS / "cryptic.cfg"),

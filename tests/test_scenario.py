@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 from reference import left_sum
 import seqconformal
 from seqconformal import (BivariateGaussian, ConfigError, JumperConfig,
-                          OracleMahalanobisEnsemble, RandomStream,
+                          Monitor, OracleMahalanobisEnsemble, RandomStream,
                           ScenarioConfig, ScenarioSummary, run_replications,
                           run_scenario, sample_arrays)
 from seqconformal.cli import main as cli_main
 from seqconformal.intervals import IntervalSeries
 from seqconformal.scenario import (DATA_SUBSTREAM, RUN_BLOCK, MeasureSpec,
-                                   _add_to_phases, _converter, _PhaseSums,
+                                   _converter, _PhaseSums,
                                    aggregate_summaries)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -854,15 +854,20 @@ class TestPhaseMeans:
         assert repr(mean_width) == "0.0"
 
     def test_phase_selection(self):
-        # The pre phase ends before example n_pre; the series holds the
-        # intervals of examples 1..4 (steps 2..5).
-        series = series_of_widths([1.0, 2.0, 4.0, 8.0])
-        for n_pre, want in ((3, [(1.0, 1.5), (1.0, 6.0)]),
-                            (5, [(1.0, 3.75), (None, None)]),
-                            (1, [(None, None), (1.0, 3.75)])):
-            phases = _PhaseSums(), _PhaseSums()
-            _add_to_phases(phases, series, 1, n_pre)
-            assert [sums.means() for sums in phases] == want
+        # The pre phase ends before example n_pre. Examples 1..4 (steps
+        # 2..5) have intervals: x = 0 centres them at 0, and at epsilon
+        # 0.05 the half-width is the largest earlier |y|, so the widths
+        # are 1, 2, 4 and 8, and only example 4 is covered.
+        q0 = BivariateGaussian(0.0, 0.0, 1.0, 1.0, 0.5)
+        xs, ys = np.zeros(5), np.array([0.5, 1.0, 2.0, 4.0, 0.0])
+        for n_pre, want in ((3, [(0.0, 1.5), (0.5, 6.0)]),
+                            (5, [(0.25, 3.75), (None, None)]),
+                            (1, [(None, None), (0.25, 3.75)])):
+            monitor = Monitor(ScenarioConfig(q0, q0, n_pre, 5 - n_pre, 1))
+            monitor.feed(xs, ys)
+            s = monitor.finish()
+            assert [(s.coverage_pre, s.mean_width_pre),
+                    (s.coverage_post, s.mean_width_post)] == want
         assert phase_means([]) == (None, None)
 
 

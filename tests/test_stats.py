@@ -31,8 +31,9 @@ class TestKsUniform:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 100_001])
     def test_statistic_equals_whole_array_formula_bit_for_bit(self, n):
-        # ks_uniform computes i / n - u and u - (i - 1) / n in one buffer,
-        # with the same operations as these whole-array expressions.
+        # ks_uniform computes i / n - u and u - (i - 1) / n over chunks of
+        # 8192 sorted values, with the same operations as these
+        # whole-array expressions; 100_001 values make 13 chunks.
         u = np.sort(np.random.default_rng(n).random(n))
         i = np.arange(1, n + 1)
         want = max(np.max(i / n - u), np.max(u - (i - 1) / n))
