@@ -7,6 +7,9 @@
 Exit codes: 0 success, 1 config error, 2 I/O error. An error prints only
 one `error:` line, naming the config field or the path; a config error
 comes before its replication writes a file. Usage errors print usage, exit 2.
+
+Only `run` imports the runner, and numpy with it; `verify`, and a config
+refused at load, never do.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import json
 import sys
 from pathlib import Path
 
+from .config import ConfigError, ScenarioConfig
 from .cryptic import oracle_law
-from .scenario import ConfigError, ScenarioConfig, run_replications
 
 QUICK_N = 2000
 
@@ -81,6 +84,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args)
         if args.command == "verify":
             return _verify(cfg)
+        from .scenario import run_replications  # the first numpy import
         summaries = run_replications(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

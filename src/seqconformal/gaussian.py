@@ -20,11 +20,14 @@ u, w and r unchanged and scales the conditional mean and sd exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .rng import RandomStream
+    from .rng import RandomStream
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,10 @@ def _regression(q: BivariateGaussian, u):
     tanh(u), finite and of u's sign, so a far x gives mu_y, not 0 * inf."""
     slope = q.correlation * q.sigma_y
     if slope == 0.0:
-        u = np.tanh(u) if isinstance(u, np.ndarray) else math.tanh(u)
+        # An ndarray u means numpy is loaded; a float u need not load it.
+        numpy = sys.modules.get("numpy")
+        u = (numpy.tanh(u) if numpy and isinstance(u, numpy.ndarray)
+             else math.tanh(u))
     return q.mu_y + slope * u
 
 
@@ -97,6 +103,8 @@ def sample_arrays(q: BivariateGaussian, rng: RandomStream,
     for one numpy and one libm the draws are the same at every SIMD
     dispatch level. An overflowing draw is inf or NaN, with no warning.
     """
+    import numpy as np
+
     if n < 0:
         raise ValueError("n must be nonnegative")
     z1, z2 = rng.normals(2 * n).reshape(n, 2).T

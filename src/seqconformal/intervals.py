@@ -78,8 +78,11 @@ def interval_block(xs: np.ndarray, ys: np.ndarray, first: int, n: int,
 
     k never falls and grows by at most one as m grows, so the k largest
     |r| stay in a min-heap and the rest in a max-heap (stored negated);
-    the half-width is the top of the min-heap.
+    the half-width is the top of the min-heap. ValueError unless
+    0 < epsilon < 1.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     center = conditional_mean(q0, xs)
     abs_r = np.abs(ys - center)
     def rank(m):  # k at m stored |r|, as a float; rank(0) is 0

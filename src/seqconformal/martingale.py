@@ -37,8 +37,10 @@ import math
 from dataclasses import dataclass
 from functools import cache, reduce
 from operator import add
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Steps per block of the per-step loops here and in `intervals`.
 BLOCK_STEPS = 4096

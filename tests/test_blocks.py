@@ -19,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqconformal import (BivariateGaussian, Monitor, RandomStream,
-                          ScenarioConfig, run_scenario)
+from seqconformal import (BivariateGaussian, ConfigError, Monitor,
+                          RandomStream, ScenarioConfig, run_scenario)
 from seqconformal import scenario
+from seqconformal.config import MeasureSpec
 from seqconformal.intervals import IntervalSeries
-from seqconformal.scenario import RUN_BLOCK, MeasureSpec
+from seqconformal.scenario import RUN_BLOCK
 from seqconformal.transducer import add_to_bag, pvalue_block
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -116,6 +117,13 @@ def test_a_block_past_the_end_empty_or_ragged_raises(fed, x, y):
     with pytest.raises(ValueError, match=f"{fed} of 600 examples fed: {x} x "
                        f"and {y} y are not 1 to {600 - fed} of each"):
         monitor.feed(np.zeros(x), np.ones(y))
+
+
+def test_a_stream_too_long_to_allocate_is_a_config_error():
+    # numpy refuses 10**30 steps before it allocates anything.
+    with pytest.raises(ConfigError, match=r"'n_pre/n_post': a stream of "
+                       rf"{10**30 + 300} steps cannot be allocated: "):
+        Monitor(config(10**30, 300))
 
 
 @pytest.mark.parametrize("fed", [0, 1, 599])

@@ -26,12 +26,18 @@ ADAPTERS = ("Example", "PValue", "EfficiencyRecord", "sample", "columns",
 
 
 def test_public_names_are_pinned():
-    # Submodules become attributes of the package when imported; they are
-    # not exports.
-    public = sorted(name for name, value in vars(seqconformal).items()
-                    if not name.startswith("_")
-                    and not isinstance(value, types.ModuleType))
+    # dir() lists the numpy-backed exports before their first use, when
+    # vars() does not yet hold them; getattr resolves each. Submodules
+    # become attributes of the package when imported; they are not
+    # exports.
+    public = sorted(name for name in dir(seqconformal)
+                    if not name.startswith("_") and not isinstance(
+                        getattr(seqconformal, name), types.ModuleType))
     assert public == sorted(EXPORTS)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    assert not hasattr(seqconformal, "smoothed_pvalues")
 
 
 def test_stage_modules_hold_no_adapter():

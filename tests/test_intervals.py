@@ -160,6 +160,15 @@ class TestStreamingThreshold:
             with pytest.raises(ValueError, match="epsilon"):
                 efficiency_series(stream, Q0, epsilon)
 
+    # 0 would make every half-width inf, 1.5 cap the rank at the stored
+    # count, and NaN fail inside int().
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 1.5, math.nan])
+    def test_block_refuses_epsilon_outside_unit_interval(self, epsilon):
+        xs, ys = sample_arrays(Q0, RandomStream(12), 5)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\), "
+                           f"got {epsilon!r}"):
+            interval_block(xs, ys, 0, 5, Q0, epsilon, new_heaps())
+
 
 def assert_same_bits(got, want):
     for name in ("center", "lower", "upper", "width", "covered"):

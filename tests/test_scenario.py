@@ -21,9 +21,9 @@ from seqconformal import (BivariateGaussian, ConfigError, JumperConfig,
                           ScenarioConfig, ScenarioSummary, run_replications,
                           run_scenario, sample_arrays)
 from seqconformal.cli import main as cli_main
+from seqconformal.config import MeasureSpec, _converter
 from seqconformal.intervals import IntervalSeries
-from seqconformal.scenario import (DATA_SUBSTREAM, RUN_BLOCK, MeasureSpec,
-                                   _converter, _PhaseSums,
+from seqconformal.scenario import (DATA_SUBSTREAM, RUN_BLOCK, _PhaseSums,
                                    aggregate_summaries)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
